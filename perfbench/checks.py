@@ -189,20 +189,23 @@ def _check_check(report, p: dict, fails: list[str], arrangement: bool) -> None:
         fails.append("check: support coverage %s, expected total %d" % (covered, on))
 
 
-def verify(workload: str, command: str, params: dict, code, report) -> list[str]:
-    """Check one query's exit code and parsed structured report."""
+def verify(command: str, params: dict, code, report) -> list[str]:
+    """Check one query's exit code and parsed structured report.  The
+    query's params["kind"] says what it ran on: a chart, a cone family or an
+    arrangement."""
     if code != 0:
         return ["exit code %s" % code]
     fails: list[str] = []
-    arrangement = workload == "arrangements"
+    kind = params["kind"]
+    arrangement = kind == "arrangement"
     if command == "faces":
         exceptional = params.get("exceptional") or [
             {"a": params["degrees"], "c": params["n"]}]
         _check_faces(report, params["r"], exceptional, fails)
-        if workload == "cones" and not isinstance(report.get("stable_under_bound_increase"), bool):
+        if kind == "cone" and not isinstance(report.get("stable_under_bound_increase"), bool):
             fails.append("faces: no stabilization verdict for a builtin family")
     elif command == "components":
-        _check_components(report, params["r"], workload != "charts", fails)
+        _check_components(report, params["r"], kind != "chart", fails)
     elif command == "betti":
         _check_betti(report, params, fails, arrangement)
     elif command == "milnor":

@@ -1,6 +1,6 @@
 """Benchmark for quasiadj: one workload, one seed, one process.
 
-    python3 perfbench/run.py --workload charts --seed 1 --seconds 35 --trace 0
+    python3 perfbench/run.py --workload geometry --seed 1 --seconds 40 --trace 0
 
 Run from the root of a checkout.  The library is imported from the
 checkout's `src/`; the run stops with an error if `quasiadj` resolves
@@ -9,20 +9,27 @@ at a time, each as `quasiadj.cli.main(argv + ["--format", "structured",
 "--out", F])`, and checks every report (see checks.py).  Caches persist
 across queries, as they would for a script calling the library.
 
-Set-up (importing the library, generating the queries and writing their
-chart files) is timed SETUP_REPEATS times before the queries and as many
-times after; setup_s is the median.
+Set-up (importing the library, generating the pass of queries and writing
+their chart files) is timed SETUP_REPEATS times before the queries and as
+many times after; setup_s is the median.
 
---trace 0 runs whole rounds of queries (see workloads.py) until --seconds of
-query time have passed and prints the end-to-end metrics.
---trace 1 runs the first TRACE_ROUNDS rounds, each query once untraced and
-once with span tracing installed (see spans.py), alternating which goes
-first.  It requires byte-identical reports and prints the per-layer metrics;
-the tracing overhead is the traced query time minus the untraced.
+--trace 0 runs the seed's pass of queries (see workloads.py) once to warm
+up, then again, whole, until --seconds of query time have passed (at least
+MIN_PASSES times), and prints the end-to-end metrics over all timed
+queries.  Repeating one pass keeps the content of a run the same for every
+seed, so runs differ by the host and the program only.  The library keeps
+no cache of whole results (its caches hold cyclotomic polynomials and
+Koszul complexes), so a repeated query does its work again.  A change that
+cached whole results would show here as a speedup, and in the traced run,
+which runs every query twice, as a drop in the call counts.
+--trace 1 runs the pass once, each query once untraced and once with span
+tracing installed (see spans.py), alternating which goes first.  It
+requires byte-identical reports and prints the per-layer metrics; the
+tracing overhead is the traced query time minus the untraced.
 --self-test checks that every generator is deterministic and exits.
---record merges the report digests of the first TRACE_ROUNDS rounds (the
-bench corpus) into digests.json; later runs count the reports that differ
-from them as reports_changed.
+--record merges the report digests of the pass (the bench corpus) into
+digests.json; later runs count the reports that differ from them as
+reports_changed.
 
 The last line of standard output is one JSON object with the keys
 `correct`, `attempted`, `failed` and `metrics`.  The line before it records
@@ -33,9 +40,9 @@ and a copy of the result go to .perfbench_out/ in the checkout.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import importlib
-import itertools
 import json
 import math
 import os
@@ -63,8 +70,8 @@ BENCH = Path(__file__).resolve().parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench_out"
 DIGESTS = BENCH / "digests.json"
-SETUP_REPEATS = 3
-TRACE_ROUNDS = 2
+SETUP_REPEATS = 5
+MIN_PASSES = 3
 
 
 class BenchError(Exception):
@@ -92,13 +99,13 @@ def load_library() -> tuple[object, dict]:
 
 
 def setup(workload: str, seed: int, workdir: Path):
-    """Import the library, generate the rounds and write their chart files."""
+    """Import the library, generate the pass and write its chart files."""
     package, modules = load_library()
-    rounds = workloads.WORKLOADS[workload](seed)
-    for q in itertools.chain.from_iterable(rounds):
+    queries = workloads.WORKLOADS[workload](seed)
+    for q in queries:
         if q.chart is not None:
             (workdir / ("chart-%d.yaml" % q.qid)).write_text(q.chart)
-    return package, modules, rounds
+    return package, modules, queries
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +174,7 @@ class Ledger:
             self.fail(q, res.error)
             return
         report = yaml.load(res.data, Loader=_Loader) if res.data is not None else None
-        problems = checks.verify(self.workload, q.command, q.params, res.code, report)
+        problems = checks.verify(q.command, q.params, res.code, report)
         if problems:
             self.fail(q, "; ".join(problems[:3]))
             return
@@ -193,31 +200,34 @@ def quantile(values: list[float], q: float) -> float:
     return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
 
-def run_timed(cli, rounds, workdir, seconds, ledger) -> tuple[dict, dict]:
-    """Run whole rounds until `seconds` of query time have passed."""
-    walls: list[float] = []
-    round_s: list[float] = []
-    cpu = 0.0
-    for batch in itertools.cycle(rounds):
-        results = [execute(cli, q, workdir) for q in batch]
-        for q, res in zip(batch, results):
+def run_timed(cli, queries, workdir, seconds, ledger) -> tuple[dict, dict]:
+    """One warm-up pass, then whole passes until `seconds` of query time
+    have passed."""
+    for q in queries:
+        ledger.record(q, execute(cli, q, workdir))
+    passes: list[list[Result]] = []
+    while sum(map(pass_seconds, passes)) < seconds or len(passes) < MIN_PASSES:
+        gc.collect()  # each pass starts with the same collector state
+        results = [execute(cli, q, workdir) for q in queries]
+        for q, res in zip(queries, results):
             ledger.record(q, res)
-        walls += [res.wall for res in results]
-        cpu += sum(res.cpu for res in results)
-        round_s.append(sum(res.wall for res in results))
-        if sum(round_s) >= seconds:
-            break
-    measured = sum(round_s)
+        passes.append(results)
+    timed = [res for results in passes for res in results]
+    walls = [res.wall for res in timed]
     metrics = {
-        "queries_per_s": (len(walls) / measured, "1/s"),
+        "queries_per_s": (len(walls) / sum(walls), "1/s"),
         "query_p50_s": (quantile(walls, 0.5), "s"),
         "query_p90_s": (quantile(walls, 0.9), "s"),
-        "cpu_per_query_s": (cpu / len(walls), "s"),
+        "cpu_per_query_s": (sum(res.cpu for res in timed) / len(timed), "s"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
     }
-    info = {"samples": len(walls), "measured_s": round(measured, 4),
-            "round_s": [round(w, 3) for w in round_s], "query_s": walls}
+    info = {"queries": len(queries), "timed_passes": len(passes), "samples": len(walls),
+            "pass_s": [round(pass_seconds(p), 3) for p in passes], "query_s": walls}
     return metrics, info
+
+
+def pass_seconds(results: list[Result]) -> float:
+    return sum(res.wall for res in results)
 
 
 # per-layer call counts: metric -> wrapped function
@@ -236,8 +246,7 @@ SPAN_COUNTS = {
 COVER_ENTRIES = ("covers.betti_unbranched", "covers.betti_branched", "covers.milnor_fiber")
 
 
-def run_traced(package, modules, rounds, workdir, ledger, seed) -> tuple[dict, dict]:
-    batch = [q for r in rounds[:TRACE_ROUNDS] for q in r]
+def run_traced(package, modules, batch, workdir, ledger, seed) -> tuple[dict, dict]:
     cli = modules["cli"]
     tracer = spans.Tracer()
     plain, traced = [], []
@@ -308,11 +317,11 @@ def run_traced(package, modules, rounds, workdir, ledger, seed) -> tuple[dict, d
 
 
 def self_test() -> list[str]:
-    """Same seed, same rounds; different seeds, different rounds."""
+    """Same seed, same queries; different seeds, different queries."""
     problems = []
 
-    def content(rounds):
-        return [[(q.argv, q.chart, q.params) for q in r] for r in rounds]
+    def content(queries):
+        return [(q.argv, q.chart, q.params) for q in queries]
 
     for name, generate in workloads.WORKLOADS.items():
         for seed in (0, 1, 12345):
@@ -339,7 +348,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=35)
+    parser.add_argument("--seconds", type=float, default=40)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--self-test", action="store_true", help="check generator determinism and exit")
     parser.add_argument("--record", action="store_true", help="merge corpus report digests into digests.json")
@@ -361,20 +370,20 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         built = setup(args.workload, args.seed, workdir)
         setup_times.append(time.perf_counter() - t0)
-        lists.append([(q.argv, q.chart) for r in built[2] for q in r])
+        lists.append([(q.argv, q.chart) for q in built[2]])
         return built
 
     try:
         # set-up is timed SETUP_REPEATS times before the queries and as many
         # after, so its median does not hang on one moment's host load
         for _ in range(SETUP_REPEATS):
-            package, modules, rounds = timed_setup()
+            package, modules, queries = timed_setup()
         recorded = json.loads(DIGESTS.read_text()).get(args.workload, {}) if DIGESTS.exists() else {}
         ledger = Ledger(args.workload, recorded)
         if args.trace:
-            metrics, info = run_traced(package, modules, rounds, workdir, ledger, args.seed)
+            metrics, info = run_traced(package, modules, queries, workdir, ledger, args.seed)
         else:
-            metrics, info = run_timed(modules["cli"], rounds, workdir, args.seconds, ledger)
+            metrics, info = run_timed(modules["cli"], queries, workdir, args.seconds, ledger)
         for _ in range(SETUP_REPEATS):
             timed_setup()
         if not args.trace:
@@ -385,8 +394,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     if args.record and ledger.failed == 0:
-        corpus = {q.key() for r in rounds[:TRACE_ROUNDS] for q in r}
-        record_digests(args.workload, {k: d for k, d in ledger.digests.items() if k in corpus})
+        record_digests(args.workload, ledger.digests)
 
     query_s = info.pop("query_s", None)
     info.update({

@@ -1,21 +1,23 @@
-"""Seeded query generators for the three benchmark workloads.
+"""Seeded query generators for the two benchmark workloads.
 
-Each generator turns a seed into ROUNDS rounds of queries.  A query is the
-argv of one CLI call (without --format/--out), the text of any chart file it
-reads, and the parameters the correctness checks need.  The library only
-ever sees the argv and the chart files.
+Each generator turns a seed into one pass: a list of queries that a run
+repeats until its time is up.  A query is the argv of one CLI call (without
+--format/--out), the text of any chart file it reads, and the parameters
+the correctness checks need.  The library only ever sees the argv and the
+chart files.
 
-Every round has the same mix: a fixed number of queries from each shape
-class.  The parameters that drive a query's cost (command, germ count,
-degree bound, degree multiset, cover orders) come from decks, which deal
-each listed value once per pass in a shuffled order, so every stretch of
-rounds holds them in their stated proportions.  The decks are shuffled the
-same way for every seed; the seed draws everything else (the order of the
-branches, multiplicities, valuations, incidence trees, the small cover
-orders of cone covers, Milnor orders, the order of queries in a round).  A
-run measures whole rounds, so two seeds differ in the details of each query
-but not in the mix of costs, which keeps the run-to-run spread between seeds
-small.
+The content of a pass that drives its cost (which charts, which cone
+families and arrangements, germ counts, degree bounds, cover and character
+orders) is drawn from streams seeded by fixed names, not by the seed; the
+parameters that set the tail come from decks, which deal each listed value
+once per pass of the deck in a shuffled order.  The seed changes what the
+mathematics does not see: it renames exceptional components and germs
+(keeping their order), permutes the branches of cones and arrangements
+(cover orders move with their branch), and orders the queries.  So two
+seeds give different query lists with the same mix of costs, and the
+spread between runs of different seeds measures the host and the program,
+not the luck of the draw.  (Random charts differ in cost by more than ten
+times between draws, which no run length averages away.)
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import string
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-
-ROUNDS = 24  # generated per run; a run that outlasts them repeats them in order
 
 
 @dataclass(frozen=True)
@@ -58,24 +59,34 @@ class Deck:
         return self.pool.pop()
 
 
-def _rounds(rng: random.Random, slots: list[tuple[int, object]], make) -> list[list[Query]]:
-    """ROUNDS rounds; each holds `count` queries `make(rng, cls)` per (count, cls)
-    slot, interleaved so that every class is spread evenly over the round."""
-    rounds = []
-    qid = 0
-    for _ in range(ROUNDS):
-        tagged = []
-        for count, cls in slots:
-            offset = rng.random()
-            for k in range(count):
-                tagged.append(((k + offset) / count, rng.random(), make(rng, cls)))
-        tagged.sort(key=lambda t: (t[0], t[1]))
-        batch = []
-        for _, _, (command, argv, chart, params) in tagged:
-            batch.append(Query(qid, command, argv, chart, params))
-            qid += 1
-        rounds.append(batch)
-    return rounds
+def _make(seed_rng: random.Random, content: random.Random, slots, make) -> list[tuple]:
+    """`count` queries `make(content, seed_rng, cls)` for each (count, cls)
+    slot, made in slot order, so the content stream is read the same way
+    for every seed."""
+    return [make(content, seed_rng, cls) for count, cls in slots for _ in range(count)]
+
+
+def _pass(seed_rng: random.Random, made: list[tuple]) -> list[Query]:
+    """The queries in an order drawn from the seed."""
+    seed_rng.shuffle(made)
+    return [Query(qid, command, argv, chart, params) for qid, (command, argv, chart, params) in enumerate(made)]
+
+
+# names of three letters, none of which YAML reads as anything but a string
+_NAMES = ["".join(p) for p in zip(string.ascii_lowercase * 26, sorted(string.ascii_lowercase * 26))]
+
+
+def _names(rng: random.Random, prefix: str, count: int) -> list[str]:
+    """`count` distinct random names in increasing order, so that renaming
+    keeps every sorted order the library might use."""
+    return sorted(prefix + name for name in rng.sample(_NAMES, count))
+
+
+def _permute(rng: random.Random, *seqs: list) -> list[list]:
+    """The sequences with one random permutation applied to each."""
+    perm = list(range(len(seqs[0])))
+    rng.shuffle(perm)
+    return [[seq[i] for i in perm] for seq in seqs]
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +94,9 @@ def _rounds(rng: random.Random, slots: list[tuple[int, object]], make) -> list[l
 
 
 CHART_R = 3
-# (queries per round, |E| dealt from these): small charts set the median, the
-# few large ones the tail; one chart per round has |E| = 5 or 6, alternately,
-# which keeps rounds short and so gives the tail more samples per run
-CHART_SLOTS = ((24, (2,)), (8, (3,)), (3, (4,)), (1, (5, 6)))
+# (queries per pass, |E|): small charts are most of them, the two large ones
+# set the tail
+CHART_SLOTS = ((13, 2), (5, 3), (2, 4), (1, 5), (1, 6))
 
 
 def _chart(rng: random.Random, nexc: int, germs: int, n: int) -> dict:
@@ -117,6 +127,20 @@ def _chart(rng: random.Random, nexc: int, germs: int, n: int) -> dict:
     return {"r": CHART_R, "n": n, "exceptional": exceptional, "incidence": incidence, "germs": chart_germs}
 
 
+def _rename(rng: random.Random, doc: dict) -> dict:
+    """The same chart with its exceptional components and its nontrivial
+    germs renamed, each in their original order."""
+    new = dict(zip((e["id"] for e in doc["exceptional"]), _names(rng, "E", len(doc["exceptional"]))))
+    labels = ["1"] + _names(rng, "g", len(doc["germs"]) - 1)
+    return dict(
+        doc,
+        exceptional=[dict(e, id=new[e["id"]]) for e in doc["exceptional"]],
+        incidence=[dict(rec, members=[new[m] for m in rec["members"]]) for rec in doc["incidence"]],
+        germs=[dict(g, label=label, e={new[k]: v for k, v in g["e"].items()})
+               for g, label in zip(doc["germs"], labels)],
+    )
+
+
 def _chart_yaml(doc: dict) -> str:
     """Flow-style YAML written by hand, so the generator needs no YAML library."""
     out = ["r: %d" % doc["r"], "n: %d" % doc["n"], "exceptional:"]
@@ -132,23 +156,21 @@ def _chart_yaml(doc: dict) -> str:
     return "\n".join(out) + "\n"
 
 
-def charts(seed: int) -> list[list[Query]]:
-    rng, shuffle = random.Random("charts:%d" % seed), random.Random("charts")
-    sizes = {cls: Deck(shuffle, cls) for _, cls in CHART_SLOTS}
+def _charts(rng: random.Random) -> list[tuple]:
+    content = random.Random("charts")
     decks = {
-        nexc: (Deck(shuffle, ("faces", "components")), Deck(shuffle, (2, 3, 4)), Deck(shuffle, (1, 2)))
-        for _, cls in CHART_SLOTS for nexc in cls
+        nexc: (Deck(content, ("faces", "components")), Deck(content, (2, 3, 4)), Deck(content, (1, 2)))
+        for _, nexc in CHART_SLOTS
     }
 
-    def make(rng, cls):
-        nexc = sizes[cls].draw()
+    def make(content, rng, nexc):
         commands, germs, ns = decks[nexc]
         command = commands.draw()
-        doc = _chart(rng, nexc, germs.draw(), ns.draw())
-        params = {"r": CHART_R, "n": doc["n"], "exceptional": doc["exceptional"]}
+        doc = _rename(rng, _chart(content, nexc, germs.draw(), ns.draw()))
+        params = {"kind": "chart", "r": CHART_R, "n": doc["n"], "exceptional": doc["exceptional"]}
         return command, (command, "--input", "{chart}"), _chart_yaml(doc), params
 
-    return _rounds(rng, list(CHART_SLOTS), make)
+    return _make(rng, content, CHART_SLOTS, make)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +185,8 @@ CONE_SHAPES = {
     3: [(n, b) for n in (2, 3) for b in (1, 2, 3)],
     4: [(n, b) for n in (2, 3) for b in (1, 2)],
 }
-# (queries per round, (r, command)); one r = 4 query per round, its command dealt
-CONE_SLOTS = [(3, (2, c)) for c in CONE_COMMANDS] + [(1, (3, c)) for c in CONE_COMMANDS] + [(1, (4, None))]
+# (queries per pass, (r, command)); the commands of the r = 4 queries are dealt
+CONE_SLOTS = [(3, (2, c)) for c in CONE_COMMANDS] + [(1, (3, c)) for c in CONE_COMMANDS] + [(3, (4, None))]
 # the one large cover order in a betti query: these set the tail
 BETTI_LARGE_M = (2, 3, 4, 5, 6, 8, 12, 24)
 # degree multisets per r, all but (1, ..., 1); the seed orders the branches
@@ -173,36 +195,53 @@ CONE_DEGREES = {
 }
 
 
-def cones(seed: int) -> list[list[Query]]:
-    rng, shuffle = random.Random("cones:%d" % seed), random.Random("cones")
-    shapes = {key: Deck(shuffle, CONE_SHAPES[key[0]]) for _, key in CONE_SLOTS}
-    degree_sets = {r: Deck(shuffle, CONE_DEGREES[r]) for r in CONE_DEGREES}
-    r4_commands = Deck(shuffle, CONE_COMMANDS)
-    large_m = Deck(shuffle, BETTI_LARGE_M)
-    check_orders = Deck(shuffle, (2, 3, 4))
+def _cones(rng: random.Random) -> list[tuple]:
+    content = random.Random("cones")
+    shapes = {key: Deck(content, CONE_SHAPES[key[0]]) for _, key in CONE_SLOTS}
+    degree_sets = {r: Deck(content, CONE_DEGREES[r]) for r in CONE_DEGREES}
+    r4_commands = Deck(content, CONE_COMMANDS)
+    large_m = Deck(content, BETTI_LARGE_M)
+    check_orders = Deck(content, (2, 3, 4))
 
-    def make(rng, cls):
+    def make(content, rng, cls):
         r, command = cls
         n, bound = shapes[cls].draw()
         command = command or r4_commands.draw()
         degrees = list(degree_sets[r].draw())
-        rng.shuffle(degrees)
-        argv = [command, "--cone", ",".join(map(str, degrees)), "--n", str(n), "--bound", str(bound)]
-        params = {"r": r, "n": n, "degrees": degrees, "bound": bound}
+        params = {"kind": "cone", "r": r, "n": n, "bound": bound}
+        extra = []
         if command == "betti":
-            m = [rng.choice((1, 2, 2, 3, 3, 4)) for _ in range(r)]
-            m[rng.randrange(r)] = large_m.draw()
-            argv += ["--m", ",".join(map(str, m))]
+            m = [content.choice((1, 2, 2, 3, 3, 4)) for _ in range(r)]
+            m[content.randrange(r)] = large_m.draw()
+            degrees, m = _permute(rng, degrees, m)
+            extra = ["--m", ",".join(map(str, m))]
             params["m"] = m
-        elif command == "milnor":
-            params["order"] = rng.randint(2, 60)
-            argv += ["--order", str(params["order"])]
-        elif command == "check":
-            params["order"] = check_orders.draw()
-            argv += ["--order", str(params["order"])]
+        else:
+            degrees, = _permute(rng, degrees)
+            if command == "milnor":
+                params["order"] = content.randint(2, 60)
+            elif command == "check":
+                params["order"] = check_orders.draw()
+            if "order" in params:
+                extra = ["--order", str(params["order"])]
+        params["degrees"] = degrees
+        argv = [command, "--cone", ",".join(map(str, degrees)), "--n", str(n), "--bound", str(bound)] + extra
         return command, tuple(argv), None, params
 
-    return _rounds(rng, CONE_SLOTS, make)
+    return _make(rng, content, CONE_SLOTS, make)
+
+
+# ---------------------------------------------------------------------------
+# geometry: charts and cone families in one pass
+
+
+def geometry(seed: int) -> list[Query]:
+    """22 chart queries and 23 cone family queries.  A pass of 45 queries
+    puts the median (rank 22.5) and the 90th percentile (rank 40.5) in the
+    middle of one query's samples, not on the boundary between two queries
+    of different cost."""
+    rng = random.Random("geometry:%d" % seed)
+    return _pass(rng, _charts(rng) + _cones(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -219,41 +258,43 @@ ARRANGEMENT_COMMANDS = ("betti", "milnor", "oracle", "check")
 # cover and character orders per R: the field degree phi(order) drives the
 # cost of the cyclotomic ranks, the number of characters order^R their count
 ARRANGEMENT_ORDERS = {3: (4, 9), 4: (3, 6), 5: (2, 4)}
-# (queries per round, (R, command))
-ARRANGEMENT_SLOTS = [(count, (r, c)) for r, count in ((3, 3), (4, 2), (5, 1)) for c in ARRANGEMENT_COMMANDS]
+# (queries per pass, (R, command)): 45 a pass, for the reason given at geometry()
+ARRANGEMENT_SLOTS = (
+    [(count, (r, c)) for r, count in ((3, 6), (4, 4)) for c in ARRANGEMENT_COMMANDS]
+    + [(2, (5, "betti")), (1, (5, "milnor")), (1, (5, "oracle")), (1, (5, "check"))]
+)
 
 
-def arrangements(seed: int) -> list[list[Query]]:
-    rng, shuffle = random.Random("arrangements:%d" % seed), random.Random("arrangements")
-    ns = {key: Deck(shuffle, range(1, key[0])) for _, key in ARRANGEMENT_SLOTS}
-    orders = {key: Deck(shuffle, range(ARRANGEMENT_ORDERS[key[0]][0], ARRANGEMENT_ORDERS[key[0]][1] + 1))
+def arrangements(seed: int) -> list[Query]:
+    content, rng = random.Random("arrangements"), random.Random("arrangements:%d" % seed)
+    ns = {key: Deck(content, range(1, key[0])) for _, key in ARRANGEMENT_SLOTS}
+    orders = {key: Deck(content, range(ARRANGEMENT_ORDERS[key[0]][0], ARRANGEMENT_ORDERS[key[0]][1] + 1))
               for _, key in ARRANGEMENT_SLOTS}
     cover_orders = {
-        r: Deck(shuffle, combinations_with_replacement(range(low, high + 1), r))
+        r: Deck(content, combinations_with_replacement(range(low, high + 1), r))
         for r, (low, high) in ARRANGEMENT_ORDERS.items()
     }
 
-    def make(rng, cls):
+    def make(content, rng, cls):
         r, command = cls
         n = ns[cls].draw()
         argv = [command, "--arrangement", str(r), "--n", str(n)]
-        params = {"r": r, "n": n}
+        params = {"kind": "arrangement", "r": r, "n": n}
         if command != "oracle":
             argv += ["--bound", str(sufficient_bound(r, n))]
         if command == "betti":
-            m = list(cover_orders[r].draw())
-            rng.shuffle(m)
+            m, = _permute(rng, list(cover_orders[r].draw()))
             argv += ["--m", ",".join(map(str, m))]
             params["m"] = m
         elif command == "milnor":
-            params["order"] = rng.randint(2, 60)
+            params["order"] = content.randint(2, 60)
             argv += ["--order", str(params["order"])]
         else:
             params["order"] = orders[cls].draw()
             argv += ["--order", str(params["order"])]
         return command, tuple(argv), None, params
 
-    return _rounds(rng, ARRANGEMENT_SLOTS, make)
+    return _pass(rng, _make(rng, content, ARRANGEMENT_SLOTS, make))
 
 
-WORKLOADS = {"charts": charts, "cones": cones, "arrangements": arrangements}
+WORKLOADS = {"geometry": geometry, "arrangements": arrangements}
