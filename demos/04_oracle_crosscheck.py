@@ -10,7 +10,6 @@ elimination output there is not a proven cover rank.
 """
 
 from quasiadj import (
-    character_sweep,
     generic_arrangement,
     on_support,
     oracle_f,
@@ -40,6 +39,6 @@ for chi in torsion_characters((4, 4, 4, 4)):
 print("nontrivial characters checked:", agree)
 print("trivial character: lower bound %d vs elimination output %d" % trivial_gap)
 
-# the sweep helper enumerates the same data directly from the oracle
-total = sum(f for _, f in character_sweep(4, 2, 3))
+# the same enumeration drives the oracle alone
+total = sum(oracle_f(4, 2, chi.phases) for chi in torsion_characters((3,) * 4))
 print("order-3 sweep total f:", total)

@@ -15,12 +15,13 @@ from math import lcm
 
 from .cyclotomic import LaurentPoly, cyclotomic_in_monomial
 from .quasiadjunction import FaceOfQuasiadjunction, faces_of_quasiadjunction
-from .ratgeom import hnf_rows, rat, saturation_basis, solve_row_combination
-from .resolution import ResolutionData, delete_component
+from .ratgeom import hermite, hnf_rows, rat, saturation_basis, solve_row_combination
+from .resolution import ResolutionData, ResolutionError, delete_component
 
 
 def _mod1(q: Fraction) -> Fraction:
-    return q - (q.numerator // q.denominator)
+    whole = q.numerator // q.denominator
+    return q - whole if whole else q
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,8 @@ def torsion_characters(orders, cap: int = 1_000_000):
         total *= m
     if total > cap:
         raise ValueError("character sweep of size %d exceeds cap %d" % (total, cap))
-    for ks in product(*(range(m) for m in orders)):
-        yield CharacterPoint(tuple(Fraction(k, m) for k, m in zip(ks, orders)))
+    for phases in product(*([Fraction(k, m) for k in range(m)] for m in orders)):
+        yield CharacterPoint(phases)
 
 
 @dataclass(frozen=True)
@@ -89,13 +90,11 @@ class TranslatedSubtorus:
     def __post_init__(self):
         eqs = tuple((tuple(int(c) for c in v), _mod1(rat(b))) for v, b in self.equations)
         object.__setattr__(self, "equations", eqs)
-        vectors = [list(v) for v, _ in eqs]
-        if vectors:
-            if [list(v) for v in hnf_rows(vectors)] != vectors:
-                raise ValueError("equations are not a Hermite basis; build with make_subtorus")
-            sat = saturation_basis([[Fraction(c) for c in v] for v in vectors], self.nvars)
-            if [list(v) for v in sat] != vectors:
-                raise ValueError("exponent lattice is not saturated; the set would be disconnected")
+        vectors = [v for v, _ in eqs]
+        if hnf_rows(vectors) != vectors:
+            raise ValueError("equations are not a Hermite basis; build with make_subtorus")
+        if saturation_basis(vectors, self.nvars) != vectors:
+            raise ValueError("exponent lattice is not saturated; the set would be disconnected")
 
     @property
     def codim(self) -> int:
@@ -117,33 +116,23 @@ class TranslatedSubtorus:
 def make_subtorus(nvars: int, equations) -> TranslatedSubtorus:
     """Canonicalize generating equations into a Hermite-basis subtorus.
 
-    The generated exponent lattice must already be saturated with phases
-    consistent on it; otherwise the solution set is disconnected and not a
-    translated subtorus (raise).
+    Each basis phase is read off the integer transform that produced the
+    basis vector.  Raise ValueError when the solution set is disconnected or
+    empty: the exponent lattice is not saturated, or a relation among the
+    generators carries a nonzero phase.
     """
     gens = [(tuple(int(c) for c in v), _mod1(rat(b))) for v, b in equations]
-    vectors = [list(v) for v, _ in gens]
-    basis = hnf_rows(vectors)
-    sat = saturation_basis([[Fraction(c) for c in v] for v in vectors], nvars)
-    if [list(v) for v in basis] != [list(v) for v in sat]:
-        raise ValueError("exponent lattice is not saturated (disconnected solution set)")
+    ident = [[int(i == j) for j in range(len(gens))] for i in range(len(gens))]
+    mat, rank = hermite([list(v) + ident[i] for i, (v, _) in enumerate(gens)], nvars)
     eqs = []
-    for w in basis:
-        beta = _phase_on(gens, w)
-        eqs.append((tuple(w), beta))
-    return TranslatedSubtorus(nvars, tuple(eqs))
-
-
-def _phase_on(gens, w) -> Fraction:
-    """Phase of the lattice vector w induced by generating equations."""
-    coeffs = solve_row_combination([list(v) for v, _ in gens], list(w))
-    if coeffs is None:
-        raise ValueError("vector %s outside the generated lattice" % (w,))
-    beta = sum(c * b for c, (_, b) in zip(coeffs, gens))
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ValueError("non-integral combination for %s; lattice not saturated" % (w,))
-    return _mod1(beta)
+    for i, row in enumerate(mat):
+        beta = _mod1(sum(c * b for c, (_, b) in zip(row[nvars:], gens)))
+        if i < rank:
+            eqs.append((row[:nvars], beta))
+        elif beta:
+            raise ValueError("relation %s among the generators has phase %s: the solution set is empty"
+                             % (list(row[nvars:]), beta))
+    return TranslatedSubtorus(nvars, tuple(eqs))  # refuses a non-saturated lattice
 
 
 def subtorus_contains(outer: TranslatedSubtorus, inner: TranslatedSubtorus) -> bool:
@@ -260,7 +249,7 @@ def classify_essential(
                 break
             try:
                 sub = delete_component(data, i)
-            except Exception:
+            except ResolutionError:
                 continue
             sub_components[i] = principal_components(sub)
     essential = []

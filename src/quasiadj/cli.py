@@ -29,10 +29,10 @@ from .charvariety import (
     polynomial_invariant,
     torsion_characters,
 )
-from .covers import ORACLE, PRINCIPAL, betti_branched, betti_dict, betti_unbranched, milnor_dict, milnor_fiber
-from .koszul import character_sweep, cone_support, on_support, oracle_f
+from .covers import ORACLE, PRINCIPAL, betti_branched, betti_dict, betti_unbranched, milnor_dict, milnor_fiber, oracle_applies
+from .koszul import cone_support, on_support, oracle_f
 from .quasiadjunction import faces_of_quasiadjunction, faces_stabilized, lct_face
-from .resolution import ResolutionError, cone_over, generic_arrangement, is_generic_arrangement, load_resolution
+from .resolution import cone_over, generic_arrangement, load_resolution
 
 
 class CliInputError(Exception):
@@ -99,16 +99,11 @@ def _load_data(args):
                 return load_resolution(fh)
         except OSError as exc:
             raise CliInputError("cannot read %s: %s" % (args.input, exc))
-        except ResolutionError as exc:
-            raise CliInputError(str(exc))
     if args.n is None:
         raise CliInputError("--n is required with a builtin family")
-    try:
-        if args.cone is not None:
-            return cone_over(args.cone, args.n, args.bound)
-        return generic_arrangement(args.arrangement, args.n, args.bound)
-    except ResolutionError as exc:
-        raise CliInputError(str(exc))
+    if args.cone is not None:
+        return cone_over(args.cone, args.n, args.bound)
+    return generic_arrangement(args.arrangement, args.n, args.bound)
 
 
 def _phase_str(beta: Fraction) -> str:
@@ -141,10 +136,6 @@ def _face_str(face) -> str:
         )
         eqs.append("%s = %s" % (lhs, beta))
     return ", ".join(eqs)
-
-
-def _auto_f_mode(data) -> str:
-    return ORACLE if is_generic_arrangement(data) and 1 <= data.n <= data.r - 1 else PRINCIPAL
 
 
 def cmd_faces(args):
@@ -209,7 +200,7 @@ def cmd_betti(args):
     data = _load_data(args)
     if len(args.m) != data.r:
         raise CliInputError("--m needs %d entries" % data.r)
-    mode = _auto_f_mode(data)
+    mode = ORACLE if oracle_applies(data) else PRINCIPAL
     tables = [betti_unbranched(data, args.m, f_mode=mode)]
     lines = []
     if data.family is not None:
@@ -230,7 +221,7 @@ def cmd_milnor(args):
     data = _load_data(args)
     if args.order < 1:
         raise CliInputError("--order must be positive")
-    table = milnor_fiber(data, args.order, f_mode=_auto_f_mode(data))
+    table = milnor_fiber(data, args.order, f_mode=ORACLE if oracle_applies(data) else PRINCIPAL)
     report = milnor_dict(table)
     lines = ["milnor fiber ranks (degrees 0..n, t=1 part excluded at top): %s" % list(table.ranks)]
     for phase, mult in sorted(table.multiplicities.items()):
@@ -248,8 +239,8 @@ def cmd_oracle(args):
     if args.order < 1:
         raise CliInputError("--order must be positive")
     rows = []
-    for phases, f in character_sweep(args.arrangement, args.n, args.order):
-        rows.append({"phases": [str(p) for p in phases], "f": f})
+    for chi in torsion_characters((args.order,) * args.arrangement):
+        rows.append({"phases": [str(p) for p in chi.phases], "f": oracle_f(args.arrangement, args.n, chi.phases)})
     report = {"r": args.arrangement, "n": args.n, "order": args.order, "characters": rows}
     lines = ["oracle sweep: r=%d n=%d, %d characters of order dividing %d" % (
         args.arrangement, args.n, len(rows), args.order)]
@@ -265,7 +256,7 @@ def cmd_check(args):
     comps = principal_components(data)
     from .charvariety import principal_f  # local import keeps module top tidy
 
-    if is_generic_arrangement(data) and 1 <= data.n <= data.r - 1:
+    if oracle_applies(data):
         off_ok = on_ok = on_total = off_total = 0
         trivial_line = ""
         mismatches = []
@@ -354,7 +345,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         report, lines, code = COMMANDS[args.command](args)
-    except CliInputError as exc:
+    except (CliInputError, ValueError) as exc:  # library input checks raise ValueError
         print("error: %s" % exc, file=sys.stderr)
         return 1
     if args.format == "structured":

@@ -43,17 +43,30 @@ class BettiTable:
         return self.ranks[-1]
 
 
-def _f_principal(data: ResolutionData, components):
-    if components is None:
-        components = principal_components(data)
-    return lambda chi: principal_f(chi, components)
+def oracle_applies(data: ResolutionData) -> bool:
+    """Whether the Koszul oracle models data: a generic arrangement with
+    1 <= n <= r - 1 (the skeleton model)."""
+    return is_generic_arrangement(data) and 1 <= data.n <= data.r - 1
 
 
-def _require_oracle(data: ResolutionData):
-    if not is_generic_arrangement(data):
-        raise ValueError("oracle f-values are only available for generic arrangements")
-    if not 1 <= data.n <= data.r - 1:
-        raise ValueError("oracle needs 1 <= n <= r - 1 (skeleton model)")
+def f_source(data: ResolutionData, mode: str, components=None):
+    """The f-function that `mode` names, as a callable on characters.
+
+    PRINCIPAL reads the principal components of data (computed unless
+    given).  ORACLE needs oracle_applies(data); its callable also serves a
+    character restricted to a support I, as the oracle of the arrangement
+    of the |I| hyperplanes in I, where |I| <= n gives an aspherical
+    complement and f = 0.
+    """
+    if mode == PRINCIPAL:
+        if components is None:
+            components = principal_components(data)
+        return lambda chi: principal_f(chi, components)
+    if mode == ORACLE:
+        if not oracle_applies(data):
+            raise ValueError("oracle f-values are only available for generic arrangements with 1 <= n <= r - 1")
+        return lambda chi: oracle_f(chi.r, data.n, chi.phases) if chi.r > data.n else 0
+    raise ValueError("unknown f mode %r" % mode)
 
 
 def betti_unbranched(
@@ -67,13 +80,7 @@ def betti_unbranched(
     m = tuple(int(v) for v in m)
     if len(m) != data.r:
         raise ValueError("m has length %d, expected r = %d" % (len(m), data.r))
-    if f_mode == PRINCIPAL:
-        f = _f_principal(data, components)
-    elif f_mode == ORACLE:
-        _require_oracle(data)
-        f = lambda chi: oracle_f(data.r, data.n, chi.phases)
-    else:
-        raise ValueError("unknown f mode %r" % f_mode)
+    f = f_source(data, f_mode, components)
     total = 0
     count = 0
     trivial_term = 0
@@ -103,13 +110,10 @@ def betti_unbranched(
     )
 
 
-def _subunion(data: ResolutionData, keep: tuple[int, ...], cache: dict) -> ResolutionData:
-    if keep in cache:
-        return cache[keep]
+def _subunion(data: ResolutionData, keep: tuple[int, ...]) -> ResolutionData:
     sub = data
     for index in sorted(set(range(data.r)) - set(keep), reverse=True):
         sub = delete_component(sub, index)
-    cache[keep] = sub
     return sub
 
 
@@ -125,12 +129,10 @@ def betti_branched(
     m = tuple(int(v) for v in m)
     if len(m) != data.r:
         raise ValueError("m has length %d, expected r = %d" % (len(m), data.r))
-    if f_mode not in (PRINCIPAL, ORACLE):
-        raise ValueError("unknown f mode %r" % f_mode)
-    if f_mode == ORACLE:
-        _require_oracle(data)
-    sub_cache: dict = {}
-    comp_cache: dict = {}
+    # the oracle serves every support as it is, so only the principal route
+    # builds subunion data
+    oracle = None if f_mode == PRINCIPAL else f_source(data, f_mode)
+    f_by_support: dict = {}
     total = 0
     count = 0
     buckets: dict[tuple[int, ...], int] = {}
@@ -140,15 +142,9 @@ def betti_branched(
         if not keep:
             buckets[keep] = buckets.get(keep, 0)
             continue
-        reduced = chi.restrict(keep)
-        if f_mode == ORACLE:
-            # subunions of <= n hyperplanes are aspherical products: f = 0
-            val = 0 if len(keep) <= data.n else oracle_f(len(keep), data.n, reduced.phases)
-        else:
-            if keep not in comp_cache:
-                sub = _subunion(data, keep, sub_cache) if len(keep) < data.r else data
-                comp_cache[keep] = principal_components(sub)
-            val = principal_f(reduced, comp_cache[keep])
+        if keep not in f_by_support:
+            f_by_support[keep] = oracle or f_source(_subunion(data, keep), PRINCIPAL)
+        val = f_by_support[keep](chi.restrict(keep))
         total += val
         buckets[keep] = buckets.get(keep, 0) + val
     expected = 1
@@ -206,13 +202,7 @@ def milnor_fiber(
     """
     if order_bound < 1:
         raise ValueError("order bound %d < 1" % order_bound)
-    if f_mode == PRINCIPAL:
-        f = _f_principal(data, components)
-    elif f_mode == ORACLE:
-        _require_oracle(data)
-        f = lambda chi: oracle_f(data.r, data.n, chi.phases)
-    else:
-        raise ValueError("unknown f mode %r" % f_mode)
+    f = f_source(data, f_mode, components)
     mults: dict[Fraction, int] = {}
     for k in range(1, order_bound):
         phase = Fraction(k, order_bound)

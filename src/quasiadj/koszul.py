@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, lcm
 
 from .cyclotomic import CyclotomicField, LaurentPoly, matrix_rank
@@ -164,15 +164,6 @@ def oracle_f(r: int, n: int, phases) -> int:
         return 0
     spec = truncated_koszul(r - 1, n)
     return homology_ranks_at(spec, phases[: r - 1])[n]
-
-
-def character_sweep(r: int, n: int, order: int):
-    """(phases, f) for every character of order dividing `order`."""
-    if order < 1:
-        raise ValueError("order %d < 1" % order)
-    for ks in product(range(order), repeat=r):
-        phases = tuple(Fraction(k, order) for k in ks)
-        yield phases, oracle_f(r, n, phases)
 
 
 def cone_support(degrees, phases) -> bool:

@@ -20,7 +20,6 @@ from .ratgeom import (
     HalfspaceSystem,
     Infeasible,
     cube_bounds,
-    face_dimension,
     max_min_coordinate,
     lp_maximize,
     rational_rank,
@@ -114,15 +113,11 @@ def quotient_dims(data: ResolutionData, x) -> dict[int, int]:
     style jump the face labels record (exact for a germ basis, which the
     builtin monomial families provide).
     """
-    out: dict[int, int] = {}
-    for germ in data.germs:
-        w = _verdict_at(data, germ, x).weight
-        if w > 0:
-            out[w] = out.get(w, 0) + 1
-    return out
+    return {l: len(labels) for l, labels in weight_witnesses(data, x).items()}
 
 
 def weight_witnesses(data: ResolutionData, x) -> dict[int, tuple[str, ...]]:
+    """Labels of the germ basis elements of each positive weight at x."""
     out: dict[int, list[str]] = {}
     for germ in data.germs:
         w = _verdict_at(data, germ, x).weight
@@ -239,7 +234,7 @@ def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction
     for span in order:
         for cand in buckets[span]:
             dim = r - rational_rank([[Fraction(c) for c in v] for v, _ in span])
-            labels = quotient_dims(data, cand.sample)
+            witnesses = weight_witnesses(data, cand.sample)
             faces.append(
                 FaceOfQuasiadjunction(
                     span=span,
@@ -247,8 +242,8 @@ def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction
                     ambient=HalfspaceSystem(tuple(dict.fromkeys(cand.ineqs))),
                     dim=dim,
                     sample=cand.sample,
-                    labels=labels,
-                    witnesses=weight_witnesses(data, cand.sample),
+                    labels={l: len(labels) for l, labels in witnesses.items()},
+                    witnesses=witnesses,
                     germ_labels=tuple(cand.germs),
                 )
             )

@@ -122,28 +122,58 @@ def cube_bounds(r: int) -> list[AffineForm]:
 # exact linear algebra
 
 
-def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    mat = [list(map(rat, row)) for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
+def _eliminate(rows: list[list[Fraction]], pr: int, pc: int) -> list[Fraction]:
+    """Scale row pr to a unit pivot at column pc and clear column pc from
+    every other row; returns the scaled row."""
+    piv = rows[pr][pc]
+    rows[pr] = prow = [v / piv for v in rows[pr]]
+    for i in range(len(rows)):
+        if i != pr and rows[i][pc] != 0:
+            f = rows[i][pc]
+            rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+    return prow
+
+
+def _rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q of the first ncols columns.
+
+    Columns past ncols ride along.  Returns the matrix and its pivot columns;
+    the pivot rows come first, and the rest vanish on the first ncols columns.
+    """
+    mat = [[rat(v) for v in row] for row in rows]
+    pivots: list[int] = []
     for col in range(ncols):
+        if len(pivots) == len(mat):
+            break
+        rank = len(pivots)
         piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        inv = 1 / prow[col]
-        mat[rank] = prow = [v * inv for v in prow]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], prow)]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+        _eliminate(mat, rank, col)
+        pivots.append(col)
+    return mat, pivots
+
+
+def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    return len(_rref(rows, len(rows[0]) if rows else 0)[1])
+
+
+def solve_row_combination(rows: Sequence[Sequence], target: Sequence) -> list[Fraction] | None:
+    """Rational coefficients c with sum_i c_i rows[i] = target, or None.
+
+    Free coefficients are set to 0, so with independent rows the answer is
+    the unique representation of target in the row space.
+    """
+    m = len(rows)
+    aug = [[rows[i][j] for i in range(m)] + [target[j]] for j in range(len(target))]
+    mat, pivots = _rref(aug, m)
+    if any(row[-1] != 0 for row in mat[len(pivots):]):
+        return None  # inconsistent: target outside the row space
+    coeffs = [Fraction(0)] * m
+    for row, col in zip(mat, pivots):
+        coeffs[col] = row[-1]
+    return coeffs
 
 
 def integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
@@ -158,83 +188,60 @@ def integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     return out
 
 
-def integer_kernel(rows: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:
-    """Basis of {v in Z^width : M v = 0}, via unimodular column operations.
+def hermite(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[tuple[int, ...]], int]:
+    """Row Hermite normal form of the first ncols columns, by unimodular row
+    operations (Cohen, A Course in Computational Algebraic Number Theory, 2.4).
 
-    The returned basis spans the kernel lattice exactly (it is saturated,
-    being the kernel of an integer matrix).
+    Columns past ncols ride along, so appending an identity block records
+    the transform.  Returns (matrix, rank): the first rank rows have positive
+    pivots with the entries above each pivot reduced into [0, pivot), which
+    makes them the unique canonical basis of the row lattice; the remaining
+    rows vanish on the first ncols columns.
     """
-    mat = [list(row) for row in rows]
-    for row in mat:
-        if len(row) != width:
-            raise ValueError("row width %d != %d" % (len(row), width))
-    cols = [[mat[i][j] for i in range(len(mat))] for j in range(width)]
-    tr = [[1 if i == j else 0 for i in range(width)] for j in range(width)]  # tr[j] = column j of transform
-    pivot_col = 0
-    for row in range(len(mat)):
-        active = [j for j in range(pivot_col, width) if cols[j][row] != 0]
-        if not active:
-            continue
-        # euclidean reduction among active columns at this row
+    mat = [list(r) for r in rows]
+    rank = 0
+    for col in range(ncols):
         while True:
-            active = [j for j in range(pivot_col, width) if cols[j][row] != 0]
-            if len(active) <= 1:
+            nz = [i for i in range(rank, len(mat)) if mat[i][col] != 0]
+            if len(nz) <= 1:
                 break
-            jmin = min(active, key=lambda j: abs(cols[j][row]))
-            for j in active:
-                if j == jmin:
-                    continue
-                q = cols[j][row] // cols[jmin][row]
-                if q:
-                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[jmin])]
-                    tr[j] = [a - q * b for a, b in zip(tr[j], tr[jmin])]
-        active = [j for j in range(pivot_col, width) if cols[j][row] != 0]
-        if active:
-            j = active[0]
-            cols[pivot_col], cols[j] = cols[j], cols[pivot_col]
-            tr[pivot_col], tr[j] = tr[j], tr[pivot_col]
-            pivot_col += 1
-    basis = [tuple(tr[j]) for j in range(pivot_col, width)]
-    for v in basis:
-        assert all(sum(m * x for m, x in zip(row, v)) == 0 for row in mat)
-    return basis
+            prow = mat[min(nz, key=lambda i: abs(mat[i][col]))]
+            for i in nz:
+                if mat[i] is not prow:
+                    q = mat[i][col] // prow[col]
+                    mat[i] = [a - q * b for a, b in zip(mat[i], prow)]
+        if not nz:
+            continue
+        mat[rank], mat[nz[0]] = mat[nz[0]], mat[rank]
+        if mat[rank][col] < 0:
+            mat[rank] = [-v for v in mat[rank]]
+        prow = mat[rank]
+        for i in range(rank):
+            q = mat[i][col] // prow[col]
+            if q:
+                mat[i] = [a - q * b for a, b in zip(mat[i], prow)]
+        rank += 1
+    return [tuple(r) for r in mat], rank
 
 
 def hnf_rows(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Row Hermite normal form of a set of independent integer rows.
+    """Canonical (Hermite) basis of the lattice spanned by integer rows."""
+    mat, rank = hermite(rows, len(rows[0]) if rows else 0)
+    return mat[:rank]
 
-    Pivots positive, entries above a pivot reduced into [0, pivot); this is
-    the unique canonical basis of the row lattice.
+
+def integer_kernel(rows: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:
+    """Basis of {v in Z^width : M v = 0}.
+
+    Hermite-reduce the transpose of M with an identity block alongside: the
+    transform rows of the vanishing rows span the kernel lattice exactly.
     """
-    mat = [list(r) for r in rows]
-    if not mat:
-        return []
-    m, w = len(mat), len(mat[0])
-    pr = 0
-    for col in range(w):
-        while True:
-            nz = [i for i in range(pr, m) if mat[i][col] != 0]
-            if len(nz) <= 1:
-                break
-            imin = min(nz, key=lambda i: abs(mat[i][col]))
-            for i in nz:
-                if i != imin:
-                    q = mat[i][col] // mat[imin][col]
-                    if q:
-                        mat[i] = [a - q * b for a, b in zip(mat[i], mat[imin])]
-        nz = [i for i in range(pr, m) if mat[i][col] != 0]
-        if not nz:
-            continue
-        mat[pr], mat[nz[0]] = mat[nz[0]], mat[pr]
-        if mat[pr][col] < 0:
-            mat[pr] = [-v for v in mat[pr]]
-        p = mat[pr][col]
-        for i in range(pr):
-            q = mat[i][col] // p
-            if q:
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[pr])]
-        pr += 1
-    return [tuple(r) for r in mat[:pr] if any(r)]
+    for row in rows:
+        if len(row) != width:
+            raise ValueError("row width %d != %d" % (len(row), width))
+    ident = [[int(i == j) for j in range(width)] for i in range(width)]
+    mat, rank = hermite([[row[j] for row in rows] + ident[j] for j in range(width)], len(rows))
+    return [row[len(rows):] for row in mat[rank:]]
 
 
 def saturation_basis(rows: Sequence[Sequence[Fraction]], width: int) -> list[tuple[int, ...]]:
@@ -245,42 +252,7 @@ def saturation_basis(rows: Sequence[Sequence[Fraction]], width: int) -> list[tup
     is put in Hermite form, so equal rowspaces give equal bases.
     """
     ker = integer_kernel(integer_rows(rows), width)
-    return hnf_rows(integer_kernel([list(v) for v in ker], width))
-
-
-def solve_row_combination(rows: Sequence[Sequence], target: Sequence) -> list[Fraction] | None:
-    """Rational coefficients c with sum_i c_i rows[i] = target, or None.
-
-    Free coefficients are set to 0, so with independent rows the answer is
-    the unique representation of target in the row space.
-    """
-    m = len(rows)
-    if m == 0:
-        return [] if not any(Fraction(t) for t in target) else None
-    width = len(rows[0])
-    aug = [[Fraction(rows[i][j]) for i in range(m)] + [Fraction(target[j])] for j in range(width)]
-    pivots = []
-    rank = 0
-    for col in range(m):
-        piv = next((i for i in range(rank, width) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [v * inv for v in aug[rank]]
-        for i in range(width):
-            if i != rank and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, width):
-        if aug[i][-1] != 0:
-            return None  # inconsistent: target outside the row space
-    coeffs = [Fraction(0)] * m
-    for row_idx, col in enumerate(pivots):
-        coeffs[col] = aug[row_idx][-1]
-    return coeffs
+    return hnf_rows(integer_kernel(ker, width))
 
 
 def face_dimension(equalities: Sequence[AffineForm], width: int) -> int:
@@ -318,13 +290,7 @@ class Unbounded(Exception):
 
 
 def _pivot(rows, cost, basis, pr, pc):
-    piv = rows[pr][pc]
-    rows[pr] = [v / piv for v in rows[pr]]
-    prow = rows[pr]
-    for i in range(len(rows)):
-        if i != pr and rows[i][pc] != 0:
-            f = rows[i][pc]
-            rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+    prow = _eliminate(rows, pr, pc)
     if cost[pc] != 0:
         f = cost[pc]
         cost[:] = [a - f * b for a, b in zip(cost, prow)]

@@ -288,6 +288,18 @@ def load_resolution(source) -> ResolutionData:
         family = _family_from_doc(fam)
     data = ResolutionData(r, n, names, tuple(exceptional), tuple(incidence), tuple(germs), family)
     validate_resolution(data)
+    if family is not None:
+        # subunions and the oracle read the family, so it must describe this data
+        ref = cone_over(*family[1:])
+        for what, got, want in (
+            ("r", data.r, ref.r),
+            ("n", data.n, ref.n),
+            ("exceptional", set(data.exceptional), set(ref.exceptional)),
+            ("incidence", set(data.incidence), set(ref.incidence)),
+            ("germs", set(data.germs), set(ref.germs)),
+        ):
+            if got != want:
+                raise ResolutionError("family %r does not match the document's %s" % (family, what))
     return data
 
 

@@ -57,6 +57,14 @@ def test_make_subtorus_canonicalizes():
         make_subtorus(2, [((4, 6), F(0))])
 
 
+def test_make_subtorus_reads_phases_off_relations():
+    # {t^2 = 1, t^3 = 1} is the connected set {t = 1}
+    assert make_subtorus(1, [((2,), 0), ((3,), 0)]).equations == (((1,), F(0)),)
+    # {t = 1, t = -1} is empty
+    with pytest.raises(ValueError, match="empty"):
+        make_subtorus(1, [((1,), 0), ((1,), F(1, 2))])
+
+
 def test_subtorus_contains():
     big = make_subtorus(3, [((1, 1, 1), F(0))])
     # {t1 = t3, t2 = t3^-2}: on it t1 t2 t3 = 1 exactly when t3^0 = 1, always
@@ -159,6 +167,17 @@ def test_classify_essential():
     assert len(rep.essential) == 1 and not rep.nonessential
     rep2 = classify_essential(cone_over((2, 3, 4), 2, 0))
     assert len(rep2.essential) == 1 and not rep2.nonessential
+
+
+def test_classify_essential_propagates_unexpected_errors(monkeypatch):
+    import quasiadj.charvariety as cv
+
+    def broken(data, index):
+        raise KeyError(index)
+
+    monkeypatch.setattr(cv, "delete_component", broken)
+    with pytest.raises(KeyError):
+        classify_essential(cone_over((1, 1, 1), 2, 0))
 
 
 def test_containment_properties_randomized():

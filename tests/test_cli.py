@@ -119,6 +119,10 @@ def test_input_errors_exit_one(capsys):
         ["faces", "--badflag"],
         ["oracle", "--arrangement", "4", "--n", "9", "--order", "2"],
         ["milnor", "--arrangement", "4", "--n", "2", "--order", "0"],
+        ["betti", "--cone", "2,3", "--n", "2", "--m", "2000,2000"],   # character cap
+        ["betti", "--cone", "2,3", "--n", "2", "--m", "0,3"],
+        ["oracle", "--arrangement", "7", "--n", "2", "--order", "8"],  # character cap
+        ["faces", "--cone", "2,0", "--n", "2"],                       # library ResolutionError
     ]
     for argv in cases:
         code, _, err = run(argv, capsys)

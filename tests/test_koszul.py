@@ -6,10 +6,9 @@ from math import comb
 
 import pytest
 
-from quasiadj.charvariety import CharacterPoint
+from quasiadj.charvariety import CharacterPoint, torsion_characters
 from quasiadj.cyclotomic import LaurentPoly
 from quasiadj.koszul import (
-    character_sweep,
     composition_is_zero,
     cone_support,
     evaluate_at,
@@ -74,7 +73,7 @@ def test_oracle_f_known_values():
 
 
 def test_character_sweep_support_law():
-    rows = list(character_sweep(4, 2, 3))
+    rows = [(chi.phases, oracle_f(4, 2, chi.phases)) for chi in torsion_characters((3,) * 4)]
     assert len(rows) == 81
     for phases, f in rows:
         assert (f > 0) == on_support(phases)

@@ -135,6 +135,16 @@ def test_load_checks_incidence_closure():
         load_resolution(io.StringIO(broken))
 
 
+def test_load_rejects_family_tag_that_mismatches_data():
+    doc = serialize_resolution(cone_over((1, 1, 1, 1), 2, 0))
+    assert load_resolution(io.StringIO(doc)).family == ("cone", (1, 1, 1, 1), 2, 0)
+    # the tag would make a (5, 7, 1, 1) chart pass for a generic arrangement
+    with pytest.raises(ResolutionError, match="family .* exceptional"):
+        load_resolution(io.StringIO(doc.replace("a: [1, 1, 1, 1]", "a: [5, 7, 1, 1]")))
+    with pytest.raises(ResolutionError, match="family .* germs"):
+        load_resolution(io.StringIO(serialize_resolution(cone_over((2, 3), 2, 1)).replace("- 1\n", "- 0\n")))
+
+
 def test_delete_component_cone_family():
     data = cone_over((2, 3, 4), 2, 1)
     sub = delete_component(data, 1)
