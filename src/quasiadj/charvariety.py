@@ -193,9 +193,8 @@ def exp_face(face: FaceOfQuasiadjunction, nvars: int) -> TranslatedSubtorus:
     return TranslatedSubtorus(nvars, tuple((v, _mod1(beta)) for v, beta in face.span))
 
 
-def principal_components(data: ResolutionData, faces=None) -> list[PrincipalComponent]:
-    if faces is None:
-        faces = faces_of_quasiadjunction(data)
+def principal_components(data: ResolutionData) -> list[PrincipalComponent]:
+    faces = faces_of_quasiadjunction(data)
     by_torus: dict[TranslatedSubtorus, list[tuple[int, int]]] = {}
     order: list[TranslatedSubtorus] = []
     for face in faces:
@@ -234,24 +233,19 @@ class EssentialityReport:
     nonessential: tuple[tuple[PrincipalComponent, int, PrincipalComponent], ...]
 
 
-def classify_essential(
-    data: ResolutionData, components=None, sub_components: dict | None = None
-) -> EssentialityReport:
+def classify_essential(data: ResolutionData, components=None) -> EssentialityReport:
     """Split components into essential ones and those arising from a proper
     subunion: torus inside {t_i = 1} with its projection inside a component
     of the data with branch i deleted."""
     if components is None:
         components = principal_components(data)
-    if sub_components is None:
-        sub_components = {}
-        for i in range(data.r):
-            if data.r == 1:
-                break
-            try:
-                sub = delete_component(data, i)
-            except ResolutionError:
-                continue
-            sub_components[i] = principal_components(sub)
+    sub_components = {}
+    for i in range(data.r):
+        try:
+            sub = delete_component(data, i)
+        except ResolutionError:
+            continue
+        sub_components[i] = principal_components(sub)
     essential = []
     nonessential = []
     for comp in components:
@@ -304,10 +298,6 @@ def polynomial_invariant(components, nvars: int) -> LaurentPoly:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def character_dict(chi: CharacterPoint) -> dict:
-    return {"phases": [str(p) for p in chi.phases], "order": chi.order}
 
 
 def subtorus_dict(torus: TranslatedSubtorus) -> dict:

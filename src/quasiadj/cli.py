@@ -26,6 +26,7 @@ from .charvariety import (
     classify_essential,
     component_dict,
     principal_components,
+    principal_f,
     polynomial_invariant,
     torsion_characters,
 )
@@ -254,8 +255,6 @@ def cmd_check(args):
     if args.order < 1:
         raise CliInputError("--order must be positive")
     comps = principal_components(data)
-    from .charvariety import principal_f  # local import keeps module top tidy
-
     if oracle_applies(data):
         off_ok = on_ok = on_total = off_total = 0
         trivial_line = ""

@@ -86,11 +86,6 @@ class CyclotomicField:
     def zeta(self, k: int) -> tuple[Fraction, ...]:
         return self._zeta[k % self.order]
 
-    def from_fraction(self, q) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * self.degree
-        out[0] = Fraction(q)
-        return tuple(out)
-
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 

@@ -20,7 +20,6 @@ from .ratgeom import (
     HalfspaceSystem,
     Infeasible,
     cube_bounds,
-    max_min_coordinate,
     lp_maximize,
     rational_rank,
     relative_interior_point,
@@ -31,7 +30,6 @@ from .resolution import (
     GermBasisElement,
     QuasiArray,
     ResolutionData,
-    cone_over,
 )
 
 
@@ -161,14 +159,14 @@ class FaceOfQuasiadjunction:
 class _Candidate:
     __slots__ = ("span", "eqs", "ineqs", "sample", "tight_keys", "tight_forms", "germs")
 
-    def __init__(self, span, eqs, ineqs, sample, tight_forms, germ_label):
+    def __init__(self, span, eqs, ineqs, sample, tight_forms, germ_labels):
         self.span = span
         self.eqs = list(eqs)
         self.ineqs = list(ineqs)
         self.sample = sample
         self.tight_keys = {f.equation_key() for f in tight_forms}
         self.tight_forms = list(tight_forms)
-        self.germs = [germ_label]
+        self.germs = set(germ_labels)
 
 
 def _same_face(a: _Candidate, b: _Candidate, r: int) -> bool:
@@ -187,18 +185,23 @@ def _same_face(a: _Candidate, b: _Candidate, r: int) -> bool:
 def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction]:
     """All faces of quasiadjunction of the union, merged across germs.
 
-    A candidate is kept only if it carries a point with every coordinate
-    strictly positive: realizable branching parameters (j_i+1)/m_i never
-    vanish, so boundary pieces inside the coordinate hyperplanes bound no
-    actual jump.
+    A germ enters only through its constraint system, so germs whose
+    valuations give the same system share one search and every face it
+    finds.  A candidate is kept only if it carries a point with every
+    coordinate strictly positive: realizable branching parameters
+    (j_i+1)/m_i never vanish, so boundary pieces inside the coordinate
+    hyperplanes bound no actual jump.
     """
     r = data.r
     cube = cube_bounds(r)
     nexc = len(data.exceptional)
+    systems: dict[tuple[AffineForm, ...], list[str]] = {}
+    for germ in data.germs:
+        forms = tuple(constraint_form(exc, germ) for exc in data.exceptional)
+        systems.setdefault(forms, []).append(germ.label)
     buckets: dict[tuple, list[_Candidate]] = {}
     order: list[tuple] = []
-    for germ in data.germs:
-        forms = [constraint_form(exc, germ) for exc in data.exceptional]
+    for forms, labels in systems.items():
         for mask in range(1, 1 << nexc):
             tight_idx = [i for i in range(nexc) if mask >> i & 1]
             loose_idx = [i for i in range(nexc) if not mask >> i & 1]
@@ -210,18 +213,17 @@ def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction
                 continue
             if any(k < len(loose_idx) for k in implicit):
                 continue  # not tight-closed; the closed mask meets the same set
-            if max_min_coordinate(ineqs, eqs, r) <= 0:
+            if not all(sample):
                 continue  # no strictly positive point
             cube_eqs = [ineqs[k] for k in implicit]
             span = tuple(span_equations(eqs + cube_eqs, sample))
-            cand = _Candidate(span, eqs + cube_eqs, ineqs, sample, eqs, germ.label)
+            cand = _Candidate(span, eqs + cube_eqs, ineqs, sample, eqs, labels)
             bucket = buckets.setdefault(span, [])
             if not bucket:
                 order.append(span)
             for known in bucket:
                 if _same_face(known, cand, r):
-                    if germ.label not in known.germs:
-                        known.germs.append(germ.label)
+                    known.germs.update(labels)
                     for f in eqs:
                         if f.equation_key() not in known.tight_keys:
                             known.tight_keys.add(f.equation_key())
@@ -244,7 +246,7 @@ def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction
                     sample=cand.sample,
                     labels={l: len(labels) for l, labels in witnesses.items()},
                     witnesses=witnesses,
-                    germ_labels=tuple(cand.germs),
+                    germ_labels=tuple(g.label for g in data.germs if g.label in cand.germs),
                 )
             )
     faces.sort(key=lambda f: (-f.dim, f.span))
@@ -292,12 +294,17 @@ def lct_face(data: ResolutionData, faces=None) -> LogCanonicalBoundary:
 
 
 def faces_stabilized(data: ResolutionData) -> bool:
-    """For builtin families: whether raising the germ degree bound by one
-    changes the set of faces (compared by affine span and labels)."""
+    """For builtin cone families: whether raising the germ degree bound by
+    one leaves the faces (affine spans and labels) unchanged.
+
+    Exact, with no face search.  A germ of degree s of the cone over
+    degrees d in C^(n+1) has the single constraint
+    sum_i d_i (1 - x_i) <= s + n + 1, which cuts a face with a strictly
+    positive point iff s + n + 1 < sum(d), and is tight on no other face.
+    So bound + 1 adds a face iff bound + n + 2 < sum(d), and never changes
+    the labels of the faces already there.
+    """
     if data.family is None or data.family[0] != "cone":
         raise ValueError("stabilization check needs family provenance")
     degrees, n, bound = data.family[1], data.family[2], data.family[3]
-    here = faces_of_quasiadjunction(data)
-    there = faces_of_quasiadjunction(cone_over(degrees, n, bound + 1))
-    key = lambda faces: sorted((f.span, tuple(sorted(f.labels.items()))) for f in faces)
-    return key(here) == key(there)
+    return bound >= sum(degrees) - n - 2

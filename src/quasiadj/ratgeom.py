@@ -407,7 +407,10 @@ def relative_interior_point(
     the implicit equalities among ineqs.
 
     The point is an exact average of per-constraint max-slack witnesses, so
-    it lies in the relative interior of the feasible set.
+    it lies in the relative interior of the feasible set.  Hence an
+    inequality is strict somewhere on the set iff it is strict at the point:
+    with the facets -x_i <= 0 among ineqs, the set has a point with every
+    coordinate positive iff every coordinate of the point is positive.
     """
     base = lp_feasible_point(ineqs, eqs, width)
     if base is None:
@@ -424,24 +427,3 @@ def relative_interior_point(
     centroid = tuple(sum(w[i] for w in witnesses) / n for i in range(width))
     return centroid, tuple(implicit)
 
-
-def max_min_coordinate(
-    ineqs: Sequence[AffineForm], eqs: Sequence[AffineForm], width: int
-) -> Fraction:
-    """max over the feasible set of min_i x_i (Infeasible if empty).
-
-    Positive optimum certifies a point with all coordinates strictly
-    positive; the extra LP variable is the common lower bound delta.
-    """
-    wide_ineqs = []
-    for f in ineqs:
-        wide_ineqs.append(AffineForm(f.coeffs + (Fraction(0),), f.const))
-    for i in range(width):
-        coeffs = [Fraction(0)] * (width + 1)
-        coeffs[i] = Fraction(-1)
-        coeffs[width] = Fraction(1)
-        wide_ineqs.append(AffineForm(tuple(coeffs), Fraction(0)))  # delta - x_i <= 0
-    wide_eqs = [AffineForm(f.coeffs + (Fraction(0),), f.const) for f in eqs]
-    objective = [Fraction(0)] * width + [Fraction(1)]
-    opt, _ = lp_maximize(objective, wide_ineqs, wide_eqs, width + 1)
-    return opt

@@ -4,8 +4,8 @@ The combinatorial shadow of a log resolution is all the library ever sees:
 for every exceptional component E the multiplicities a_{i,E} of the r branch
 pullbacks, the threshold constant c_E, the valuations e_E(phi) of a finite
 set of germ basis elements, and which collections of exceptional components
-actually meet (incidence).  Documents are plain YAML; unknown fields are
-rejected so typos cannot silently change an invariant.
+actually meet (incidence).  Documents are plain YAML; unknown fields and
+repeated keys are rejected so typos cannot silently change an invariant.
 """
 
 from __future__ import annotations
@@ -94,9 +94,6 @@ class ResolutionData:
     incidence: tuple[IncidenceRecord, ...]
     germs: tuple[GermBasisElement, ...]
     family: tuple | None = None  # provenance tag set by builtin generators
-
-    def exceptional_by_id(self) -> dict[str, ExceptionalComponent]:
-        return {e.id: e for e in self.exceptional}
 
     def germ(self, label: str) -> GermBasisElement:
         for g in self.germs:
@@ -206,6 +203,21 @@ def _expect_list(node, path):
     return node
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that refuses a key given twice in one mapping, which plain
+    YAML loading would resolve silently to the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise ResolutionError("line %d: duplicate key %r" % (key_node.start_mark.line + 1, key))
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_resolution(source) -> ResolutionData:
     """Parse and validate a resolution document.
 
@@ -221,7 +233,7 @@ def load_resolution(source) -> ResolutionData:
     else:
         text = source
     try:
-        doc = yaml.safe_load(io.StringIO(text))
+        doc = yaml.load(io.StringIO(text), Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ResolutionError("document: not parseable (%s)" % exc) from exc
     _expect_mapping(doc, "document", {"r", "n", "components", "exceptional", "incidence", "germs", "family"})
@@ -275,7 +287,7 @@ def load_resolution(source) -> ResolutionData:
         e_node = node.get("e", {})
         if not isinstance(e_node, dict):
             raise ResolutionError("%s.e: expected a mapping" % path)
-        e = {str(kk): _expect_int(vv, "%s.e[%r]" % (path, kk)) for kk, vv in e_node.items()}
+        e = {_expect_str(kk, "%s.e key %r" % (path, kk)): _expect_int(vv, "%s.e[%r]" % (path, kk)) for kk, vv in e_node.items()}
         g = GermBasisElement(_expect_str(node["label"], path + ".label"), _expect_int(node["degree"], path + ".degree"), tuple(e.items()))
         if g.degree == 0 and all(v == 0 for _, v in g.e):
             has_unit = True
@@ -306,9 +318,10 @@ def load_resolution(source) -> ResolutionData:
 def _family_from_doc(node) -> tuple:
     if not node or node[0] != "cone":
         raise ResolutionError("family: only ['cone', [degrees], n, bound] is understood")
-    if len(node) != 4 or not isinstance(node[1], list):
+    if len(node) != 4:
         raise ResolutionError("family: expected ['cone', [degrees], n, bound]")
-    return ("cone", tuple(int(v) for v in node[1]), int(node[2]), int(node[3]))
+    degrees = tuple(_expect_int(v, "family[1][%d]" % i) for i, v in enumerate(_expect_list(node[1], "family[1]")))
+    return ("cone", degrees, _expect_int(node[2], "family[2]"), _expect_int(node[3], "family[3]"))
 
 
 def serialize_resolution(data: ResolutionData) -> str:

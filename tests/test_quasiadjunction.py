@@ -14,8 +14,10 @@ from quasiadj.quasiadjunction import (
     multiplier_ideal_membership,
     quotient_dims,
 )
+import quasiadj.quasiadjunction as quasiadjunction
+import quasiadj.ratgeom as ratgeom
 from quasiadj.ratgeom import rational_rank
-from quasiadj.resolution import QuasiArray, cone_over, generic_arrangement
+from quasiadj.resolution import GermBasisElement, QuasiArray, ResolutionData, cone_over, generic_arrangement
 
 F = Fraction
 
@@ -103,6 +105,43 @@ def test_lct_values():
 def test_faces_stabilized():
     assert faces_stabilized(cone_over((2, 3), 2, 3))
     assert not faces_stabilized(cone_over((2, 3), 2, 0))
+
+    def two_searches(degrees, n, bound):
+        key = lambda data: sorted(
+            (f.span, tuple(sorted(f.labels.items()))) for f in faces_of_quasiadjunction(data))
+        return key(cone_over(degrees, n, bound)) == key(cone_over(degrees, n, bound + 1))
+
+    grid = [((d,), n, b) for d in range(1, 8) for n in (1, 2, 3) for b in range(4)]
+    grid += [((d1, d2), n, b) for d1 in (1, 3, 5) for d2 in (1, 2, 4) for n in (1, 2) for b in range(3)]
+    grid += [((2, 1, 3), 1, b) for b in range(4)] + [((1, 1, 1), 2, b) for b in range(2)]
+    for degrees, n, bound in grid:
+        assert faces_stabilized(cone_over(degrees, n, bound)) == two_searches(degrees, n, bound), (degrees, n, bound)
+
+
+def test_germs_with_equal_valuations_share_one_search(monkeypatch):
+    calls = []
+    inner = ratgeom.lp_maximize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(ratgeom, "lp_maximize", counted)
+    monkeypatch.setattr(quasiadjunction, "lp_maximize", counted)
+    data = cone_over((2, 3, 4), 2, 1)
+    faces = faces_of_quasiadjunction(data)
+    before = len(calls)
+    # y repeats the valuation vector of the degree-one monomials
+    twin = GermBasisElement("y", 1, (("E0", 1),))
+    more = ResolutionData(data.r, data.n, data.component_names, data.exceptional,
+                          data.incidence, data.germs + (twin,), None)
+    del calls[:]
+    again = faces_of_quasiadjunction(more)
+    assert len(calls) == before
+    assert [(f.span, f.sample, f.dim) for f in again] == [(f.span, f.sample, f.dim) for f in faces]
+    for old, new in zip(faces, again):
+        extra = ("y",) if "x0" in old.germ_labels else ()
+        assert new.germ_labels == old.germ_labels + extra
 
 
 def test_constraint_form_normalization():

@@ -19,7 +19,6 @@ from quasiadj.ratgeom import (
     integer_rows,
     lp_feasible_point,
     lp_maximize,
-    max_min_coordinate,
     rat,
     rat_vector,
     rational_rank,
@@ -252,12 +251,39 @@ def test_relative_interior_detects_implicit_equalities():
     assert set(implicit) == {2, 3}
 
 
-def test_max_min_coordinate():
-    eqs = [AffineForm((F(1), F(1), F(1), F(1)), F(-1))]
-    assert max_min_coordinate(cube_bounds(4), eqs, 4) == F(1, 4)
-    # the plane x1 = 0 pins the minimum at zero
-    eqs0 = [AffineForm((F(1), F(0)), F(0))]
-    assert max_min_coordinate(cube_bounds(2), eqs0, 2) == 0
+def _max_min_coordinate(ineqs, eqs, width):
+    """Reference: max over the set of min_i x_i, by one LP with a common
+    lower bound delta as extra variable."""
+    widen = lambda f: AffineForm(f.coeffs + (F(0),), f.const)
+    bounds = []
+    for i in range(width):
+        coeffs = [F(0)] * (width + 1)
+        coeffs[i], coeffs[width] = F(-1), F(1)
+        bounds.append(AffineForm(tuple(coeffs), F(0)))  # delta - x_i <= 0
+    objective = [F(0)] * width + [F(1)]
+    opt, _ = lp_maximize(objective, [widen(f) for f in ineqs] + bounds, [widen(f) for f in eqs], width + 1)
+    return opt
+
+
+def test_relative_interior_sample_is_positive_iff_max_min_is():
+    # with the cube facets among the inequalities, a positive point exists
+    # iff no -x_i <= 0 is implicit iff the relative-interior sample is positive
+    rng = random.Random(1331)
+    checked = positive = 0
+    while checked < 300:
+        width = rng.randint(1, 3)
+        forms = [AffineForm(tuple(F(rng.randint(-3, 3)) for _ in range(width)), F(rng.randint(-3, 3)))
+                 for _ in range(rng.randint(1, 3))]
+        split = rng.randint(0, len(forms))
+        eqs, ineqs = forms[:split], forms[split:] + cube_bounds(width)
+        try:
+            sample, _ = relative_interior_point(ineqs, eqs, width)
+        except Infeasible:
+            continue
+        assert all(sample) == (_max_min_coordinate(ineqs, eqs, width) > 0)
+        checked += 1
+        positive += all(sample)
+    assert 0 < positive < checked
 
 
 def test_face_dimension():

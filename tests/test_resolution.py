@@ -2,9 +2,12 @@
 
 import io
 import random
+import re
 from fractions import Fraction
 
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from quasiadj.resolution import (
     ExceptionalComponent,
@@ -119,11 +122,42 @@ def test_load_rejects_malformed_documents():
         ("r: one\nn: 1\ncomponents: [b1]\nexceptional: []\nincidence: []\ngerms: []\n",
          "expected an integer"),               # type error
     ]
+    family = "family:\n- cone\n- [1, 1, 1]\n"
+    doc = serialize_resolution(cone_over((1, 1, 1), 2, 0))
+    assert family in doc
+    bad_cases += [
+        (doc.replace(family, "family:\n- cone\n- [1.9, 1, true]\n"), r"family\[1\]\[0\]: expected an integer"),
+        (doc.replace(family, "family:\n- cone\n- [1, 1, true]\n"), r"family\[1\]\[2\]: expected an integer"),
+        (doc.replace(family, "family:\n- cone\n- [a, 1, 1]\n"), r"family\[1\]\[0\]: expected an integer"),
+        (doc.replace("n: 2\n", "n: 2.0\n"), "n: expected an integer"),
+    ]
     for text, needle in bad_cases:
         with pytest.raises(ResolutionError, match=needle):
             load_resolution(io.StringIO(text))
     with pytest.raises(ResolutionError):
         load_resolution(io.StringIO("- just\n- a list\n"))
+
+
+def test_load_rejects_duplicate_keys():
+    doc = serialize_resolution(cone_over((3, 2), 2, 1))
+    assert doc.startswith("r: 2\n") and "  c: 2\n" in doc and "- label: x0\n" in doc
+    for text in (
+        "r: 3\n" + doc,
+        doc.replace("  c: 2\n", "  c: 2\n  c: 1\n"),
+        doc.replace("- label: x0\n", "- label: x0\n  label: x0\n"),
+        doc.replace("e: {E0: 1}", "e: {E0: 1, E0: 0}", 1),
+    ):
+        with pytest.raises(ResolutionError, match="duplicate key"):
+            load_resolution(io.StringIO(text))
+    # merge keys are not duplicates: an explicit key overrides a merged one
+    merged = "r: 1\nn: 1\nexceptional:\n- <<: {id: E0, a: [2], c: 0}\n  c: 1\ngerms: []\n"
+    assert load_resolution(io.StringIO(merged)).exceptional[0].c == 1
+
+
+def test_load_rejects_non_string_valuation_keys():
+    doc = serialize_resolution(cone_over((2,), 1, 1))
+    with pytest.raises(ResolutionError, match=r"germs\[1\]\.e key 0: expected a string"):
+        load_resolution(io.StringIO(doc.replace("e: {E0: 1}", "e: {0: 1}", 1)))
 
 
 def test_load_checks_incidence_closure():
@@ -171,3 +205,92 @@ def test_unit_germ_always_present():
     data = cone_over((3, 3), 2, 0)
     assert data.unit_germ.degree == 0
     assert data.unit_germ.e == ()
+
+
+# ---------------------------------------------------------------------------
+# loader fuzzing
+
+NAMES = st.text(alphabet="aEy0-: '#", min_size=1, max_size=4)
+
+
+@st.composite
+def charts(draw):
+    r = draw(st.integers(1, 3))
+    ids = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+    multiplicities = st.lists(st.integers(0, 5), min_size=r, max_size=r).filter(any)
+    exceptional = tuple(ExceptionalComponent(i, draw(multiplicities), draw(st.integers(0, 3))) for i in ids)
+    incidence = [IncidenceRecord(frozenset([i]), 1) for i in ids]
+    if len(ids) > 1 and draw(st.booleans()):
+        incidence.append(IncidenceRecord(frozenset(ids[:2]), draw(st.integers(1, 3))))
+    incidence.sort(key=lambda rec: (len(rec.members), sorted(rec.members)))  # the serialized order
+    germs = [GermBasisElement("1", 0, ())]
+    for label in draw(st.lists(NAMES.filter(lambda s: s != "1"), max_size=4, unique=True)):
+        e = tuple((i, draw(st.integers(0, 4))) for i in ids if draw(st.booleans()))
+        germs.append(GermBasisElement(label, draw(st.integers(1, 3)), e))
+    names = tuple(draw(st.lists(NAMES, min_size=r, max_size=r, unique=True)))
+    return ResolutionData(r, draw(st.integers(1, 3)), names, exceptional, tuple(incidence), tuple(germs))
+
+
+resolutions = st.one_of(
+    charts(),
+    st.builds(cone_over, st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(1, 3), st.integers(0, 2)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(resolutions)
+def test_serialize_round_trip_fuzzed(data):
+    assert load_resolution(io.StringIO(serialize_resolution(data))) == data
+
+
+def _leaves(node):
+    """(container, key) of every scalar leaf of a parsed document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value)
+        else:
+            yield node, key
+
+
+def _mappings(node):
+    if isinstance(node, dict):
+        yield node
+    for value in node.values() if isinstance(node, dict) else node:
+        if isinstance(value, (dict, list)):
+            yield from _mappings(value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(resolutions, st.data())
+def test_load_rejects_mutated_documents(data, draw):
+    text = serialize_resolution(data)
+    doc = yaml.safe_load(text)
+    kind = draw.draw(st.sampled_from(["leaf", "key", "field", "duplicate"]))
+    if kind == "leaf":
+        # an integer turned float or bool, or a string turned integer
+        node, key = draw.draw(st.sampled_from(list(_leaves(doc))))
+        value = node[key]
+        if isinstance(value, str):
+            node[key] = 7
+        else:
+            node[key] = draw.draw(st.sampled_from([float(value), value + 0.5, True, False]))
+    elif kind == "key":
+        germ = draw.draw(st.sampled_from([g for g in doc["germs"] if g["e"]] or [None]))
+        if germ is None:
+            doc["r"] = float(doc["r"])
+        else:
+            key = draw.draw(st.sampled_from(sorted(germ["e"])))
+            germ["e"][7] = germ["e"].pop(key)
+    elif kind == "field":
+        draw.draw(st.sampled_from(list(_mappings(doc))))["zz"] = 1
+    if kind != "duplicate":
+        text = yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
+    else:
+        lines = text.splitlines()
+        keyed = [(k, m) for k, m in enumerate(re.match(r"( *)(- )?([a-z]+:.*)$", line) for line in lines) if m]
+        k, m = draw.draw(st.sampled_from(keyed))
+        lines.insert(k + 1, " " * (len(m.group(1)) + len(m.group(2) or "")) + m.group(3))
+        text = "\n".join(lines) + "\n"
+    with pytest.raises(ResolutionError):
+        load_resolution(io.StringIO(text))
