@@ -21,7 +21,6 @@ from .ratgeom import (
     Infeasible,
     cube_bounds,
     lp_maximize,
-    rational_rank,
     relative_interior_point,
     span_equations,
 )
@@ -46,12 +45,6 @@ def constraint_form(exc: ExceptionalComponent, germ: GermBasisElement) -> Affine
     """
     coeffs = tuple(Fraction(-ai) for ai in exc.a)
     return AffineForm(coeffs, Fraction(sum(exc.a) - threshold(exc, germ)))
-
-
-def region_system(data: ResolutionData, germ: GermBasisElement) -> HalfspaceSystem:
-    """All adjunction constraints of one germ plus the cube facets."""
-    forms = [constraint_form(exc, germ) for exc in data.exceptional]
-    return HalfspaceSystem(tuple(forms + cube_bounds(data.r)))
 
 
 @dataclass(frozen=True)
@@ -170,16 +163,14 @@ class _Candidate:
 
 
 def _same_face(a: _Candidate, b: _Candidate, r: int) -> bool:
-    """Exact set equality of two candidates with equal affine span."""
+    """Exact set equality of two candidates with equal affine span: each
+    one's inequalities hold on the other's set.  One solve per side, and
+    both sides always run."""
+    same = True
     for first, second in ((a, b), (b, a)):
-        for g in second.ineqs:
-            try:
-                opt, _ = lp_maximize(g.coeffs, first.ineqs, first.eqs, r)
-            except Infeasible:  # pragma: no cover - candidates are feasible
-                return False
-            if opt + g.const > 0:
-                return False
-    return True
+        optima = lp_maximize([g.coeffs for g in second.ineqs], first.ineqs, first.eqs, r)
+        same &= all(opt + g.const <= 0 for g, (opt, _) in zip(second.ineqs, optima))
+    return same
 
 
 def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction]:
@@ -228,21 +219,19 @@ def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction
                         if f.equation_key() not in known.tight_keys:
                             known.tight_keys.add(f.equation_key())
                             known.tight_forms.append(f)
-                    known.ineqs.extend(cand.ineqs[: len(loose_idx)])
                     break
             else:
                 bucket.append(cand)
     faces = []
     for span in order:
         for cand in buckets[span]:
-            dim = r - rational_rank([[Fraction(c) for c in v] for v, _ in span])
             witnesses = weight_witnesses(data, cand.sample)
             faces.append(
                 FaceOfQuasiadjunction(
                     span=span,
                     tight=tuple(cand.tight_forms),
                     ambient=HalfspaceSystem(tuple(dict.fromkeys(cand.ineqs))),
-                    dim=dim,
+                    dim=r - len(span),  # span is a lattice basis of the equations
                     sample=cand.sample,
                     labels={l: len(labels) for l, labels in witnesses.items()},
                     witnesses=witnesses,

@@ -1,8 +1,9 @@
 """Exact rational affine geometry inside the unit cube.
 
 Affine forms, halfspace systems, integer lattice kernels and a small
-two-phase simplex, all over fractions.Fraction.  Floating point input is
-rejected at the boundary; nothing in here ever rounds.
+two-phase simplex that solves one set for many objectives (phase 1 once,
+phase 2 once per objective), all over fractions.Fraction.  Floating point
+input is rejected at the boundary; nothing in here ever rounds.
 """
 
 from __future__ import annotations
@@ -255,11 +256,6 @@ def saturation_basis(rows: Sequence[Sequence[Fraction]], width: int) -> list[tup
     return hnf_rows(integer_kernel(ker, width))
 
 
-def face_dimension(equalities: Sequence[AffineForm], width: int) -> int:
-    """Dimension of the affine solution set (assumed consistent)."""
-    return width - rational_rank([f.coeffs for f in equalities])
-
-
 def span_equations(
     equalities: Sequence[AffineForm], point: Sequence[Fraction]
 ) -> list[tuple[tuple[int, ...], Fraction]]:
@@ -312,18 +308,23 @@ def _run_simplex(rows, cost, basis):
 
 
 def lp_maximize(
-    objective: Sequence[Fraction],
+    objectives: Sequence[Sequence[Fraction]],
     ineqs: Sequence[AffineForm],
     eqs: Sequence[AffineForm] = (),
     width: int | None = None,
-) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """max objective . x subject to x >= 0, every ineq <= 0, every eq == 0.
+) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
+    """max objective . x subject to x >= 0, every ineq <= 0, every eq == 0,
+    for each of the objectives over the one set.
 
-    Returns (optimum, witness point).  Raises Infeasible or Unbounded.
+    Phase 1 runs once.  Each objective's phase 2 starts from its own copy of
+    the post-phase-1 tableau and basis, so its answer is the one a solve with
+    that objective alone gives, whatever the other objectives are.  Returns
+    one (optimum, witness point) per objective.  Raises Infeasible or
+    Unbounded.
     """
-    objective = rat_vector(objective)
-    r = width if width is not None else len(objective)
-    if len(objective) != r:
+    objectives = [rat_vector(obj) for obj in objectives]
+    r = width if width is not None else len(objectives[0])
+    if any(len(obj) != r for obj in objectives):
         raise ValueError("objective arity mismatch")
     nslack = len(ineqs)
     rows = []
@@ -373,52 +374,44 @@ def lp_maximize(
     rows = [rows[i][: r + nslack] + rows[i][-1:] for i in keep]
     basis = [basis[i] for i in keep]
     ncols = r + nslack
-    # phase 2
-    cost = [Fraction(0)] * (ncols + 1)
-    for j, c in enumerate(objective):
-        cost[j] = -c
-    for i, b in enumerate(basis):
-        if cost[b] != 0:
-            f = cost[b]
-            cost = [a - f * v for a, v in zip(cost, rows[i])]
-    _run_simplex(rows, cost, basis)
-    point = [Fraction(0)] * r
-    for i, b in enumerate(basis):
-        if b < r:
-            point[b] = rows[i][-1]
-    value = sum(c * p for c, p in zip(objective, point))
-    return value, tuple(point)
-
-
-def lp_feasible_point(
-    ineqs: Sequence[AffineForm], eqs: Sequence[AffineForm], width: int
-) -> tuple[Fraction, ...] | None:
-    try:
-        _, pt = lp_maximize([Fraction(0)] * width, ineqs, eqs, width)
-    except Infeasible:
-        return None
-    return pt
+    results = []
+    for objective in objectives:
+        # phase 2 pivots a copy: the next objective starts where this one did
+        prows, pbasis = [row[:] for row in rows], basis[:]
+        cost = [Fraction(0)] * (ncols + 1)
+        for j, c in enumerate(objective):
+            cost[j] = -c
+        for i, b in enumerate(pbasis):
+            if cost[b] != 0:
+                f = cost[b]
+                cost = [a - f * v for a, v in zip(cost, prows[i])]
+        _run_simplex(prows, cost, pbasis)
+        point = [Fraction(0)] * r
+        for i, b in enumerate(pbasis):
+            if b < r:
+                point[b] = prows[i][-1]
+        results.append((sum(c * p for c, p in zip(objective, point)), tuple(point)))
+    return results
 
 
 def relative_interior_point(
     ineqs: Sequence[AffineForm], eqs: Sequence[AffineForm], width: int
 ) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
     """A point with every non-implicit inequality strict, plus the indices of
-    the implicit equalities among ineqs.
+    the implicit equalities among ineqs.  Raises Infeasible on an empty set.
 
-    The point is an exact average of per-constraint max-slack witnesses, so
-    it lies in the relative interior of the feasible set.  Hence an
-    inequality is strict somewhere on the set iff it is strict at the point:
-    with the facets -x_i <= 0 among ineqs, the set has a point with every
-    coordinate positive iff every coordinate of the point is positive.
+    The point is an exact average of a feasible point and per-constraint
+    max-slack witnesses, all from one lp_maximize call, so it lies in the
+    relative interior of the feasible set.  Hence an inequality is strict
+    somewhere on the set iff it is strict at the point: with the facets
+    -x_i <= 0 among ineqs, the set has a point with every coordinate
+    positive iff every coordinate of the point is positive.
     """
-    base = lp_feasible_point(ineqs, eqs, width)
-    if base is None:
-        raise Infeasible()
+    objectives = [[Fraction(0)] * width] + [[-c for c in g.coeffs] for g in ineqs]
+    (_, base), *slacks = lp_maximize(objectives, ineqs, eqs, width)
     witnesses = [base]
     implicit = []
-    for k, g in enumerate(ineqs):
-        opt, pt = lp_maximize([-c for c in g.coeffs], ineqs, eqs, width)
+    for k, (g, (_, pt)) in enumerate(zip(ineqs, slacks)):
         if g.value(pt) == 0:
             implicit.append(k)  # g vanishes on the whole set
         else:
@@ -426,4 +419,3 @@ def relative_interior_point(
     n = Fraction(len(witnesses))
     centroid = tuple(sum(w[i] for w in witnesses) / n for i in range(width))
     return centroid, tuple(implicit)
-

@@ -29,7 +29,9 @@ class ExceptionalComponent:
     c: int              # threshold constant: comparisons run against e + c + 1
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(v) for v in self.a))
+        path = "exceptional %r" % (self.id,)
+        object.__setattr__(self, "a", tuple(_expect_int(v, "%s.a[%d]" % (path, i)) for i, v in enumerate(self.a)))
+        _expect_int(self.c, path + ".c")
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,11 @@ class GermBasisElement:
     e: tuple[tuple[str, int], ...]  # valuation e_E(phi) per exceptional id
 
     def __post_init__(self):
-        object.__setattr__(self, "e", tuple(sorted((str(k), int(v)) for k, v in dict(self.e).items())))
+        path = "germ %r" % (self.label,)
+        _expect_int(self.degree, path + ".degree")
+        e = ((_expect_str(k, "%s.e key %r" % (path, k)), _expect_int(v, "%s.e[%r]" % (path, k)))
+             for k, v in dict(self.e).items())
+        object.__setattr__(self, "e", tuple(sorted(e)))
 
     @property
     def e_map(self) -> dict[str, int]:
@@ -66,8 +72,9 @@ class QuasiArray:
     m: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "j", tuple(int(v) for v in self.j))
-        object.__setattr__(self, "m", tuple(int(v) for v in self.m))
+        for name in ("j", "m"):
+            ints = tuple(_expect_int(v, "quasi array: %s[%d]" % (name, i)) for i, v in enumerate(getattr(self, name)))
+            object.__setattr__(self, name, ints)
         if len(self.j) != len(self.m):
             raise ResolutionError("quasi array: j and m have different lengths")
         for i, (ji, mi) in enumerate(zip(self.j, self.m)):
@@ -376,7 +383,9 @@ def cone_over(degrees, n: int, degree_bound: int = 0) -> ResolutionData:
     threshold constant c = n; the germ basis is every monomial of total
     degree <= degree_bound, each valuating as its degree.
     """
-    degrees = tuple(int(d) for d in degrees)
+    degrees = tuple(_expect_int(d, "cone family: degrees[%d]" % i) for i, d in enumerate(degrees))
+    _expect_int(n, "cone family: n")
+    _expect_int(degree_bound, "cone family: degree bound")
     if not degrees or any(d < 1 for d in degrees):
         raise ResolutionError("cone family: degrees must be positive")
     if n < 1:

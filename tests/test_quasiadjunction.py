@@ -17,7 +17,14 @@ from quasiadj.quasiadjunction import (
 import quasiadj.quasiadjunction as quasiadjunction
 import quasiadj.ratgeom as ratgeom
 from quasiadj.ratgeom import rational_rank
-from quasiadj.resolution import GermBasisElement, QuasiArray, ResolutionData, cone_over, generic_arrangement
+from quasiadj.resolution import (
+    GermBasisElement,
+    QuasiArray,
+    ResolutionData,
+    cone_over,
+    generic_arrangement,
+    load_resolution,
+)
 
 F = Fraction
 
@@ -119,6 +126,7 @@ def test_faces_stabilized():
 
 
 def test_germs_with_equal_valuations_share_one_search(monkeypatch):
+    # lp_maximize calls count region solves: one per mask of each search
     calls = []
     inner = ratgeom.lp_maximize
 
@@ -137,11 +145,47 @@ def test_germs_with_equal_valuations_share_one_search(monkeypatch):
                           data.incidence, data.germs + (twin,), None)
     del calls[:]
     again = faces_of_quasiadjunction(more)
-    assert len(calls) == before
+    assert len(calls) == before > 0
     assert [(f.span, f.sample, f.dim) for f in again] == [(f.span, f.sample, f.dim) for f in faces]
     for old, new in zip(faces, again):
         extra = ("y",) if "x0" in old.germ_labels else ()
         assert new.germ_labels == old.germ_labels + extra
+
+
+def test_face_search_solves_each_region_once(monkeypatch):
+    # one lp_maximize call per mask tried, two per candidate comparison
+    calls, comparisons = [], []
+    inner_lp, inner_same = ratgeom.lp_maximize, quasiadjunction._same_face
+
+    def counted_lp(*args, **kwargs):
+        calls.append(1)
+        return inner_lp(*args, **kwargs)
+
+    def counted_same(*args):
+        comparisons.append(inner_same(*args))
+        return comparisons[-1]
+
+    monkeypatch.setattr(ratgeom, "lp_maximize", counted_lp)
+    monkeypatch.setattr(quasiadjunction, "lp_maximize", counted_lp)
+    monkeypatch.setattr(quasiadjunction, "_same_face", counted_same)
+    data = load_resolution("""\
+r: 3
+n: 2
+exceptional:
+- {id: E1, a: [1, 2, 0], c: 1}
+- {id: E2, a: [0, 1, 2], c: 1}
+- {id: E3, a: [2, 2, 2], c: 2}
+- {id: E4, a: [0, 3, 3], c: 3}
+incidence: [[E1, E2], [E2, E3], [E3, E4]]
+germs:
+- {label: g1, degree: 2, e: {E1: 2}}
+- {label: g2, degree: 2, e: {E2: 2, E3: 1, E4: 2}}
+""")
+    faces = faces_of_quasiadjunction(data)
+    systems = {tuple(constraint_form(exc, g) for exc in data.exceptional) for g in data.germs}
+    masks = len(systems) * (2 ** len(data.exceptional) - 1)
+    assert faces and True in comparisons and False in comparisons
+    assert len(calls) == masks + 2 * len(comparisons)
 
 
 def test_constraint_form_normalization():

@@ -13,11 +13,9 @@ from quasiadj.ratgeom import (
     Unbounded,
     cube_bounds,
     cube_point,
-    face_dimension,
     hnf_rows,
     integer_kernel,
     integer_rows,
-    lp_feasible_point,
     lp_maximize,
     rat,
     rat_vector,
@@ -188,29 +186,36 @@ def test_span_equations_point_check():
 def test_lp_known_values():
     # max x + y over the triangle x, y >= 0, x + y <= 1
     ineqs = cube_bounds(2) + [AffineForm((F(1), F(1)), F(-1))]
-    value, point = lp_maximize([F(1), F(1)], ineqs)
+    [(value, point)] = lp_maximize([[F(1), F(1)]], ineqs)
     assert value == 1
     assert sum(point) == 1
     with pytest.raises(Unbounded):
-        lp_maximize([F(1)], [], width=1)
+        lp_maximize([[F(1)]], [], width=1)
     with pytest.raises(Infeasible):
-        lp_maximize([F(1)], [AffineForm((F(1),), F(1))], width=1)  # x <= -1, x >= 0
+        lp_maximize([[F(1)]], [AffineForm((F(1),), F(1))], width=1)  # x <= -1, x >= 0
+
+
+def _random_feasible_system(rng):
+    """Cube facets plus random inequalities that keep a random anchor point
+    feasible; returns (width, anchor, ineqs)."""
+    width = rng.randint(1, 3)
+    ineqs = cube_bounds(width)
+    anchor = tuple(F(rng.randint(0, 3), 3) for _ in range(width))
+    for _ in range(rng.randint(0, 2)):
+        coeffs = tuple(rand_frac(rng, 3, 2) for _ in range(width))
+        slack = F(rng.randint(0, 4), 4)
+        const = -(sum(c * a for c, a in zip(coeffs, anchor)) + slack)
+        ineqs.append(AffineForm(coeffs, const))  # anchor stays feasible
+    return width, anchor, ineqs
 
 
 def test_lp_optimality_property():
     # witness is feasible, optimum beats every feasible lattice point
     rng = random.Random(606)
     for _ in range(1000):
-        width = rng.randint(1, 3)
-        ineqs = cube_bounds(width)
-        anchor = tuple(F(rng.randint(0, 3), 3) for _ in range(width))
-        for _ in range(rng.randint(0, 2)):
-            coeffs = tuple(rand_frac(rng, 3, 2) for _ in range(width))
-            slack = F(rng.randint(0, 4), 4)
-            const = -(sum(c * a for c, a in zip(coeffs, anchor)) + slack)
-            ineqs.append(AffineForm(coeffs, const))  # anchor stays feasible
+        width, anchor, ineqs = _random_feasible_system(rng)
         objective = [rand_frac(rng, 3, 2) for _ in range(width)]
-        value, point = lp_maximize(objective, ineqs)
+        [(value, point)] = lp_maximize([objective], ineqs)
         for g in ineqs:
             assert g.value(point) <= 0
         assert value == sum(c * p for c, p in zip(objective, point))
@@ -219,6 +224,37 @@ def test_lp_optimality_property():
         for probe in _grid_points(grid, width):
             if all(g.value(probe) <= 0 for g in ineqs):
                 assert value >= sum(c * p for c, p in zip(objective, probe))
+
+
+def test_lp_many_objectives_match_single_solves_property():
+    # each objective's phase 2 starts from the same post-phase-1 tableau, so
+    # the answers do not depend on the other objectives or on their order
+    rng = random.Random(707)
+    redundant = 0
+    for _ in range(400):
+        width, anchor, ineqs = _random_feasible_system(rng)
+        eqs = []
+        for _ in range(rng.randint(0, 2)):
+            coeffs = tuple(rand_frac(rng, 3, 2) for _ in range(width))
+            eqs.append(AffineForm(coeffs, -sum(c * a for c, a in zip(coeffs, anchor))))
+        if eqs and rng.random() < 0.5:
+            # a combination of the others: its artificial cannot leave the
+            # basis and its row is dropped before phase 2
+            eqs.append(AffineForm(
+                tuple(sum(F(k + 2) * f.coeffs[i] for k, f in enumerate(eqs)) for i in range(width)),
+                sum(F(k + 2) * f.const for k, f in enumerate(eqs))))
+            redundant += 1
+        objectives = [[rand_frac(rng, 3, 2) for _ in range(width)] for _ in range(rng.randint(2, 5))]
+        objectives.append([F(0)] * width)
+        single = [lp_maximize([obj], ineqs, eqs, width)[0] for obj in objectives]
+        assert lp_maximize(objectives, ineqs, eqs, width) == single
+        order = list(range(len(objectives)))
+        rng.shuffle(order)
+        assert lp_maximize([objectives[k] for k in order], ineqs, eqs, width) == [single[k] for k in order]
+        for value, point in single:
+            assert all(g.value(point) <= 0 for g in ineqs)
+            assert all(f.value(point) == 0 for f in eqs)
+    assert redundant >= 100
 
 
 def _grid_points(grid, width):
@@ -261,7 +297,7 @@ def _max_min_coordinate(ineqs, eqs, width):
         coeffs[i], coeffs[width] = F(-1), F(1)
         bounds.append(AffineForm(tuple(coeffs), F(0)))  # delta - x_i <= 0
     objective = [F(0)] * width + [F(1)]
-    opt, _ = lp_maximize(objective, [widen(f) for f in ineqs] + bounds, [widen(f) for f in eqs], width + 1)
+    [(opt, _)] = lp_maximize([objective], [widen(f) for f in ineqs] + bounds, [widen(f) for f in eqs], width + 1)
     return opt
 
 
@@ -286,10 +322,6 @@ def test_relative_interior_sample_is_positive_iff_max_min_is():
     assert 0 < positive < checked
 
 
-def test_face_dimension():
-    assert face_dimension([AffineForm((F(1), F(1)), F(-1))], 2) == 1
-    assert face_dimension([], 3) == 3
-
-
-def test_lp_feasible_point_none_when_empty():
-    assert lp_feasible_point([AffineForm((F(1),), F(1))], [], 1) is None
+def test_relative_interior_point_raises_when_empty():
+    with pytest.raises(Infeasible):
+        relative_interior_point([AffineForm((F(1),), F(1))], [], 1)

@@ -57,6 +57,31 @@ def test_quasi_array():
         QuasiArray((0,), (0,))
 
 
+def test_data_model_refuses_floats_and_bools():
+    # truncating 1.9 to 1 would silently change an invariant
+    cases = [
+        lambda: ExceptionalComponent("E0", (1.9, 2), 1),
+        lambda: ExceptionalComponent("E0", (True, 2), 1),
+        lambda: ExceptionalComponent("E0", (1, 2), 1.0),
+        lambda: GermBasisElement("g", 1, (("E0", 1.9),)),
+        lambda: GermBasisElement("g", 1, (("E0", False),)),
+        lambda: GermBasisElement("g", 1.0, ()),
+        lambda: GermBasisElement("g", True, ()),
+        lambda: GermBasisElement("g", 1, ((0, 1),)),  # e keys are exceptional ids
+        lambda: QuasiArray((0.9,), (2.5,)),
+        lambda: QuasiArray((0,), (True,)),
+        lambda: cone_over((2.5, 1), 1),
+        lambda: cone_over((True, 1), 1),
+        lambda: cone_over((2, 1), 1.5, 0),  # used to recurse without end
+        lambda: cone_over((2, 1), 1, 0.5),
+        lambda: cone_over((2, 1), 1, False),
+    ]
+    for make in cases:
+        with pytest.raises(ResolutionError, match="expected an integer|expected a string"):
+            make()
+    assert GermBasisElement("g", 1, {"E0": 2}).e == (("E0", 2),)
+
+
 def test_germ_lookup():
     data = cone_over((2, 3), 2, 2)
     g = data.germ("x0*x1")
