@@ -15,7 +15,7 @@ from math import lcm
 
 from .cyclotomic import LaurentPoly, cyclotomic_in_monomial
 from .quasiadjunction import FaceOfQuasiadjunction, faces_of_quasiadjunction
-from .ratgeom import hermite, hnf_rows, rat, saturation_basis, solve_row_combination
+from .ratgeom import hermite, rat, saturation_basis
 from .resolution import ResolutionData, ResolutionError, delete_component
 
 
@@ -91,10 +91,9 @@ class TranslatedSubtorus:
         eqs = tuple((tuple(int(c) for c in v), _mod1(rat(b))) for v, b in self.equations)
         object.__setattr__(self, "equations", eqs)
         vectors = [v for v, _ in eqs]
-        if hnf_rows(vectors) != vectors:
-            raise ValueError("equations are not a Hermite basis; build with make_subtorus")
         if saturation_basis(vectors, self.nvars) != vectors:
-            raise ValueError("exponent lattice is not saturated; the set would be disconnected")
+            raise ValueError("equations are not the Hermite basis of a saturated lattice; "
+                             "build with make_subtorus")
 
     @property
     def codim(self) -> int:
@@ -136,26 +135,21 @@ def make_subtorus(nvars: int, equations) -> TranslatedSubtorus:
 
 
 def subtorus_contains(outer: TranslatedSubtorus, inner: TranslatedSubtorus) -> bool:
-    """inner subset of outer, exactly (lattice inclusion + phase match)."""
+    """inner subset of outer, exactly: intersecting with outer leaves inner
+    unchanged.  An empty or disconnected intersection is not inner."""
     if outer.nvars != inner.nvars:
         raise ValueError("ambient mismatch")
-    inner_vectors = [list(v) for v, _ in inner.equations]
-    for v, beta in outer.equations:
-        coeffs = solve_row_combination(inner_vectors, list(v))
-        if coeffs is None:
-            return False
-        # inner's lattice is saturated, so an integer vector in its span
-        # has integer coordinates in the basis
-        assert all(c.denominator == 1 for c in coeffs)
-        got = _mod1(sum(c * b for c, (_, b) in zip(coeffs, inner.equations)))
-        if got != beta:
-            return False
-    return True
+    try:
+        return make_subtorus(inner.nvars, inner.equations + outer.equations) == inner
+    except ValueError:
+        return False
 
 
 def project_subtorus(torus: TranslatedSubtorus, index: int) -> TranslatedSubtorus:
     """Image under dropping coordinate `index`; requires t_index = 1 on the
     torus (so the projection is again a translated subtorus)."""
+    if not 0 <= index < torus.nvars:
+        raise IndexError("coordinate %d outside range(%d)" % (index, torus.nvars))
     unit = [0] * torus.nvars
     unit[index] = 1
     axis = TranslatedSubtorus(torus.nvars, (((tuple(unit)), Fraction(0)),))
@@ -251,12 +245,10 @@ def classify_essential(data: ResolutionData, components=None) -> EssentialityRep
     for comp in components:
         witness = None
         for i, subs in sub_components.items():
-            unit = [0] * data.r
-            unit[i] = 1
-            axis = TranslatedSubtorus(data.r, ((tuple(unit), Fraction(0)),))
-            if not subtorus_contains(axis, comp.torus):
-                continue
-            proj = project_subtorus(comp.torus, i)
+            try:
+                proj = project_subtorus(comp.torus, i)
+            except ValueError:
+                continue  # t_i is not identically 1 on the torus
             for sub in subs:
                 if subtorus_contains(sub.torus, proj):
                     witness = (comp, i, sub)

@@ -38,10 +38,6 @@ class BettiTable:
     unresolved_trivial: bool
     audit: dict
 
-    @property
-    def top_rank(self) -> int:
-        return self.ranks[-1]
-
 
 def oracle_applies(data: ResolutionData) -> bool:
     """Whether the Koszul oracle models data: a generic arrangement with

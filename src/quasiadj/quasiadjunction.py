@@ -63,8 +63,7 @@ def _verdict_at(data: ResolutionData, germ: GermBasisElement, x) -> MembershipVe
     tight = tuple(sorted(eid for eid, v in values.items() if v == 0))
     weight = 0
     if in_log and not in_ideal:
-        tight_set = set(tight)
-        weight = max(rec.fold for rec in data.incidence if rec.members <= tight_set)
+        weight = max(rec.fold for rec in data.incidence if rec.members.issubset(tight))
     return MembershipVerdict(in_ideal, in_log, weight, tight, tuple(x))
 
 
@@ -95,16 +94,6 @@ def multiplier_ideal_membership(data: ResolutionData, germ, gamma) -> bool:
         if not load < germ.valuation(exc.id) + exc.c + 1:
             return False
     return True
-
-
-def quotient_dims(data: ResolutionData, x) -> dict[int, int]:
-    """Count germ basis elements of each positive weight at the cube point x.
-
-    The count for weight l is the contribution dim A_{l-1}(log)/A_l(log)
-    style jump the face labels record (exact for a germ basis, which the
-    builtin monomial families provide).
-    """
-    return {l: len(labels) for l, labels in weight_witnesses(data, x).items()}
 
 
 def weight_witnesses(data: ResolutionData, x) -> dict[int, tuple[str, ...]]:

@@ -1,19 +1,19 @@
 """Exact rational affine geometry inside the unit cube.
 
-Affine forms, halfspace systems, integer lattice kernels and a small
-two-phase simplex that solves one set for many objectives (phase 1 once,
-phase 2 once per objective), all over fractions.Fraction.  Floating point
-input is rejected at the boundary; nothing in here ever rounds.
+Affine forms and halfspace systems over fractions.Fraction; integer lattice
+work (kernels, saturation, affine spans) through the one Hermite reducer;
+and a small two-phase simplex that solves one set for many objectives
+(phase 1 once, phase 2 once per objective), whose pivot is the only
+elimination over Q.  Floating point input is rejected at the boundary;
+nothing in here ever rounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
-
-Rational = Fraction
 
 
 def rat(x) -> Fraction:
@@ -51,27 +51,12 @@ class AffineForm:
             raise ValueError("point arity %d != form arity %d" % (len(point), len(self.coeffs)))
         return sum((c * rat(p) for c, p in zip(self.coeffs, point)), self.const)
 
-    def scaled(self, factor) -> "AffineForm":
-        f = rat(factor)
-        return AffineForm(tuple(c * f for c in self.coeffs), self.const * f)
-
     def equation_key(self) -> tuple:
         """Canonical key for the hyperplane {value == 0}: primitive integers,
         first nonzero entry positive.  Only meaningful for equations."""
-        denoms = [c.denominator for c in self.coeffs] + [self.const.denominator]
-        scale = 1
-        for d in denoms:
-            scale = scale * d // gcd(scale, d)
-        ints = [int(c * scale) for c in self.coeffs] + [int(self.const * scale)]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g:
-            ints = [v // g for v in ints]
+        (ints,) = integer_rows([self.coeffs + (self.const,)])
         lead = next((v for v in ints if v), 0)
-        if lead < 0:
-            ints = [-v for v in ints]
-        return tuple(ints)
+        return tuple(-v for v in ints) if lead < 0 else tuple(ints)
 
 
 @dataclass(frozen=True)
@@ -93,18 +78,6 @@ class HalfspaceSystem:
     def contains(self, point: Sequence[Fraction]) -> bool:
         return all(f.value(point) <= 0 for f in self.forms)
 
-    def tight_set(self, point: Sequence[Fraction]) -> tuple[int, ...]:
-        """Indices of forms vanishing at point.  Point need not be inside."""
-        return tuple(i for i, f in enumerate(self.forms) if f.value(point) == 0)
-
-
-def cube_point(values: Iterable) -> tuple[Fraction, ...]:
-    pt = rat_vector(values)
-    for v in pt:
-        if v < 0 or v > 1:
-            raise ValueError("coordinate %s outside [0, 1]" % v)
-    return pt
-
 
 def cube_bounds(r: int) -> list[AffineForm]:
     """The 2r facet constraints of [0,1]^r in <= 0 form."""
@@ -120,72 +93,18 @@ def cube_bounds(r: int) -> list[AffineForm]:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra
-
-
-def _eliminate(rows: list[list[Fraction]], pr: int, pc: int) -> list[Fraction]:
-    """Scale row pr to a unit pivot at column pc and clear column pc from
-    every other row; returns the scaled row."""
-    piv = rows[pr][pc]
-    rows[pr] = prow = [v / piv for v in rows[pr]]
-    for i in range(len(rows)):
-        if i != pr and rows[i][pc] != 0:
-            f = rows[i][pc]
-            rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-    return prow
-
-
-def _rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q of the first ncols columns.
-
-    Columns past ncols ride along.  Returns the matrix and its pivot columns;
-    the pivot rows come first, and the rest vanish on the first ncols columns.
-    """
-    mat = [[rat(v) for v in row] for row in rows]
-    pivots: list[int] = []
-    for col in range(ncols):
-        if len(pivots) == len(mat):
-            break
-        rank = len(pivots)
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        _eliminate(mat, rank, col)
-        pivots.append(col)
-    return mat, pivots
-
-
-def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(_rref(rows, len(rows[0]) if rows else 0)[1])
-
-
-def solve_row_combination(rows: Sequence[Sequence], target: Sequence) -> list[Fraction] | None:
-    """Rational coefficients c with sum_i c_i rows[i] = target, or None.
-
-    Free coefficients are set to 0, so with independent rows the answer is
-    the unique representation of target in the row space.
-    """
-    m = len(rows)
-    aug = [[rows[i][j] for i in range(m)] + [target[j]] for j in range(len(target))]
-    mat, pivots = _rref(aug, m)
-    if any(row[-1] != 0 for row in mat[len(pivots):]):
-        return None  # inconsistent: target outside the row space
-    coeffs = [Fraction(0)] * m
-    for row, col in zip(mat, pivots):
-        coeffs[col] = row[-1]
-    return coeffs
+# integer lattices
 
 
 def integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Clear denominators row by row (rowspace is unchanged)."""
+    """Scale each row to primitive integers (rowspace is unchanged)."""
     out = []
     for row in rows:
         row = [rat(v) for v in row]
-        scale = 1
-        for v in row:
-            scale = scale * v.denominator // gcd(scale, v.denominator)
-        out.append([int(v * scale) for v in row])
+        scale = lcm(*(v.denominator for v in row))
+        ints = [int(v * scale) for v in row]
+        g = gcd(*ints)
+        out.append([v // g for v in ints] if g else ints)
     return out
 
 
@@ -286,10 +205,15 @@ class Unbounded(Exception):
 
 
 def _pivot(rows, cost, basis, pr, pc):
-    prow = _eliminate(rows, pr, pc)
-    if cost[pc] != 0:
-        f = cost[pc]
-        cost[:] = [a - f * b for a, b in zip(cost, prow)]
+    """Scale row pr to a unit pivot at column pc and clear column pc from
+    every other row and from the cost row."""
+    prow = rows[pr]
+    piv = prow[pc]
+    prow[:] = [v / piv for v in prow]
+    for row in (*rows, cost):
+        f = row[pc]
+        if f and row is not prow:
+            row[:] = [a - f * b for a, b in zip(row, prow)]
     basis[pr] = pc
 
 

@@ -30,6 +30,7 @@ class ExceptionalComponent:
 
     def __post_init__(self):
         path = "exceptional %r" % (self.id,)
+        _expect_str(self.id, path + ".id")
         object.__setattr__(self, "a", tuple(_expect_int(v, "%s.a[%d]" % (path, i)) for i, v in enumerate(self.a)))
         _expect_int(self.c, path + ".c")
 
@@ -40,7 +41,9 @@ class IncidenceRecord:
     fold: int  # log weight available on the stratum where these components meet
 
     def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
+        members = frozenset(_expect_str(m, "incidence member %r" % (m,)) for m in self.members)
+        object.__setattr__(self, "members", members)
+        _expect_int(self.fold, "incidence %s.fold" % sorted(members))
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,7 @@ class GermBasisElement:
 
     def __post_init__(self):
         path = "germ %r" % (self.label,)
+        _expect_str(self.label, path + ".label")
         _expect_int(self.degree, path + ".degree")
         e = ((_expect_str(k, "%s.e key %r" % (path, k)), _expect_int(v, "%s.e[%r]" % (path, k)))
              for k, v in dict(self.e).items())
@@ -101,6 +105,12 @@ class ResolutionData:
     incidence: tuple[IncidenceRecord, ...]
     germs: tuple[GermBasisElement, ...]
     family: tuple | None = None  # provenance tag set by builtin generators
+
+    def __post_init__(self):
+        _expect_int(self.r, "r")
+        _expect_int(self.n, "n")
+        names = tuple(_expect_str(v, "components[%d]" % i) for i, v in enumerate(self.component_names))
+        object.__setattr__(self, "component_names", names)
 
     def germ(self, label: str) -> GermBasisElement:
         for g in self.germs:
@@ -420,41 +430,20 @@ def is_generic_arrangement(data: ResolutionData) -> bool:
     return data.family is not None and data.family[0] == "cone" and all(d == 1 for d in data.family[1])
 
 
-def delete_component(data: ResolutionData, index: int, allow_user_data: bool = False) -> ResolutionData:
+def delete_component(data: ResolutionData, index: int) -> ResolutionData:
     """Resolution data of the subunion with branch `index` removed.
 
     Deletion is only meaningful when the remaining data is known to describe
-    the subunion; that holds for builtin families (the same blowup resolves
-    the smaller cone) and for data the caller explicitly vouches for.
+    the subunion; that holds for builtin families, where the same blowup
+    resolves the smaller cone, so data without family provenance is refused.
     """
     if not 0 <= index < data.r:
         raise ResolutionError("delete_component: index %d outside range" % index)
     if data.r == 1:
         raise ResolutionError("delete_component: cannot delete the last branch")
-    if data.family is not None and data.family[0] == "cone":
-        degrees = data.family[1][:index] + data.family[1][index + 1 :]
-        out = cone_over(degrees, data.family[2], data.family[3])
-        names = data.component_names[:index] + data.component_names[index + 1 :]
-        return ResolutionData(out.r, out.n, names, out.exceptional, out.incidence, out.germs, out.family)
-    if not allow_user_data:
-        raise ResolutionError(
-            "delete_component: data has no family provenance; pass allow_user_data=True to assert it")
-    keep = [exc for exc in data.exceptional if any(exc.a[:index] + exc.a[index + 1 :])]
-    kept_ids = {exc.id for exc in keep}
-    exceptional = tuple(
-        ExceptionalComponent(exc.id, exc.a[:index] + exc.a[index + 1 :], exc.c) for exc in keep)
-    incidence = tuple(rec for rec in data.incidence if rec.members <= kept_ids)
-    germs = tuple(
-        GermBasisElement(g.label, g.degree, tuple((k, v) for k, v in g.e if k in kept_ids))
-        for g in data.germs)
-    out = ResolutionData(
-        data.r - 1,
-        data.n,
-        data.component_names[:index] + data.component_names[index + 1 :],
-        exceptional,
-        incidence,
-        germs,
-        None,
-    )
-    validate_resolution(out)
-    return out
+    if data.family is None or data.family[0] != "cone":
+        raise ResolutionError("delete_component: data has no family provenance")
+    degrees = data.family[1][:index] + data.family[1][index + 1 :]
+    out = cone_over(degrees, data.family[2], data.family[3])
+    names = data.component_names[:index] + data.component_names[index + 1 :]
+    return ResolutionData(out.r, out.n, names, out.exceptional, out.incidence, out.germs, out.family)

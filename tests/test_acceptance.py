@@ -35,8 +35,10 @@ from quasiadj import (
     torsion_characters,
     truncated_koszul,
 )
-from quasiadj.ratgeom import integer_kernel, rational_rank
+from quasiadj.ratgeom import integer_kernel
 from quasiadj.resolution import load_resolution, serialize_resolution
+
+from rational_reference import rational_rank
 
 F = Fraction
 

@@ -22,6 +22,8 @@ from quasiadj.charvariety import (
 from quasiadj.quasiadjunction import faces_of_quasiadjunction
 from quasiadj.resolution import cone_over, delete_component, generic_arrangement
 
+import rational_reference as reference
+
 F = Fraction
 
 
@@ -83,6 +85,9 @@ def test_project_subtorus():
     free = make_subtorus(3, [((1, 1, 0), F(1, 2))])
     with pytest.raises(ValueError, match="not identically 1"):
         project_subtorus(free, 0)
+    for index in (-1, 3):  # -1 used to drop the wrong phase silently
+        with pytest.raises(IndexError):
+            project_subtorus(t, index)
 
 
 def test_exp_face_on_cone():
@@ -178,6 +183,65 @@ def test_classify_essential_propagates_unexpected_errors(monkeypatch):
     monkeypatch.setattr(cv, "delete_component", broken)
     with pytest.raises(KeyError):
         classify_essential(cone_over((1, 1, 1), 2, 0))
+
+
+def test_classify_essential_projects_onto_subunion():
+    data = cone_over((2, 3, 4), 2, 0)
+
+    def component(phase3, phase12):
+        torus = make_subtorus(3, [((0, 0, 1), phase3), ((2, 3, 0), phase12)])
+        return PrincipalComponent(torus, 1, 1, ((1, 1),))
+
+    # {t3 = 1, t1^2 t2^3 = 1} projects onto the component of branches 1, 2
+    comp = component(F(0), F(0))
+    rep = classify_essential(data, components=[comp])
+    assert not rep.essential
+    ((got, index, witness),) = rep.nonessential
+    assert got == comp and index == 2
+    assert witness.torus == make_subtorus(2, [((2, 3), F(0))])
+    # t3 = -1 is not the slice t3 = 1; t1^2 t2^3 = -1 is in no subunion component
+    for phases in ((F(1, 2), F(0)), (F(0), F(1, 2))):
+        comp = component(*phases)
+        rep = classify_essential(data, components=[comp])
+        assert rep.essential == (comp,) and not rep.nonessential
+
+
+def _random_subtorus(rng, nvars, count):
+    eqs = [(tuple(rng.randint(-3, 3) for _ in range(nvars)), F(rng.randint(0, 5), rng.choice((1, 2, 3, 4, 6))))
+           for _ in range(count)]
+    try:
+        return make_subtorus(nvars, eqs)
+    except ValueError:
+        return None  # disconnected or empty
+
+
+def test_subtorus_contains_matches_rational_reference():
+    rng = random.Random(616)
+    pairs = contained = 0
+    while pairs < 1000:
+        nvars = rng.randint(1, 4)
+        inner = _random_subtorus(rng, nvars, rng.randint(0, nvars))
+        if inner is None:
+            continue
+        if inner.equations and rng.random() < 0.5:
+            # integer combinations of inner's equations, with their phases or shifted
+            combos = [[rng.randint(-2, 2) for _ in inner.equations] for _ in range(rng.randint(1, inner.codim))]
+            eqs = [(tuple(sum(c * v[j] for c, (v, _) in zip(row, inner.equations)) for j in range(nvars)),
+                    sum(c * b for c, (_, b) in zip(row, inner.equations)) + rng.choice((0, 0, F(1, 2))))
+                   for row in combos]
+            try:
+                outer = make_subtorus(nvars, eqs)
+            except ValueError:
+                continue
+        else:
+            outer = _random_subtorus(rng, nvars, rng.randint(0, nvars))
+            if outer is None:
+                continue
+        got = subtorus_contains(outer, inner)
+        assert got == reference.subtorus_contains(outer, inner)
+        pairs += 1
+        contained += got
+    assert contained >= 100  # 586 of the 1000 with this seed
 
 
 def test_containment_properties_randomized():

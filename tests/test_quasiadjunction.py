@@ -12,11 +12,10 @@ from quasiadj.quasiadjunction import (
     lct_face,
     membership,
     multiplier_ideal_membership,
-    quotient_dims,
+    weight_witnesses,
 )
 import quasiadj.quasiadjunction as quasiadjunction
 import quasiadj.ratgeom as ratgeom
-from quasiadj.ratgeom import rational_rank
 from quasiadj.resolution import (
     GermBasisElement,
     QuasiArray,
@@ -25,6 +24,8 @@ from quasiadj.resolution import (
     generic_arrangement,
     load_resolution,
 )
+
+from rational_reference import rational_rank
 
 F = Fraction
 
@@ -97,8 +98,8 @@ def test_nonpositive_faces_are_dropped():
 
 def test_quotient_dims_on_face():
     data = cone_over((2, 3), 2, 3)
-    assert quotient_dims(data, (F(1, 2), F(1, 3)))[1] == 1   # on 2x1+3x2 = 2
-    assert quotient_dims(data, (F(1, 4), F(1, 6)))[1] == 3   # on 2x1+3x2 = 1
+    assert len(weight_witnesses(data, (F(1, 2), F(1, 3)))[1]) == 1   # on 2x1+3x2 = 2
+    assert len(weight_witnesses(data, (F(1, 4), F(1, 6)))[1]) == 3   # on 2x1+3x2 = 1
 
 
 def test_lct_values():

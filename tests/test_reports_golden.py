@@ -61,6 +61,8 @@ QUERIES = {
     "faces-cone": ["faces", "--cone", "2,3,4", "--n", "2", "--bound", "2"],
     "check-arrangement": ["check", "--arrangement", "4", "--n", "2", "--order", "3"],
     "milnor-cone": ["milnor", "--cone", "2,2,2", "--n", "2", "--bound", "2", "--order", "6"],
+    "components-cone": ["components", "--cone", "2,3,4", "--n", "2", "--bound", "2"],
+    "betti-cone": ["betti", "--cone", "2,3,4", "--n", "2", "--bound", "1", "--m", "2,3,2"],
 }
 
 # recorded before the face search shared one phase 1 per region
@@ -72,6 +74,9 @@ DIGESTS = {
     "faces-cone": "65903566dd451bcda42d38bbbd82fd362f698f86df408a76389dc8cacb2fff34",
     "check-arrangement": "1ef863987bc23eefd7dde69430b649dd700976ac57a4445b294a5194207079c1",
     "milnor-cone": "16ee6cb6590f91a7b73fdab23fd2a8f3d4be820480b8d9d654791e37e04f9bfe",
+    # recorded before subtorus containment moved onto the Hermite route
+    "components-cone": "8384d66e84b1430c741f7f89e2b1ecdc0b2455b741fec13fb9d7cd8132a7da3f",
+    "betti-cone": "c00adc2ef6827dcc5b38f502664526efa0b297b1c05c63644ef378680d7f2ab4",
 }
 
 
