@@ -230,26 +230,32 @@ class EssentialityReport:
 def classify_essential(data: ResolutionData, components=None) -> EssentialityReport:
     """Split components into essential ones and those arising from a proper
     subunion: torus inside {t_i = 1} with its projection inside a component
-    of the data with branch i deleted."""
+    of the data with branch i deleted.  The subunion's components are built
+    only for a branch some torus projects along, once per branch."""
     if components is None:
         components = principal_components(data)
-    sub_components = {}
-    for i in range(data.r):
-        try:
-            sub = delete_component(data, i)
-        except ResolutionError:
-            continue
-        sub_components[i] = principal_components(sub)
+    sub_components = {}  # branch -> components of the data without it
+
+    def subunion(i):
+        if i not in sub_components:
+            try:
+                sub = delete_component(data, i)
+            except ResolutionError:
+                sub_components[i] = ()
+            else:
+                sub_components[i] = principal_components(sub)
+        return sub_components[i]
+
     essential = []
     nonessential = []
     for comp in components:
         witness = None
-        for i, subs in sub_components.items():
+        for i in range(data.r):
             try:
                 proj = project_subtorus(comp.torus, i)
             except ValueError:
                 continue  # t_i is not identically 1 on the torus
-            for sub in subs:
+            for sub in subunion(i):
                 if subtorus_contains(sub.torus, proj):
                     witness = (comp, i, sub)
                     break

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from .ratgeom import (
     AffineForm,
@@ -162,6 +163,10 @@ def _same_face(a: _Candidate, b: _Candidate, r: int) -> bool:
     return same
 
 
+# region solves (lp_maximize calls) one face search may make before it gives up
+MAX_REGION_SOLVES = 100_000
+
+
 def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction]:
     """All faces of quasiadjunction of the union, merged across germs.
 
@@ -171,6 +176,18 @@ def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction
     coordinate strictly positive: realizable branching parameters
     (j_i+1)/m_i never vanish, so boundary pieces inside the coordinate
     hyperplanes bound no actual jump.
+
+    Each search walks the masks of tight exceptional components in
+    increasing numeric order and solves a mask's region only when every
+    mask with one bit cleared has a nonempty region.  Invariant: when a mask
+    is taken from the queue, every smaller mask has been decided, and
+    `feasible` holds exactly the decided masks (the empty mask included)
+    whose region is nonempty.  Skipping is exact, because one more tight
+    component adds an equality and so only shrinks the region: a mask
+    skipped or found empty has empty supersets.  The walk costs one solve
+    per mask with no empty one-bit-smaller mask, plus two per candidate
+    comparison; a search that would make more than MAX_REGION_SOLVES
+    solves raises ValueError.
     """
     r = data.r
     cube = cube_bounds(r)
@@ -181,16 +198,35 @@ def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction
         systems.setdefault(forms, []).append(germ.label)
     buckets: dict[tuple, list[_Candidate]] = {}
     order: list[tuple] = []
+    solves = 0
+
+    def spend(count: int) -> None:
+        nonlocal solves
+        solves += count
+        if solves > MAX_REGION_SOLVES:
+            raise ValueError(
+                "face search needs more than %d region solves (%d exceptional components, %d constraint systems)"
+                % (MAX_REGION_SOLVES, nexc, len(systems)))
+
     for forms, labels in systems.items():
-        for mask in range(1, 1 << nexc):
+        feasible = {0}
+        queue = [1 << i for i in range(nexc)]  # heap; a mask is queued once it is feasible without its top bit
+        while queue:
+            mask = heappop(queue)
             tight_idx = [i for i in range(nexc) if mask >> i & 1]
+            if any(mask ^ (1 << i) not in feasible for i in tight_idx):
+                continue  # a one-bit-smaller region is empty, so this one is
             loose_idx = [i for i in range(nexc) if not mask >> i & 1]
             eqs = [forms[i] for i in tight_idx]
             ineqs = [forms[i] for i in loose_idx] + cube
+            spend(1)
             try:
                 sample, implicit = relative_interior_point(ineqs, eqs, r)
             except Infeasible:
                 continue
+            feasible.add(mask)
+            for i in range(mask.bit_length(), nexc):
+                heappush(queue, mask | 1 << i)
             if any(k < len(loose_idx) for k in implicit):
                 continue  # not tight-closed; the closed mask meets the same set
             if not all(sample):
@@ -202,6 +238,7 @@ def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction
             if not bucket:
                 order.append(span)
             for known in bucket:
+                spend(2)
                 if _same_face(known, cand, r):
                     known.germs.update(labels)
                     for f in eqs:

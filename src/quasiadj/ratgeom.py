@@ -3,9 +3,12 @@
 Affine forms and halfspace systems over fractions.Fraction; integer lattice
 work (kernels, saturation, affine spans) through the one Hermite reducer;
 and a small two-phase simplex that solves one set for many objectives
-(phase 1 once, phase 2 once per objective), whose pivot is the only
-elimination over Q.  Floating point input is rejected at the boundary;
-nothing in here ever rounds.
+(phase 1 once, phase 2 once per objective).  The simplex keeps an integer
+tableau over one common denominator and pivots by exact division, so no
+Fraction arithmetic happens inside it: forms and objectives are scaled to
+integers on the way in, and witnesses become Fractions on the way out.
+Floating point input is rejected at the boundary; nothing in here ever
+rounds.
 """
 
 from __future__ import annotations
@@ -204,31 +207,52 @@ class Unbounded(Exception):
     pass
 
 
-def _pivot(rows, cost, basis, pr, pc):
-    """Scale row pr to a unit pivot at column pc and clear column pc from
-    every other row and from the cost row."""
+def _pivot(rows, cost, basis, den, pr, pc):
+    """Pivot the integer tableau rows/den (cost row included) on entry
+    (pr, pc) and return the new denominator, the pivot entry made positive.
+
+    The pivot row stays as it is (negated if its entry is negative) and
+    every other row becomes (row * p - row[pc] * prow) / den.  The division
+    is exact (Edmonds 1967): every entry stays a minor of the initial
+    integer matrix, and den the absolute determinant of the current basis.
+    """
     prow = rows[pr]
-    piv = prow[pc]
-    prow[:] = [v / piv for v in prow]
+    if prow[pc] < 0:
+        prow[:] = [-v for v in prow]
+    p = prow[pc]
     for row in (*rows, cost):
+        if row is prow:
+            continue
         f = row[pc]
-        if f and row is not prow:
-            row[:] = [a - f * b for a, b in zip(row, prow)]
+        if f:
+            row[:] = [(a * p - f * b) // den for a, b in zip(row, prow)]
+        elif p != den:
+            row[:] = [a * p // den for a in row]
     basis[pr] = pc
+    return p
 
 
-def _run_simplex(rows, cost, basis):
-    """Bland's rule on a canonical tableau; cost row is the z-row of a
-    maximization (optimal when no negative reduced cost remains)."""
+def _run_simplex(rows, cost, basis, den):
+    """Bland's rule on a canonical integer tableau with denominator den;
+    cost row is the z-row of a maximization (optimal when no negative
+    reduced cost remains).  Returns the final denominator.
+
+    The leaving row has the least ratio rhs/entry over the positive entries
+    of the column, compared as cross products, and ties go to the smallest
+    basic variable: the rule over Q, so the pivots are the same."""
     while True:
         pc = next((j for j in range(len(cost) - 1) if cost[j] < 0), None)
         if pc is None:
-            return
-        ratios = [(rows[i][-1] / rows[i][pc], basis[i], i) for i in range(len(rows)) if rows[i][pc] > 0]
-        if not ratios:
+            return den
+        pr = best = None
+        for i, row in enumerate(rows):
+            if row[pc] > 0 and (
+                best is None or (row[-1] * best[pc] - best[-1] * row[pc], basis[i]) < (0, basis[pr])
+            ):
+                pr, best = i, row
+        if pr is None:
             raise Unbounded()
-        _, _, pr = min(ratios)
-        _pivot(rows, cost, basis, pr, pc)
+        den = _pivot(rows, cost, basis, den, pr, pc)
 
 
 def lp_maximize(
@@ -245,75 +269,75 @@ def lp_maximize(
     that objective alone gives, whatever the other objectives are.  Returns
     one (optimum, witness point) per objective.  Raises Infeasible or
     Unbounded.
+
+    Every form is scaled by one common positive integer, which leaves the
+    set, the phase 1 objective and so every pivot unchanged; the tableau
+    then holds integers over one denominator (see _pivot), and Fractions
+    appear only in the returned witnesses and optima.
     """
     objectives = [rat_vector(obj) for obj in objectives]
     r = width if width is not None else len(objectives[0])
     if any(len(obj) != r for obj in objectives):
         raise ValueError("objective arity mismatch")
+    forms = [*ineqs, *eqs]
+    scale = lcm(*(v.denominator for f in forms for v in (*f.coeffs, f.const)))
     nslack = len(ineqs)
     rows = []
-    slack_col = lambda k: r + k
-    for k, f in enumerate(ineqs):
-        row = list(f.coeffs) + [Fraction(0)] * nslack + [-f.const]
-        row[slack_col(k)] = Fraction(1)
+    for k, f in enumerate(forms):
+        row = [int(c * scale) for c in f.coeffs] + [0] * nslack + [int(-f.const * scale)]
+        if k < nslack:
+            row[r + k] = 1
         rows.append(row)
-    for f in eqs:
-        rows.append(list(f.coeffs) + [Fraction(0)] * nslack + [-f.const])
-    ncols = r + nslack
+    ncols = real = r + nslack  # artificial columns come after the real ones
     basis = [-1] * len(rows)
-    art_cols = []
     for i, row in enumerate(rows):
         if row[-1] < 0:
             rows[i] = row = [-v for v in row]
-        if i < nslack and row[slack_col(i)] == 1:
-            basis[i] = slack_col(i)
+        if i < nslack and row[r + i] == 1:
+            basis[i] = r + i
     for i in range(len(rows)):
         if basis[i] == -1:
             for row2 in rows:
-                row2.insert(-1, Fraction(0))
-            rows[i][-2] = Fraction(1)
+                row2.insert(-1, 0)
+            rows[i][-2] = 1
             basis[i] = ncols
-            art_cols.append(ncols)
             ncols += 1
-    # phase 1: maximize -(sum of artificials)
-    cost = [Fraction(0)] * (ncols + 1)
-    for j in art_cols:
-        cost[j] = Fraction(1)
+    # phase 1: maximize -(sum of artificials), over denominator 1
+    cost = [0] * real + [1] * (ncols - real) + [0]
     for i, b in enumerate(basis):
-        if b in art_cols:
+        if b >= real:
             cost = [a - c for a, c in zip(cost, rows[i])]
-    _run_simplex(rows, cost, basis)
-    if -cost[-1] != 0:
+    den = _run_simplex(rows, cost, basis, 1)
+    if cost[-1] != 0:
         raise Infeasible()
     # drive remaining artificials out of the basis, then drop their columns
     # entirely so phase 2 can never pivot one back in
     keep = []
     for i in range(len(rows)):
-        if basis[i] in art_cols:
-            pc = next((j for j in range(r + nslack) if rows[i][j] != 0), None)
+        if basis[i] >= real:
+            pc = next((j for j in range(real) if rows[i][j] != 0), None)
             if pc is None:
                 continue  # redundant constraint: row is zero on real variables
-            _pivot(rows, cost, basis, i, pc)
+            den = _pivot(rows, cost, basis, den, i, pc)
         keep.append(i)
-    rows = [rows[i][: r + nslack] + rows[i][-1:] for i in keep]
+    rows = [rows[i][:real] + rows[i][-1:] for i in keep]
     basis = [basis[i] for i in keep]
-    ncols = r + nslack
     results = []
     for objective in objectives:
-        # phase 2 pivots a copy: the next objective starts where this one did
+        # phase 2 pivots a copy: the next objective starts where this one did;
+        # the objective is scaled to integers, which changes no reduced cost sign
         prows, pbasis = [row[:] for row in rows], basis[:]
-        cost = [Fraction(0)] * (ncols + 1)
-        for j, c in enumerate(objective):
-            cost[j] = -c
+        oscale = lcm(*(c.denominator for c in objective))
+        cost = [-int(c * oscale) * den for c in objective] + [0] * (nslack + 1)
         for i, b in enumerate(pbasis):
             if cost[b] != 0:
-                f = cost[b]
+                f = cost[b] // den
                 cost = [a - f * v for a, v in zip(cost, prows[i])]
-        _run_simplex(prows, cost, pbasis)
+        pden = _run_simplex(prows, cost, pbasis, den)
         point = [Fraction(0)] * r
         for i, b in enumerate(pbasis):
             if b < r:
-                point[b] = prows[i][-1]
+                point[b] = Fraction(prows[i][-1], pden)
         results.append((sum(c * p for c, p in zip(objective, point)), tuple(point)))
     return results
 

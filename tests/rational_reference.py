@@ -1,12 +1,16 @@
-"""Row reduction over Q, the reference the integer lattice routines are
-checked against.
+"""Row reduction and the simplex over Q, the references the integer
+routines are checked against.
 
 The library answers rank, span and containment questions with the Hermite
 reducer in `quasiadj.ratgeom`; the functions here answer the same questions
 by plain Gauss-Jordan elimination over fractions, an independent route.
+Likewise `lp_maximize` here is the two-phase simplex over fractions that the
+library's integer tableau must match pivot for pivot.
 """
 
 from fractions import Fraction
+
+from quasiadj.ratgeom import Infeasible, Unbounded, rat_vector
 
 
 def _rref(rows, ncols):
@@ -71,3 +75,114 @@ def subtorus_contains(outer, inner):
         if sum(c * b for c, (_, b) in zip(coeffs, inner.equations)) % 1 != beta:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# two-phase simplex over Q (variables implicitly >= 0)
+
+
+def _pivot(rows, cost, basis, pr, pc):
+    """Scale row pr to a unit pivot at column pc and clear column pc from
+    every other row and from the cost row."""
+    prow = rows[pr]
+    piv = prow[pc]
+    prow[:] = [v / piv for v in prow]
+    for row in (*rows, cost):
+        f = row[pc]
+        if f and row is not prow:
+            row[:] = [a - f * b for a, b in zip(row, prow)]
+    basis[pr] = pc
+
+
+def _run_simplex(rows, cost, basis):
+    """Bland's rule on a canonical tableau; cost row is the z-row of a
+    maximization (optimal when no negative reduced cost remains)."""
+    while True:
+        pc = next((j for j in range(len(cost) - 1) if cost[j] < 0), None)
+        if pc is None:
+            return
+        ratios = [(rows[i][-1] / rows[i][pc], basis[i], i) for i in range(len(rows)) if rows[i][pc] > 0]
+        if not ratios:
+            raise Unbounded()
+        _, _, pr = min(ratios)
+        _pivot(rows, cost, basis, pr, pc)
+
+
+def lp_maximize(objectives, ineqs, eqs=(), width=None):
+    """max objective . x subject to x >= 0, every ineq <= 0, every eq == 0,
+    for each of the objectives over the one set, with the same signature,
+    outputs and exceptions as `quasiadj.ratgeom.lp_maximize`.
+
+    Phase 1 runs once.  Each objective's phase 2 starts from its own copy of
+    the post-phase-1 tableau and basis.
+    """
+    objectives = [rat_vector(obj) for obj in objectives]
+    r = width if width is not None else len(objectives[0])
+    if any(len(obj) != r for obj in objectives):
+        raise ValueError("objective arity mismatch")
+    nslack = len(ineqs)
+    rows = []
+    slack_col = lambda k: r + k
+    for k, f in enumerate(ineqs):
+        row = list(f.coeffs) + [Fraction(0)] * nslack + [-f.const]
+        row[slack_col(k)] = Fraction(1)
+        rows.append(row)
+    for f in eqs:
+        rows.append(list(f.coeffs) + [Fraction(0)] * nslack + [-f.const])
+    ncols = r + nslack
+    basis = [-1] * len(rows)
+    art_cols = []
+    for i, row in enumerate(rows):
+        if row[-1] < 0:
+            rows[i] = row = [-v for v in row]
+        if i < nslack and row[slack_col(i)] == 1:
+            basis[i] = slack_col(i)
+    for i in range(len(rows)):
+        if basis[i] == -1:
+            for row2 in rows:
+                row2.insert(-1, Fraction(0))
+            rows[i][-2] = Fraction(1)
+            basis[i] = ncols
+            art_cols.append(ncols)
+            ncols += 1
+    # phase 1: maximize -(sum of artificials)
+    cost = [Fraction(0)] * (ncols + 1)
+    for j in art_cols:
+        cost[j] = Fraction(1)
+    for i, b in enumerate(basis):
+        if b in art_cols:
+            cost = [a - c for a, c in zip(cost, rows[i])]
+    _run_simplex(rows, cost, basis)
+    if -cost[-1] != 0:
+        raise Infeasible()
+    # drive remaining artificials out of the basis, then drop their columns
+    # entirely so phase 2 can never pivot one back in
+    keep = []
+    for i in range(len(rows)):
+        if basis[i] in art_cols:
+            pc = next((j for j in range(r + nslack) if rows[i][j] != 0), None)
+            if pc is None:
+                continue  # redundant constraint: row is zero on real variables
+            _pivot(rows, cost, basis, i, pc)
+        keep.append(i)
+    rows = [rows[i][: r + nslack] + rows[i][-1:] for i in keep]
+    basis = [basis[i] for i in keep]
+    ncols = r + nslack
+    results = []
+    for objective in objectives:
+        # phase 2 pivots a copy: the next objective starts where this one did
+        prows, pbasis = [row[:] for row in rows], basis[:]
+        cost = [Fraction(0)] * (ncols + 1)
+        for j, c in enumerate(objective):
+            cost[j] = -c
+        for i, b in enumerate(pbasis):
+            if cost[b] != 0:
+                f = cost[b]
+                cost = [a - f * v for a, v in zip(cost, prows[i])]
+        _run_simplex(prows, cost, pbasis)
+        point = [Fraction(0)] * r
+        for i, b in enumerate(pbasis):
+            if b < r:
+                point[b] = prows[i][-1]
+        results.append((sum(c * p for c, p in zip(objective, point)), tuple(point)))
+    return results

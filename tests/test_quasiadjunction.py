@@ -14,8 +14,10 @@ from quasiadj.quasiadjunction import (
     multiplier_ideal_membership,
     weight_witnesses,
 )
+import quasiadj.cli as cli
 import quasiadj.quasiadjunction as quasiadjunction
 import quasiadj.ratgeom as ratgeom
+from quasiadj.ratgeom import Infeasible, cube_bounds, relative_interior_point, span_equations
 from quasiadj.resolution import (
     GermBasisElement,
     QuasiArray,
@@ -25,6 +27,7 @@ from quasiadj.resolution import (
     load_resolution,
 )
 
+import rational_reference
 from rational_reference import rational_rank
 
 F = Fraction
@@ -127,16 +130,8 @@ def test_faces_stabilized():
 
 
 def test_germs_with_equal_valuations_share_one_search(monkeypatch):
-    # lp_maximize calls count region solves: one per mask of each search
-    calls = []
-    inner = ratgeom.lp_maximize
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(ratgeom, "lp_maximize", counted)
-    monkeypatch.setattr(quasiadjunction, "lp_maximize", counted)
+    # lp_maximize calls count region solves: one per mask each search solves
+    calls, _ = _count_solves(monkeypatch)
     data = cone_over((2, 3, 4), 2, 1)
     faces = faces_of_quasiadjunction(data)
     before = len(calls)
@@ -153,8 +148,74 @@ def test_germs_with_equal_valuations_share_one_search(monkeypatch):
         assert new.germ_labels == old.germ_labels + extra
 
 
-def test_face_search_solves_each_region_once(monkeypatch):
-    # one lp_maximize call per mask tried, two per candidate comparison
+def _systems(data):
+    """Constraint systems of the germs, each with its germ labels."""
+    systems = {}
+    for germ in data.germs:
+        systems.setdefault(tuple(constraint_form(exc, germ) for exc in data.exceptional), []).append(germ.label)
+    return systems
+
+
+def _walk_count(data):
+    """Masks the walk solves: those with no infeasible one-bit-smaller mask,
+    a skipped mask counting as infeasible, found with the reference simplex."""
+    r, nexc = data.r, len(data.exceptional)
+    count = 0
+    for forms in _systems(data):
+        infeasible = set()
+        for mask in range(1, 1 << nexc):
+            if any(mask >> i & 1 and mask ^ (1 << i) in infeasible for i in range(nexc)):
+                infeasible.add(mask)
+                continue
+            count += 1
+            eqs = [forms[i] for i in range(nexc) if mask >> i & 1]
+            ineqs = [forms[i] for i in range(nexc) if not mask >> i & 1] + cube_bounds(r)
+            try:
+                rational_reference.lp_maximize([[F(0)] * r], ineqs, eqs, r)
+            except Infeasible:
+                infeasible.add(mask)
+    return count
+
+
+def _all_mask_faces(data):
+    """The face search with every mask solved, no skipping: (span, sample,
+    tight forms, ambient forms, germ labels) per face, in the library's
+    order."""
+    r, nexc = data.r, len(data.exceptional)
+    buckets, order = {}, []
+    for forms, labels in _systems(data).items():
+        for mask in range(1, 1 << nexc):
+            eqs = [forms[i] for i in range(nexc) if mask >> i & 1]
+            loose = [forms[i] for i in range(nexc) if not mask >> i & 1]
+            ineqs = loose + cube_bounds(r)
+            try:
+                sample, implicit = relative_interior_point(ineqs, eqs, r)
+            except Infeasible:
+                continue
+            if any(k < len(loose) for k in implicit) or not all(sample):
+                continue
+            cube_eqs = [ineqs[k] for k in implicit]
+            span = tuple(span_equations(eqs + cube_eqs, sample))
+            cand = quasiadjunction._Candidate(span, eqs + cube_eqs, ineqs, sample, eqs, labels)
+            if span not in buckets:
+                order.append(span)
+            for known in buckets.setdefault(span, []):
+                if quasiadjunction._same_face(known, cand, r):
+                    known.germs.update(labels)
+                    for f in eqs:
+                        if f.equation_key() not in {g.equation_key() for g in known.tight_forms}:
+                            known.tight_forms.append(f)
+                    break
+            else:
+                buckets[span].append(cand)
+    faces = [(span, c.sample, tuple(c.tight_forms), tuple(dict.fromkeys(c.ineqs)),
+              tuple(g.label for g in data.germs if g.label in c.germs))
+             for span in order for c in buckets[span]]
+    return sorted(faces, key=lambda f: (len(f[0]), f[0]))  # the library's (-dim, span) order
+
+
+def _count_solves(monkeypatch):
+    """Record lp_maximize calls and _same_face outcomes of face searches."""
     calls, comparisons = [], []
     inner_lp, inner_same = ratgeom.lp_maximize, quasiadjunction._same_face
 
@@ -169,7 +230,10 @@ def test_face_search_solves_each_region_once(monkeypatch):
     monkeypatch.setattr(ratgeom, "lp_maximize", counted_lp)
     monkeypatch.setattr(quasiadjunction, "lp_maximize", counted_lp)
     monkeypatch.setattr(quasiadjunction, "_same_face", counted_same)
-    data = load_resolution("""\
+    return calls, comparisons
+
+
+FOUR_COMPONENTS = """\
 r: 3
 n: 2
 exceptional:
@@ -181,12 +245,67 @@ incidence: [[E1, E2], [E2, E3], [E3, E4]]
 germs:
 - {label: g1, degree: 2, e: {E1: 2}}
 - {label: g2, degree: 2, e: {E2: 2, E3: 1, E4: 2}}
-""")
+"""
+
+
+def test_face_search_solves_each_region_once(monkeypatch):
+    # one lp_maximize call per mask the walk solves, two per candidate comparison
+    calls, comparisons = _count_solves(monkeypatch)
+    data = load_resolution(FOUR_COMPONENTS)
     faces = faces_of_quasiadjunction(data)
-    systems = {tuple(constraint_form(exc, g) for exc in data.exceptional) for g in data.germs}
-    masks = len(systems) * (2 ** len(data.exceptional) - 1)
+    walked = _walk_count(data)
     assert faces and True in comparisons and False in comparisons
-    assert len(calls) == masks + 2 * len(comparisons)
+    assert walked < len(_systems(data)) * (2 ** len(data.exceptional) - 1)
+    assert len(calls) == walked + 2 * len(comparisons)
+
+
+def _random_chart(rng, nexc, germs):
+    """A random r = 3 chart: components with a_E in [0, 3]^3 (sum >= 2) and
+    c_E in [1, 3], a tree of incidences, distinct germ valuations in [0, 2]."""
+    ids = ["E%d" % (k + 1) for k in range(nexc)]
+    lines = ["r: 3", "n: 2", "exceptional:"]
+    for eid in ids:
+        a = [0, 0, 0]
+        while sum(a) < 2:
+            a = [rng.randint(0, 3) for _ in range(3)]
+        lines.append("- {id: %s, a: %s, c: %d}" % (eid, a, rng.randint(1, 3)))
+    lines.append("incidence:")
+    lines += ["- {members: [%s, %s], fold: 2}" % (ids[rng.randrange(k)], ids[k]) for k in range(1, nexc)]
+    lines.append("germs:")
+    seen = {(0,) * nexc}
+    while len(seen) < germs:
+        vec = tuple(rng.randint(0, 2) for _ in ids)
+        if vec not in seen:
+            seen.add(vec)
+            e = ", ".join("%s: %d" % (eid, v) for eid, v in zip(ids, vec) if v)
+            lines.append("- {label: g%d, degree: %d, e: {%s}}" % (len(seen) - 1, max(vec), e))
+    return load_resolution("\n".join(lines) + "\n")
+
+
+def test_mask_walk_on_ten_components(monkeypatch):
+    # |E| = 10: the walk solves the masks with no empty one-bit-smaller mask,
+    # and finds the faces of the loop over all 1023 masks of each system
+    data = _random_chart(random.Random(1010), 10, 3)
+    expected = _all_mask_faces(data)
+    calls, comparisons = _count_solves(monkeypatch)
+    faces = faces_of_quasiadjunction(data)
+    walked = _walk_count(data)
+    assert len(calls) == walked + 2 * len(comparisons)
+    assert walked < len(_systems(data)) * 1023 // 10
+    assert expected and [(f.span, f.sample, f.tight, f.ambient.forms, f.germ_labels) for f in faces] == expected
+
+
+def test_face_search_work_is_bounded(monkeypatch, capsys, tmp_path):
+    # the chart's search makes 44 region solves: 20 are too few, 44 enough
+    chart = tmp_path / "chart.yaml"
+    chart.write_text(FOUR_COMPONENTS)
+    monkeypatch.setattr(quasiadjunction, "MAX_REGION_SOLVES", 20)
+    with pytest.raises(ValueError, match="more than 20 region solves"):
+        faces_of_quasiadjunction(load_resolution(FOUR_COMPONENTS))
+    assert cli.main(["faces", "--input", str(chart)]) == 1
+    assert "error: face search needs more than 20 region solves" in capsys.readouterr().err
+    monkeypatch.setattr(quasiadjunction, "MAX_REGION_SOLVES", 44)
+    assert cli.main(["faces", "--input", str(chart)]) == 0
 
 
 def test_constraint_form_normalization():

@@ -23,6 +23,8 @@ from quasiadj.ratgeom import (
     span_equations,
 )
 
+import quasiadj.ratgeom as ratgeom
+import rational_reference
 from rational_reference import rational_rank, solve_row_combination
 
 F = Fraction
@@ -247,6 +249,67 @@ def test_lp_many_objectives_match_single_solves_property():
             assert all(g.value(point) <= 0 for g in ineqs)
             assert all(f.value(point) == 0 for f in eqs)
     assert redundant >= 100
+
+
+def _random_lp(rng):
+    """Objectives and a system with fractional coefficients, mostly inside
+    the cube: forms often pass through a cube vertex (degenerate vertices,
+    so artificials stay basic at zero and are driven out), some equalities
+    are multiples of another (redundant rows), many sets are empty, and a
+    system without the cube facets may be unbounded."""
+    width = rng.randint(1, 4)
+    ineqs = cube_bounds(width) if rng.random() < 0.9 else []
+    anchor = tuple(F(rng.randint(0, 2), 2) for _ in range(width))
+    forms = []
+    for _ in range(rng.randint(1, 4)):
+        coeffs = tuple(rand_frac(rng, 3, 3) for _ in range(width))
+        through = rng.random() < 0.6
+        const = -sum(c * a for c, a in zip(coeffs, anchor)) if through else rand_frac(rng, 3, 3)
+        forms.append(AffineForm(coeffs, const))
+    split = rng.randint(0, len(forms))
+    eqs, ineqs = forms[:split], ineqs + forms[split:]
+    redundant = bool(eqs) and rng.random() < 0.3
+    if redundant:
+        k = rng.choice((F(2), F(1, 3), F(-1)))
+        eqs.append(AffineForm(tuple(k * c for c in eqs[0].coeffs), k * eqs[0].const))
+    objectives = [[rand_frac(rng, 3, 3) for _ in range(width)] for _ in range(rng.randint(1, 3))]
+    return objectives, ineqs, eqs, width, redundant
+
+
+def test_integer_simplex_matches_rational_reference_property(monkeypatch):
+    # the integer tableau makes the pivots of the simplex over Q, one by one:
+    # equal optima, witnesses and outcomes, and the same pivot count and
+    # pivot-entry signs per solve (a negative entry is a drive-out pivot)
+    logs = {}
+    for mod in (ratgeom, rational_reference):
+        inner, log = mod._pivot, logs.setdefault(mod, [])
+
+        def counted(*args, inner=inner, log=log):
+            rows, pr, pc = args[0], args[-2], args[-1]
+            log.append(rows[pr][pc] < 0)
+            return inner(*args)
+
+        monkeypatch.setattr(mod, "_pivot", counted)
+    rng = random.Random(2718)
+    seen = {"redundant": 0, "fractional": 0, Infeasible: 0, Unbounded: 0, "negative pivots": 0}
+    for _ in range(2000):
+        objectives, ineqs, eqs, width, redundant = _random_lp(rng)
+        outcomes = []
+        for mod in (ratgeom, rational_reference):
+            logs[mod].clear()
+            try:
+                outcome = mod.lp_maximize(objectives, ineqs, eqs, width)
+            except (Infeasible, Unbounded) as exc:
+                outcome = type(exc)
+            outcomes.append((outcome, logs[mod][:]))
+        assert outcomes[0] == outcomes[1], (objectives, ineqs, eqs)
+        outcome, pivots = outcomes[0]
+        seen["redundant"] += redundant
+        seen["fractional"] += any(c.denominator > 1 for f in ineqs + eqs for c in f.coeffs)
+        seen["negative pivots"] += sum(pivots)
+        if outcome in (Infeasible, Unbounded):
+            seen[outcome] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def _grid_points(grid, width):
