@@ -16,7 +16,7 @@ from math import lcm
 from .cyclotomic import LaurentPoly, cyclotomic_in_monomial
 from .quasiadjunction import FaceOfQuasiadjunction, faces_of_quasiadjunction
 from .ratgeom import hermite, rat, saturation_basis
-from .resolution import ResolutionData, ResolutionError, delete_component
+from .resolution import ResolutionData, ResolutionError, _expect_int, delete_component
 
 
 def _mod1(q: Fraction) -> Fraction:
@@ -66,7 +66,7 @@ def diagonal_character(phase, r: int) -> CharacterPoint:
 
 def torsion_characters(orders, cap: int = 1_000_000):
     """All characters with phases k_i / orders[i]; plain product order."""
-    orders = [int(m) for m in orders]
+    orders = [_expect_int(m, "order[%d]" % i) for i, m in enumerate(orders)]
     total = 1
     for m in orders:
         if m < 1:

@@ -23,7 +23,7 @@ from .charvariety import (
     torsion_characters,
 )
 from .koszul import oracle_f
-from .resolution import ResolutionData, delete_component, is_generic_arrangement
+from .resolution import ResolutionData, _expect_int, delete_component, is_generic_arrangement
 
 PRINCIPAL = "principal lower bound"
 ORACLE = "exact (oracle)"
@@ -73,7 +73,7 @@ def betti_unbranched(
     Below the top degree the rank is C(r, p), independent of m.  In degree n
     the rank is the sum of f over all prod(m_i) torsion characters.
     """
-    m = tuple(int(v) for v in m)
+    m = tuple(_expect_int(v, "m[%d]" % i) for i, v in enumerate(m))
     if len(m) != data.r:
         raise ValueError("m has length %d, expected r = %d" % (len(m), data.r))
     f = f_source(data, f_mode, components)
@@ -122,7 +122,7 @@ def betti_branched(
     phase); each contributes f of the restricted character computed against
     the subunion with only the branches in I.  Degrees 1..n-1 vanish.
     """
-    m = tuple(int(v) for v in m)
+    m = tuple(_expect_int(v, "m[%d]" % i) for i, v in enumerate(m))
     if len(m) != data.r:
         raise ValueError("m has length %d, expected r = %d" % (len(m), data.r))
     # the oracle serves every support as it is, so only the principal route
@@ -196,7 +196,7 @@ def milnor_fiber(
     seen (each per-eigenvalue value is a lower bound for the orbit-constant
     true multiplicity).  The multiplicity at t = 1 is left unresolved.
     """
-    if order_bound < 1:
+    if _expect_int(order_bound, "order bound") < 1:
         raise ValueError("order bound %d < 1" % order_bound)
     f = f_source(data, f_mode, components)
     mults: dict[Fraction, int] = {}

@@ -1,19 +1,20 @@
-"""Exact cyclotomic arithmetic and Laurent polynomials.
+"""Exact cyclotomic arithmetic and Laurent polynomials, all in integers.
 
-Elements of Q(zeta_N) are coefficient vectors in Q[x]/Phi_N(x) with Fraction
-entries; inversion runs the extended Euclidean algorithm against Phi_N.
-Laurent polynomials (integer coefficients, exponent vectors in Z^r) carry
-both the symbolic differentials of the chain complexes and the torus
-invariant polynomial, and evaluate into any Q(zeta_N) containing the
-character.
+Phi_N is monic, so Z[x]/Phi_N(x) = Z[zeta_N] is closed under reduction, and
+its elements are int coefficient tuples.  Every value the Koszul oracle
+evaluates lies in that ring, and ranks over Q(zeta_N) come from Bareiss's
+fraction-free elimination, whose exact divisions go through the norm: no
+element is ever inverted.  Laurent polynomials (integer coefficients,
+exponent vectors in Z^r) carry both the symbolic differentials of the chain
+complexes and the torus invariant polynomial, and evaluate into any
+Z[zeta_N] containing the character.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def _exact_poly_div(num: Sequence[int], den: Sequence[int]) -> tuple[int, ...]:
@@ -45,7 +46,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return poly
 
 
-def _poly_mod(coeffs: list[Fraction], modulus: Sequence[int]) -> list[Fraction]:
+def _poly_mod(coeffs: list[int], modulus: Sequence[int]) -> list[int]:
     deg = len(modulus) - 1
     for k in range(len(coeffs) - 1, deg - 1, -1):
         c = coeffs[k]
@@ -53,11 +54,11 @@ def _poly_mod(coeffs: list[Fraction], modulus: Sequence[int]) -> list[Fraction]:
             for i in range(deg + 1):
                 coeffs[k - deg + i] -= c * modulus[i]
         assert coeffs[k] == 0
-    return coeffs[:deg] + [Fraction(0)] * (deg - len(coeffs))
+    return coeffs[:deg] + [0] * (deg - len(coeffs))
 
 
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
     for i, av in enumerate(a):
         if av:
             for j, bv in enumerate(b):
@@ -67,23 +68,25 @@ def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
 
 
 class CyclotomicField:
-    """Q(zeta_N) as Q[x] / Phi_N(x); elements are Fraction tuples."""
+    """Q(zeta_N), computed in its ring of integers Z[x] / Phi_N(x).
+
+    Elements are int tuples of length phi(N), low degree first.  The ring
+    has no zero divisors, which is all the fraction-free rank needs; there
+    is no inverse.
+    """
 
     def __init__(self, order: int):
         self.order = order
         self.modulus = cyclotomic_polynomial(order)
         self.degree = len(self.modulus) - 1
-        self.zero = (Fraction(0),) * self.degree
-        one = [Fraction(0)] * self.degree
-        one[0] = Fraction(1)
-        self.one = tuple(one)
+        self.zero = (0,) * self.degree
+        self.one = (1,) + self.zero[1:]
         powers = [self.one]
         for _ in range(order - 1):
-            nxt = [Fraction(0)] + list(powers[-1])
-            powers.append(tuple(_poly_mod(nxt, self.modulus)))
+            powers.append(tuple(_poly_mod([0, *powers[-1]], self.modulus)))
         self._zeta = powers
 
-    def zeta(self, k: int) -> tuple[Fraction, ...]:
+    def zeta(self, k: int) -> tuple[int, ...]:
         return self._zeta[k % self.order]
 
     def add(self, a, b):
@@ -91,12 +94,6 @@ class CyclotomicField:
 
     def sub(self, a, b):
         return tuple(x - y for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x for x in a)
-
-    def scale(self, a, q):
-        return tuple(x * q for x in a)
 
     def mul(self, a, b):
         if not any(a) or not any(b):
@@ -106,72 +103,69 @@ class CyclotomicField:
     def is_zero(self, a) -> bool:
         return not any(a)
 
-    def inv(self, a):
-        """Inverse via extended Euclid against the (irreducible) modulus."""
-        if not any(a):
-            raise ZeroDivisionError("inverse of zero in Q(zeta_%d)" % self.order)
-        r0 = [Fraction(c) for c in self.modulus]
-        r1 = list(a)
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        s0, s1 = [Fraction(0)], [Fraction(1)]  # coefficients of `a` in r0, r1
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                c = r1[0]
-                return tuple(_poly_mod([v / c for v in s1] + [Fraction(0)], self.modulus))
-            q, rem = _poly_divmod(r0, r1)
-            s_new = _poly_sub(s0, _poly_mul(q, s1))
-            r0, r1 = r1, rem
-            s0, s1 = s1, s_new
 
+def _exact_divider(field: CyclotomicField, b):
+    """The map x -> x / b on multiples x of b in Z[zeta_N].
 
-def _poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
-    a = list(a)
-    b = list(b)
-    while b and b[-1] == 0:
-        b.pop()
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    lead = b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] / lead
-        q[k] = c
-        if c:
-            for i, bv in enumerate(b):
-                a[k + i] -= c * bv
-    return q, a[: len(b) - 1] or [Fraction(0)]
+    With c the product of the conjugates sigma_j(b) (zeta -> zeta^j, 1 < j < N,
+    gcd(j, N) = 1), b * c is the norm of b, a nonzero integer, so x / b is
+    x * c divided coefficientwise by the norm, exactly.
+    """
+    n = field.order
+    c = field.one
+    for j in range(2, n):
+        if gcd(j, n) == 1:
+            conj = field.zero
+            for i, v in enumerate(b):
+                if v:
+                    conj = field.add(conj, tuple(v * z for z in field.zeta(i * j)))
+            c = field.mul(c, conj)
+    norm, *rest = field.mul(b, c)
+    assert norm and not any(rest)
 
+    def divide(x):
+        out = []
+        for v in field.mul(x, c):
+            q, r = divmod(v, norm)
+            assert r == 0, "Bareiss division was not exact"
+            out.append(q)
+        return tuple(out)
 
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+    return divide
 
 
 def matrix_rank(field: CyclotomicField, rows: Sequence[Sequence]) -> int:
-    """Rank over Q(zeta_N) by exact Gaussian elimination."""
+    """Rank over Q(zeta_N) by Bareiss's fraction-free elimination in Z[zeta_N].
+
+    Rows are swapped to bring up a pivot, and a column without one is
+    skipped.  Every row below the pivot p becomes (p*row - row[col]*prow)
+    divided by the previous pivot.  Each entry is then a minor of the input
+    (Sylvester's identity), so the division is exact and entries stay as
+    large as minors, not growing with every step as without the division.
+    """
     mat = [list(row) for row in rows]
     if not mat or not mat[0]:
         return 0
     ncols = len(mat[0])
+    mul, sub = field.mul, field.sub
     rank = 0
+    divide = None  # the first step divides by the empty minor, 1
     for col in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if not field.is_zero(mat[i][col])), None)
+        piv = next((i for i in range(rank, len(mat)) if any(mat[i][col])), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = field.inv(mat[rank][col])
-        mat[rank] = [field.mul(inv, v) for v in mat[rank]]
         prow = mat[rank]
-        for i in range(len(mat)):
-            if i != rank and not field.is_zero(mat[i][col]):
-                f = mat[i][col]
-                mat[i] = [field.sub(v, field.mul(f, p)) for v, p in zip(mat[i], prow)]
+        p = prow[col]
+        for row in mat[rank + 1 :]:
+            f = row[col]
+            for j in range(col + 1, ncols):
+                v = sub(mul(p, row[j]), mul(f, prow[j]))
+                row[j] = divide(v) if divide else v
         rank += 1
         if rank == len(mat):
             break
+        divide = _exact_divider(field, p)
     return rank
 
 
@@ -256,19 +250,12 @@ class LaurentPoly:
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items(), reverse=True)
 
-    def evaluate(self, field: CyclotomicField, phases: Sequence[Fraction]):
-        """Value at t_i = zeta_N ** (N * phases[i]); N must clear denominators."""
-        n = field.order
-        mults = []
-        for p in phases:
-            p = Fraction(p)
-            if (p * n).denominator != 1:
-                raise ValueError("character phase %s has no order-%d realization" % (p, n))
-            mults.append(int(p * n) % n)
+    def evaluate(self, field: CyclotomicField, exponents: Sequence[int]):
+        """Value at t_i = zeta_N ** exponents[i], an element of Z[zeta_N]."""
         out = field.zero
         for exps, coeff in self.terms.items():
-            k = sum(m * e for m, e in zip(mults, exps)) % n
-            out = field.add(out, field.scale(field.zeta(k), Fraction(coeff)))
+            z = field.zeta(sum(k * e for k, e in zip(exponents, exps)))
+            out = field.add(out, tuple(coeff * v for v in z))
         return out
 
     def normalized(self):

@@ -6,8 +6,9 @@ fundamental group is the quotient of Z^r by the diagonal class.  The chain
 complex of the universal abelian cover of that skeleton is the Koszul-style
 contraction complex on Lambda^p(Z[t^+-]^(r-1)) truncated at p <= n, with
 differential contracting against (t_1 - 1, ..., t_(r-1) - 1).  Evaluating at
-a torsion character and taking exact ranks over Q(zeta_N) gives twisted
-homology with no reference to the quasiadjunction machinery: this module
+a torsion character of order N, whose phases are k_i / N, puts every entry
+in Z[zeta_N]; fraction-free ranks there give twisted homology over
+Q(zeta_N) with no reference to the quasiadjunction machinery.  This module
 only shares the cyclotomic substrate, so it can serve as a second route.
 """
 
@@ -44,14 +45,15 @@ class ComplexSpec:
         return ()
 
 
-def _normalize_phases(phases) -> tuple[Fraction, ...]:
-    out = []
+def _exponents(phases) -> tuple[int, tuple[int, ...]]:
+    """The order N of the character and its exponents: phase_i = k_i / N mod 1."""
+    qs = []
     for p in phases:
         if isinstance(p, float):
             raise TypeError("floating point phase %r rejected" % p)
-        q = Fraction(p)
-        out.append(q - (q.numerator // q.denominator))
-    return tuple(out)
+        qs.append(p if isinstance(p, (int, Fraction)) else Fraction(p))
+    order = lcm(*(q.denominator for q in qs))
+    return order, tuple(q.numerator * (order // q.denominator) % order for q in qs)
 
 
 @lru_cache(maxsize=None)
@@ -105,22 +107,21 @@ def composition_is_zero(spec: ComplexSpec) -> bool:
 
 
 def field_for(phases) -> CyclotomicField:
-    phases = _normalize_phases(phases)
-    order = lcm(*(p.denominator for p in phases)) if phases else 1
-    return CyclotomicField(order)
+    return CyclotomicField(_exponents(phases)[0])
 
 
 def evaluate_at(spec: ComplexSpec, phases):
     """Evaluate every differential at the character; returns (field, dict
     p -> matrix of field elements)."""
-    phases = _normalize_phases(phases)
-    if len(phases) != spec.params:
-        raise ValueError("character arity %d != %d parameters" % (len(phases), spec.params))
+    phases = tuple(phases)
+    _, exponents = _exponents(phases)
+    if len(exponents) != spec.params:
+        raise ValueError("character arity %d != %d parameters" % (len(exponents), spec.params))
     field = field_for(phases)
     mats = {}
     for p in range(1, spec.top + 1):
         mats[p] = [
-            [entry.evaluate(field, phases) for entry in row] for row in spec.differential(p)
+            [entry.evaluate(field, exponents) for entry in row] for row in spec.differential(p)
         ]
     return field, mats
 
@@ -142,8 +143,8 @@ def homology_ranks_at(spec: ComplexSpec, phases) -> tuple[int, ...]:
 
 def on_support(phases) -> bool:
     """The arrangement support criterion: sum of phases integral."""
-    total = sum(_normalize_phases(phases), Fraction(0))
-    return total.denominator == 1
+    order, exponents = _exponents(phases)
+    return sum(exponents) % order == 0
 
 
 def oracle_f(r: int, n: int, phases) -> int:
@@ -155,7 +156,7 @@ def oracle_f(r: int, n: int, phases) -> int:
     trivial one (which is elimination output, not a cover rank; callers keep
     it labeled).
     """
-    phases = _normalize_phases(phases)
+    phases = tuple(phases)
     if len(phases) != r:
         raise ValueError("character arity %d != r = %d" % (len(phases), r))
     if not 1 <= n <= r - 1:
@@ -169,8 +170,7 @@ def oracle_f(r: int, n: int, phases) -> int:
 def cone_support(degrees, phases) -> bool:
     """Support certification for cone families: the weighted phase sum
     d_1 p_1 + ... + d_r p_r must be integral (weighted-degree grading)."""
-    phases = _normalize_phases(phases)
-    if len(phases) != len(degrees):
-        raise ValueError("character arity %d != %d" % (len(phases), len(degrees)))
-    total = sum((Fraction(d) * p for d, p in zip(degrees, phases)), Fraction(0))
-    return total.denominator == 1
+    order, exponents = _exponents(phases)
+    if len(exponents) != len(degrees):
+        raise ValueError("character arity %d != %d" % (len(exponents), len(degrees)))
+    return sum(d * k for d, k in zip(degrees, exponents)) % order == 0

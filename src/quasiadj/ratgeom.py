@@ -21,6 +21,8 @@ from typing import Iterable, Sequence
 
 def rat(x) -> Fraction:
     """Coerce to Fraction.  Floats are refused: exactness is the contract."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("floating point value %r rejected; pass Fraction, int or 'p/q' string" % (x,))
     return Fraction(x)

@@ -16,7 +16,8 @@ from quasiadj.covers import (
     milnor_dict,
     milnor_fiber,
 )
-from quasiadj.resolution import cone_over, generic_arrangement
+from quasiadj.charvariety import torsion_characters
+from quasiadj.resolution import ResolutionError, cone_over, generic_arrangement
 
 F = Fraction
 
@@ -104,6 +105,18 @@ def test_mode_validation():
         betti_unbranched(a4, (2, 2), f_mode=PRINCIPAL)  # m arity
     with pytest.raises(ValueError, match="generic arrangements"):
         betti_unbranched(cone_over((2, 3), 2, 3), (2, 2), f_mode=ORACLE)
+
+
+def test_cover_orders_must_be_integers():
+    # floats were truncated and bools taken as 1; nothing may be rounded
+    with pytest.raises(ResolutionError, match=r"m\[0\]"):
+        betti_unbranched(generic_arrangement(3, 1), (2.9, 2, 2))
+    with pytest.raises(ResolutionError, match=r"order\[0\]"):
+        list(torsion_characters((2.5, 3)))
+    with pytest.raises(ResolutionError, match=r"m\[0\]"):
+        betti_branched(cone_over((1, 2), 1, 0), (True, 2))
+    with pytest.raises(ResolutionError, match="order bound"):
+        milnor_fiber(generic_arrangement(4, 2), 3.5)
 
 
 def test_tables_serialize():

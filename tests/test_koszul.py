@@ -9,6 +9,7 @@ import pytest
 from quasiadj.charvariety import CharacterPoint, torsion_characters
 from quasiadj.cyclotomic import LaurentPoly
 from quasiadj.koszul import (
+    _exponents,
     composition_is_zero,
     cone_support,
     evaluate_at,
@@ -118,6 +119,13 @@ def test_numeric_composition_vanishes_property():
                 assert all(field.is_zero(v) for v in composed)
         ranks = homology_ranks_at(spec, phases)
         assert all(v >= 0 for v in ranks)
+
+
+def test_exponents_clear_phase_denominators():
+    assert _exponents((F(1, 2), F(-1, 3))) == (6, (3, 4))
+    assert _exponents((F(0),)) == (1, (0,))
+    with pytest.raises(TypeError):
+        _exponents((F(1, 2), 0.5))
 
 
 def test_field_for_uses_phase_orders():
