@@ -19,8 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-
-import yaml
+from functools import cache
 
 from .charvariety import (
     classify_essential,
@@ -33,7 +32,7 @@ from .charvariety import (
 from .covers import ORACLE, PRINCIPAL, betti_branched, betti_dict, betti_unbranched, milnor_dict, milnor_fiber, oracle_applies
 from .koszul import cone_support, on_support, oracle_f
 from .quasiadjunction import faces_of_quasiadjunction, faces_stabilized, lct_face
-from .resolution import cone_over, generic_arrangement, load_resolution
+from .resolution import _dump_yaml, cone_over, generic_arrangement, load_resolution
 
 
 class CliInputError(Exception):
@@ -55,7 +54,10 @@ def _int_list(text: str) -> tuple[int, ...]:
     return values
 
 
+@cache
 def build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by every main()
+    call: parsing leaves no state in it."""
     parser = _Parser(prog="quasiadj", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -348,7 +350,7 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     if args.format == "structured":
-        text = yaml.safe_dump(report, sort_keys=False, default_flow_style=None)
+        text = _dump_yaml(report)
     else:
         text = "\n".join(lines) + "\n"
     if args.out:

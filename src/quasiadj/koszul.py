@@ -170,6 +170,9 @@ def oracle_f(r: int, n: int, phases) -> int:
 def cone_support(degrees, phases) -> bool:
     """Support certification for cone families: the weighted phase sum
     d_1 p_1 + ... + d_r p_r must be integral (weighted-degree grading)."""
+    for d in degrees:
+        if type(d) is not int:
+            raise TypeError("degree %r rejected; degrees are integers" % (d,))
     order, exponents = _exponents(phases)
     if len(exponents) != len(degrees):
         raise ValueError("character arity %d != %d" % (len(exponents), len(degrees)))

@@ -57,8 +57,10 @@ class MembershipVerdict:
     x: tuple[Fraction, ...]
 
 
-def _verdict_at(data: ResolutionData, germ: GermBasisElement, x) -> MembershipVerdict:
-    values = {exc.id: constraint_form(exc, germ).value(x) for exc in data.exceptional}
+def _verdict_at(data: ResolutionData, forms: tuple[AffineForm, ...], x) -> MembershipVerdict:
+    """Verdict at x for the germ whose constraint forms, one per exceptional
+    component, are forms."""
+    values = {exc.id: f.value(x) for exc, f in zip(data.exceptional, forms)}
     in_log = all(v <= 0 for v in values.values())
     in_ideal = all(v < 0 for v in values.values())
     tight = tuple(sorted(eid for eid, v in values.items() if v == 0))
@@ -74,7 +76,7 @@ def membership(data: ResolutionData, germ, array: QuasiArray) -> MembershipVerdi
         germ = data.germ(germ)
     if array.r != data.r:
         raise ValueError("array length %d != r = %d" % (array.r, data.r))
-    return _verdict_at(data, germ, array.x_point())
+    return _verdict_at(data, _forms(data, germ), array.x_point())
 
 
 def multiplier_ideal_membership(data: ResolutionData, germ, gamma) -> bool:
@@ -97,14 +99,35 @@ def multiplier_ideal_membership(data: ResolutionData, germ, gamma) -> bool:
     return True
 
 
-def weight_witnesses(data: ResolutionData, x) -> dict[int, tuple[str, ...]]:
-    """Labels of the germ basis elements of each positive weight at x."""
+def _forms(data: ResolutionData, germ: GermBasisElement) -> tuple[AffineForm, ...]:
+    return tuple(constraint_form(exc, germ) for exc in data.exceptional)
+
+
+def _systems(data: ResolutionData) -> dict[tuple[AffineForm, ...], list[str]]:
+    """The germs' labels grouped by constraint system, in first-appearance
+    order: a germ enters the geometry only through its system."""
+    systems: dict[tuple[AffineForm, ...], list[str]] = {}
+    for germ in data.germs:
+        systems.setdefault(_forms(data, germ), []).append(germ.label)
+    return systems
+
+
+def _weight_witnesses(data: ResolutionData, systems, x) -> dict[int, tuple[str, ...]]:
+    """weight_witnesses with the systems already built: one verdict per system."""
+    weights = {}
+    for forms, labels in systems.items():
+        weights.update(dict.fromkeys(labels, _verdict_at(data, forms, x).weight))
     out: dict[int, list[str]] = {}
     for germ in data.germs:
-        w = _verdict_at(data, germ, x).weight
+        w = weights[germ.label]
         if w > 0:
             out.setdefault(w, []).append(germ.label)
     return {l: tuple(labels) for l, labels in out.items()}
+
+
+def weight_witnesses(data: ResolutionData, x) -> dict[int, tuple[str, ...]]:
+    """Labels of the germ basis elements of each positive weight at x."""
+    return _weight_witnesses(data, _systems(data), x)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +181,9 @@ def _same_face(a: _Candidate, b: _Candidate, r: int) -> bool:
     both sides always run."""
     same = True
     for first, second in ((a, b), (b, a)):
-        optima = lp_maximize([g.coeffs for g in second.ineqs], first.ineqs, first.eqs, r)
-        same &= all(opt + g.const <= 0 for g, (opt, _) in zip(second.ineqs, optima))
+        # objective den * g.coeffs (g.scaled): g <= 0 holds iff opt <= -den * g.const
+        optima = lp_maximize([g.scaled[1] for g in second.ineqs], first.ineqs, first.eqs, r)
+        same &= all(opt <= -g.scaled[2] for g, (opt, _) in zip(second.ineqs, optima))
     return same
 
 
@@ -192,10 +216,7 @@ def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction
     r = data.r
     cube = cube_bounds(r)
     nexc = len(data.exceptional)
-    systems: dict[tuple[AffineForm, ...], list[str]] = {}
-    for germ in data.germs:
-        forms = tuple(constraint_form(exc, germ) for exc in data.exceptional)
-        systems.setdefault(forms, []).append(germ.label)
+    systems = _systems(data)
     buckets: dict[tuple, list[_Candidate]] = {}
     order: list[tuple] = []
     solves = 0
@@ -251,7 +272,7 @@ def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction
     faces = []
     for span in order:
         for cand in buckets[span]:
-            witnesses = weight_witnesses(data, cand.sample)
+            witnesses = _weight_witnesses(data, systems, cand.sample)
             faces.append(
                 FaceOfQuasiadjunction(
                     span=span,

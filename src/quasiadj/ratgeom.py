@@ -3,18 +3,19 @@
 Affine forms and halfspace systems over fractions.Fraction; integer lattice
 work (kernels, saturation, affine spans) through the one Hermite reducer;
 and a small two-phase simplex that solves one set for many objectives
-(phase 1 once, phase 2 once per objective).  The simplex keeps an integer
-tableau over one common denominator and pivots by exact division, so no
-Fraction arithmetic happens inside it: forms and objectives are scaled to
-integers on the way in, and witnesses become Fractions on the way out.
-Floating point input is rejected at the boundary; nothing in here ever
-rounds.
+(phase 1 once, phase 2 once per objective).  Fractions appear only at the
+public boundary: each form carries its integer scaling, computed once, and
+evaluation, the simplex tableau (one common denominator, exact-division
+pivots) and the relative-interior centroid all work in integers.  An
+optimum or witness becomes a Fraction once, on the way out.  Floating
+point input is rejected at the boundary; nothing in here ever rounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -30,6 +31,13 @@ def rat(x) -> Fraction:
 
 def rat_vector(values: Iterable) -> tuple[Fraction, ...]:
     return tuple(rat(v) for v in values)
+
+
+def _over_lcm(values: Iterable) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    values = [v if type(v) is int else rat(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 # ---------------------------------------------------------------------------
@@ -51,17 +59,28 @@ class AffineForm:
     def arity(self) -> int:
         return len(self.coeffs)
 
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...], int]:
+        """(den, den * coeffs, den * const) with den the least positive
+        integer that makes both integral."""
+        ints, den = _over_lcm((*self.coeffs, self.const))
+        return den, tuple(ints[:-1]), ints[-1]
+
     def value(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != len(self.coeffs):
             raise ValueError("point arity %d != form arity %d" % (len(point), len(self.coeffs)))
-        return sum((c * rat(p) for c, p in zip(self.coeffs, point)), self.const)
+        den, coeffs, const = self.scaled
+        nums, pden = _over_lcm(point)
+        return Fraction(sum(c * v for c, v in zip(coeffs, nums)) + const * pden, den * pden)
 
     def equation_key(self) -> tuple:
         """Canonical key for the hyperplane {value == 0}: primitive integers,
         first nonzero entry positive.  Only meaningful for equations."""
-        (ints,) = integer_rows([self.coeffs + (self.const,)])
+        _, coeffs, const = self.scaled
+        ints = (*coeffs, const)
+        g = gcd(*ints)
         lead = next((v for v in ints if v), 0)
-        return tuple(-v for v in ints) if lead < 0 else tuple(ints)
+        return tuple(v // g if lead > 0 else -v // g for v in ints) if g else ints
 
 
 @dataclass(frozen=True)
@@ -194,7 +213,8 @@ def span_equations(
         if f.value(point) != 0:
             raise ValueError("point is not on the span")
     basis = saturation_basis([f.coeffs for f in equalities], width)
-    return [(v, sum(Fraction(c) * p for c, p in zip(v, point))) for v in basis]
+    nums, den = _over_lcm(point)
+    return [(v, Fraction(sum(c * p for c, p in zip(v, nums)), den)) for v in basis]
 
 
 # ---------------------------------------------------------------------------
@@ -270,23 +290,27 @@ def lp_maximize(
     the post-phase-1 tableau and basis, so its answer is the one a solve with
     that objective alone gives, whatever the other objectives are.  Returns
     one (optimum, witness point) per objective.  Raises Infeasible or
-    Unbounded.
+    Unbounded.  An objective may be given in integers: a positive multiple
+    of it gives the same pivots and witness, and that multiple of the
+    optimum.
 
     Every form is scaled by one common positive integer, which leaves the
     set, the phase 1 objective and so every pivot unchanged; the tableau
     then holds integers over one denominator (see _pivot), and Fractions
     appear only in the returned witnesses and optima.
     """
-    objectives = [rat_vector(obj) for obj in objectives]
-    r = width if width is not None else len(objectives[0])
-    if any(len(obj) != r for obj in objectives):
+    objectives = [_over_lcm(obj) for obj in objectives]
+    r = width if width is not None else len(objectives[0][0])
+    if any(len(obj) != r for obj, _ in objectives):
         raise ValueError("objective arity mismatch")
     forms = [*ineqs, *eqs]
-    scale = lcm(*(v.denominator for f in forms for v in (*f.coeffs, f.const)))
+    scale = lcm(*(f.scaled[0] for f in forms))
     nslack = len(ineqs)
     rows = []
     for k, f in enumerate(forms):
-        row = [int(c * scale) for c in f.coeffs] + [0] * nslack + [int(-f.const * scale)]
+        den, coeffs, const = f.scaled
+        m = scale // den
+        row = [c * m for c in coeffs] + [0] * nslack + [-const * m]
         if k < nslack:
             row[r + k] = 1
         rows.append(row)
@@ -325,12 +349,11 @@ def lp_maximize(
     rows = [rows[i][:real] + rows[i][-1:] for i in keep]
     basis = [basis[i] for i in keep]
     results = []
-    for objective in objectives:
+    for objective, oscale in objectives:
         # phase 2 pivots a copy: the next objective starts where this one did;
         # the objective is scaled to integers, which changes no reduced cost sign
         prows, pbasis = [row[:] for row in rows], basis[:]
-        oscale = lcm(*(c.denominator for c in objective))
-        cost = [-int(c * oscale) * den for c in objective] + [0] * (nslack + 1)
+        cost = [-c * den for c in objective] + [0] * (nslack + 1)
         for i, b in enumerate(pbasis):
             if cost[b] != 0:
                 f = cost[b] // den
@@ -340,7 +363,8 @@ def lp_maximize(
         for i, b in enumerate(pbasis):
             if b < r:
                 point[b] = Fraction(prows[i][-1], pden)
-        results.append((sum(c * p for c, p in zip(objective, point)), tuple(point)))
+        # the z-row's right-hand side is oscale * optimum over pden
+        results.append((Fraction(cost[-1], oscale * pden), tuple(point)))
     return results
 
 
@@ -356,16 +380,20 @@ def relative_interior_point(
     somewhere on the set iff it is strict at the point: with the facets
     -x_i <= 0 among ineqs, the set has a point with every coordinate
     positive iff every coordinate of the point is positive.
+
+    The slack objective of g is -den * g.coeffs (g.scaled), so g vanishes on
+    the whole set iff its optimum is den * g.const, with no evaluation.
     """
-    objectives = [[Fraction(0)] * width] + [[-c for c in g.coeffs] for g in ineqs]
+    objectives = [(0,) * width] + [[-c for c in g.scaled[1]] for g in ineqs]
     (_, base), *slacks = lp_maximize(objectives, ineqs, eqs, width)
     witnesses = [base]
     implicit = []
-    for k, (g, (_, pt)) in enumerate(zip(ineqs, slacks)):
-        if g.value(pt) == 0:
+    for k, (g, (opt, pt)) in enumerate(zip(ineqs, slacks)):
+        if opt == g.scaled[2]:
             implicit.append(k)  # g vanishes on the whole set
         else:
             witnesses.append(pt)
-    n = Fraction(len(witnesses))
-    centroid = tuple(sum(w[i] for w in witnesses) / n for i in range(width))
+    den = lcm(*(v.denominator for w in witnesses for v in w))
+    total = [sum(w[i].numerator * (den // w[i].denominator) for w in witnesses) for i in range(width)]
+    centroid = tuple(Fraction(t, len(witnesses) * den) for t in total)
     return centroid, tuple(implicit)

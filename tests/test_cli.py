@@ -136,3 +136,33 @@ def test_input_flags_refused_for_documents(tmp_path, capsys):
     code, _, err = run(["faces", "--input", str(src), "--n", "2"], capsys)
     assert code == 1
     assert "builtin families only" in err
+
+
+def test_parser_reused_without_leaking_options(tmp_path, capsys):
+    # main() builds its parser once per process; each call must behave as
+    # with a fresh parser, with no option value carried over from another
+    dst = tmp_path / "report.yaml"
+    calls = [
+        ["faces", "--cone", "2,3", "--n", "2", "--bound", "3", "--format", "structured", "--out", str(dst)],
+        ["faces", "--cone", "2,3", "--n", "2", "--bound", "x"],   # bad argv after options were set
+        ["faces", "--cone", "2,3", "--n", "2"],                    # --bound, --format, --out at defaults
+    ]
+
+    def session(fresh):
+        outputs = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            if dst.exists():
+                dst.unlink()
+            code, out, err = run(argv, capsys)
+            outputs.append((code, out, err, dst.read_text() if dst.exists() else None))
+        return outputs
+
+    shared, fresh = session(False), session(True)
+    assert shared == fresh
+    assert cli.build_parser() is cli.build_parser()
+    (code0, out0, _, report), (code1, _, err1, _), (code2, out2, _, none) = shared
+    assert code0 == 0 and out0 == "" and "lct:" in report
+    assert code1 == 1 and err1.startswith("error:")
+    assert code2 == 0 and none is None and "degree bound 0 " in out2

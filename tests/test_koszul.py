@@ -90,6 +90,14 @@ def test_support_predicates():
     assert not cone_support((2, 3), (F(1, 2), F(1, 2)))
 
 
+def test_cone_support_refuses_non_integer_degrees():
+    # a float or bool degree is refused, not read as the integer it equals
+    for degrees, phases in (((2.0, 3), (F(1, 2), F(1, 3))), ((True, 1), (F(1, 2), F(1, 2))),
+                            ((2, F(3)), (F(1, 2), F(1, 3)))):
+        with pytest.raises(TypeError, match="degree"):
+            cone_support(degrees, phases)
+
+
 def test_conjugation_invariance_property():
     rng = random.Random(555)
     for _ in range(1000):

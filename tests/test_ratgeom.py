@@ -312,6 +312,45 @@ def test_integer_simplex_matches_rational_reference_property(monkeypatch):
     assert min(seen.values()) >= 20, seen
 
 
+def test_integer_scaling_property():
+    # each form's cached scaling reproduces it, over the least denominator:
+    # a common factor of den and every entry would be a smaller valid den
+    rng = random.Random(3141)
+    for _ in range(2000):
+        objectives, ineqs, eqs, width, _ = _random_lp(rng)
+        for f in ineqs + eqs:
+            den, coeffs, const = f.scaled
+            assert den > 0 and f.scaled is f.scaled
+            assert tuple(F(c, den) for c in coeffs) == f.coeffs and F(const, den) == f.const
+            assert gcd(den, *coeffs, const) == 1
+
+
+def test_relative_interior_implicit_set_property():
+    # the implicit set is, by definition, the inequalities that vanish at
+    # their own max-slack witness; witnesses and values come from the
+    # Fraction reference simplex and Fraction arithmetic
+    rng = random.Random(1618)
+    seen = {"implicit": 0, "strict": 0, Infeasible: 0, Unbounded: 0}
+    for _ in range(2000):
+        _, ineqs, eqs, width, _ = _random_lp(rng)
+        value = lambda g, x: sum((c * p for c, p in zip(g.coeffs, x)), g.const)
+        try:
+            point, implicit = relative_interior_point(ineqs, eqs, width)
+        except (Infeasible, Unbounded) as exc:
+            with pytest.raises(type(exc)):
+                rational_reference.lp_maximize([[F(0)] * width] + [[-c for c in g.coeffs] for g in ineqs],
+                                               ineqs, eqs, width)
+            seen[type(exc)] += 1
+            continue
+        slacks = rational_reference.lp_maximize([[-c for c in g.coeffs] for g in ineqs], ineqs, eqs, width)
+        assert implicit == tuple(k for k, (g, (_, w)) in enumerate(zip(ineqs, slacks)) if value(g, w) == 0)
+        assert all(value(f, point) == 0 for f in eqs)
+        assert all((value(g, point) == 0) == (k in implicit) and value(g, point) <= 0 for k, g in enumerate(ineqs))
+        seen["implicit"] += len(implicit)
+        seen["strict"] += len(ineqs) - len(implicit)
+    assert min(seen.values()) >= 20, seen
+
+
 def _grid_points(grid, width):
     if width == 0:
         yield ()
