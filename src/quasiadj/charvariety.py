@@ -1,17 +1,18 @@
 """Principal components of characteristic varieties.
 
 Faces of quasiadjunction exponentiate to translated subtori of the character
-torus (C*)^r; a character is recorded by its phase vector (arg / 2 pi, a
-tuple of Fractions mod 1) so that every containment question is integer and
-rational arithmetic on exponent lattices; no complex numbers appear.
+torus (C*)^r; a torsion character is integer data, its order N and exponents
+k_i with t_i = exp(2 pi i k_i / N), so every containment question is integer
+arithmetic on exponent lattices.  Phases k_i / N are derived for output only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from .cyclotomic import LaurentPoly, cyclotomic_in_monomial
 from .quasiadjunction import FaceOfQuasiadjunction, faces_of_quasiadjunction
@@ -19,49 +20,65 @@ from .ratgeom import hermite, rat, saturation_basis
 from .resolution import ResolutionData, ResolutionError, _expect_int, delete_component
 
 
-def _mod1(q: Fraction) -> Fraction:
-    whole = q.numerator // q.denominator
-    return q - whole if whole else q
+@lru_cache(maxsize=4096)
+def _phase(k: int, n: int) -> Fraction:
+    """Fraction(k, n), shared: a character sweep meets few distinct phases."""
+    return Fraction(k, n)
 
 
 @dataclass(frozen=True)
 class CharacterPoint:
-    """A torsion character of Z^r: phases (k_1/m_1, ..., k_r/m_r) mod 1."""
+    """A torsion character of Z^r, t_i = exp(2 pi i k_i / N), given by its
+    order N and exponents k.  Stored canonically, with 0 <= k_i < N and
+    gcd(N, k_1, ..., k_r) = 1, so equal characters compare and hash equal."""
 
-    phases: tuple[Fraction, ...]
+    order: int
+    exponents: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "phases", tuple(_mod1(rat(p)) for p in self.phases))
+        n, ks = self.order, tuple(self.exponents)
+        if type(n) is not int or not set(map(type, ks)) <= {int}:
+            raise TypeError("character order and exponents must be int, got %r, %r" % (n, ks))
+        if n < 1:
+            raise ValueError("character order %d < 1" % n)
+        g = gcd(n, *ks)
+        if g > 1:
+            n //= g
+            ks = map(g.__rfloordiv__, ks)  # k // g
+            object.__setattr__(self, "order", n)
+        object.__setattr__(self, "exponents", tuple(map(n.__rmod__, ks)))  # k % n
+
+    @classmethod
+    def from_phases(cls, phases) -> "CharacterPoint":
+        """The character with phases (arg / 2 pi) p_i, read mod 1."""
+        phases = [rat(p) for p in phases]
+        n = lcm(*(p.denominator for p in phases))
+        return cls(n, tuple(p.numerator * (n // p.denominator) for p in phases))
+
+    @cached_property
+    def phases(self) -> tuple[Fraction, ...]:
+        return tuple(map(_phase, self.exponents, (self.order,) * len(self.exponents)))
 
     @property
     def r(self) -> int:
-        return len(self.phases)
-
-    @property
-    def order(self) -> int:
-        return lcm(*(p.denominator for p in self.phases)) if self.phases else 1
+        return len(self.exponents)
 
     def is_trivial(self) -> bool:
-        return all(p == 0 for p in self.phases)
+        return self.order == 1
 
     def conjugate(self) -> "CharacterPoint":
-        return CharacterPoint(tuple(_mod1(-p) for p in self.phases))
+        return CharacterPoint(self.order, tuple(-k for k in self.exponents))
 
     def restrict(self, indices) -> "CharacterPoint":
-        return CharacterPoint(tuple(self.phases[i] for i in indices))
-
-    def insert(self, index: int, phase) -> "CharacterPoint":
-        phases = list(self.phases)
-        phases.insert(index, rat(phase))
-        return CharacterPoint(tuple(phases))
+        return CharacterPoint(self.order, tuple(self.exponents[i] for i in indices))
 
     def support(self) -> tuple[int, ...]:
         """Coordinates where the character is nontrivial."""
-        return tuple(i for i, p in enumerate(self.phases) if p != 0)
+        return tuple(i for i, k in enumerate(self.exponents) if k)
 
 
 def diagonal_character(phase, r: int) -> CharacterPoint:
-    return CharacterPoint((rat(phase),) * r)
+    return CharacterPoint.from_phases((phase,) * r)
 
 
 def torsion_characters(orders, cap: int = 1_000_000):
@@ -74,8 +91,9 @@ def torsion_characters(orders, cap: int = 1_000_000):
         total *= m
     if total > cap:
         raise ValueError("character sweep of size %d exceeds cap %d" % (total, cap))
-    for phases in product(*([Fraction(k, m) for k in range(m)] for m in orders)):
-        yield CharacterPoint(phases)
+    n = lcm(*orders)
+    for exponents in product(*(range(0, n, n // m) for m in orders)):
+        yield CharacterPoint(n, exponents)
 
 
 @dataclass(frozen=True)
@@ -88,7 +106,7 @@ class TranslatedSubtorus:
     equations: tuple[tuple[tuple[int, ...], Fraction], ...]
 
     def __post_init__(self):
-        eqs = tuple((tuple(int(c) for c in v), _mod1(rat(b))) for v, b in self.equations)
+        eqs = tuple((tuple(int(c) for c in v), rat(b) % 1) for v, b in self.equations)
         object.__setattr__(self, "equations", eqs)
         vectors = [v for v, _ in eqs]
         if saturation_basis(vectors, self.nvars) != vectors:
@@ -104,10 +122,13 @@ class TranslatedSubtorus:
         return self.nvars - self.codim
 
     def contains(self, chi: CharacterPoint) -> bool:
+        # t^v = exp(2 pi i b/q) at t_i = exp(2 pi i k_i/N) iff (v.k) q = b N mod N q
         if chi.r != self.nvars:
             raise ValueError("character arity %d != %d" % (chi.r, self.nvars))
+        n, ks = chi.order, chi.exponents
         for v, beta in self.equations:
-            if _mod1(sum(Fraction(c) * p for c, p in zip(v, chi.phases))) != beta:
+            q = beta.denominator
+            if (sum(c * k for c, k in zip(v, ks)) * q - beta.numerator * n) % (n * q):
                 return False
         return True
 
@@ -120,12 +141,12 @@ def make_subtorus(nvars: int, equations) -> TranslatedSubtorus:
     empty: the exponent lattice is not saturated, or a relation among the
     generators carries a nonzero phase.
     """
-    gens = [(tuple(int(c) for c in v), _mod1(rat(b))) for v, b in equations]
+    gens = [(tuple(int(c) for c in v), rat(b) % 1) for v, b in equations]
     ident = [[int(i == j) for j in range(len(gens))] for i in range(len(gens))]
     mat, rank = hermite([list(v) + ident[i] for i, (v, _) in enumerate(gens)], nvars)
     eqs = []
     for i, row in enumerate(mat):
-        beta = _mod1(sum(c * b for c, (_, b) in zip(row[nvars:], gens)))
+        beta = sum(c * b for c, (_, b) in zip(row[nvars:], gens)) % 1
         if i < rank:
             eqs.append((row[:nvars], beta))
         elif beta:
@@ -184,7 +205,7 @@ class PrincipalComponent:
 def exp_face(face: FaceOfQuasiadjunction, nvars: int) -> TranslatedSubtorus:
     """Closure of the exponential image: each span equation v . x = beta
     becomes prod t_i^(v_i) = exp(2 pi i beta)."""
-    return TranslatedSubtorus(nvars, tuple((v, _mod1(beta)) for v, beta in face.span))
+    return TranslatedSubtorus(nvars, face.span)
 
 
 def principal_components(data: ResolutionData) -> list[PrincipalComponent]:

@@ -16,7 +16,6 @@ from fractions import Fraction
 from math import comb
 
 from .charvariety import (
-    CharacterPoint,
     diagonal_character,
     principal_components,
     principal_f,

@@ -154,12 +154,8 @@ class FaceOfQuasiadjunction:
     germ_labels: tuple[str, ...]
 
     def contains(self, x) -> bool:
-        if any(f.value(x) != 0 for f in self.tight):
-            return False
-        for v, beta in self.span:
-            if sum(Fraction(c) * Fraction(p) for c, p in zip(v, x)) != beta:
-                return False
-        return self.ambient.contains(x)
+        # tight and ambient cut out the face's region, which lies on the span
+        return all(f.value(x) == 0 for f in self.tight) and self.ambient.contains(x)
 
 
 class _Candidate:
@@ -296,7 +292,6 @@ def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction
 @dataclass(frozen=True)
 class LogCanonicalBoundary:
     gamma: Fraction                      # largest t with (t, ..., t) log canonical
-    boundary_gamma: tuple[Fraction, ...]  # the diagonal boundary weight vector
     face: FaceOfQuasiadjunction | None   # face met by the boundary point, if inside the cube
 
     def contains_gamma(self, gamma_point) -> bool:
@@ -326,7 +321,7 @@ def lct_face(data: ResolutionData, faces=None) -> LogCanonicalBoundary:
             if unit.label in f.germ_labels and f.contains(point):
                 face = f
                 break
-    return LogCanonicalBoundary(gamma, tuple(gamma for _ in range(data.r)), face)
+    return LogCanonicalBoundary(gamma, face)
 
 
 def faces_stabilized(data: ResolutionData) -> bool:

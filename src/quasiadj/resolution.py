@@ -220,12 +220,61 @@ def _expect_list(node, path):
     return node
 
 
+class _PythonSafeLoader(yaml.SafeLoader):
+    """The pure-Python safe loader, reading a document as libyaml does where
+    the two parsers differ.  In a flow collection a plain scalar takes '?' as
+    text and refuses ':' before a flow indicator (`[1:, 2]`), a tag ends at
+    ',', and the token after an empty key in a sequence is dropped (`[?]`
+    fails); a lone '!' tags an empty string; '#' may follow a block scalar
+    indicator."""
+
+    _reading: dict = {}  # characters the running scan reads as others
+    # '?' reads as text; ',' ends a tag, and brackets end its URI; '#' ends the indicators
+    _PLAIN, _TAG, _INDICATORS = {"?": "a"}, {",": " ", "[": "^", "]": "^"}, {"#": " "}
+
+    def peek(self, index=0):
+        ch = super().peek(index)
+        if self._reading is self._PLAIN and ch == ":" and super().peek(index + 1) in ",?[]{}":
+            raise yaml.scanner.ScannerError("while scanning a plain scalar", None, "found unexpected ':'", self.get_mark())
+        return self._reading.get(ch, ch)
+
+    def _read_as(self, table, scan, *args):
+        self._reading = table
+        try:
+            return scan(*args)
+        finally:
+            self._reading = {}
+
+    def scan_plain(self):
+        return self._read_as(self._PLAIN if self.flow_level else {}, super().scan_plain)
+
+    def scan_tag(self):
+        return self._read_as(self._TAG if self.flow_level else {}, super().scan_tag)
+
+    def scan_block_scalar_indicators(self, start_mark):
+        return self._read_as(self._INDICATORS, super().scan_block_scalar_indicators, start_mark)
+
+    def parse_node(self, block=False, indentless_sequence=False):
+        event = super().parse_node(block, indentless_sequence)
+        if isinstance(event, yaml.ScalarEvent) and event.tag == "!" and event.value == "" and event.style is None:
+            event.implicit = (False, False)
+        return event
+
+    def parse_flow_sequence_entry_mapping_key(self):
+        self.get_token()
+        if not self.check_token(yaml.ValueToken, yaml.FlowEntryToken, yaml.FlowSequenceEndToken):
+            self.states.append(self.parse_flow_sequence_entry_mapping_value)
+            return self.parse_flow_node()
+        self.state = self.parse_flow_sequence_entry_mapping_value
+        return self.process_empty_scalar(self.get_token().end_mark)
+
+
 # libyaml's classes when PyYAML is built with it: the same documents and the
 # same bytes as the pure-Python classes, several times faster
 if yaml.__with_libyaml__:
     _SafeLoader, _SafeDumper = yaml.CSafeLoader, yaml.CSafeDumper
 else:
-    _SafeLoader, _SafeDumper = yaml.SafeLoader, yaml.SafeDumper
+    _SafeLoader, _SafeDumper = _PythonSafeLoader, yaml.SafeDumper
 
 
 def _dump_yaml(doc) -> str:

@@ -4,6 +4,9 @@ routines are checked against.
 The library answers rank, span and containment questions with the Hermite
 reducer in `quasiadj.ratgeom`; the functions here answer the same questions
 by plain Gauss-Jordan elimination over fractions, an independent route.
+A character's membership in a subtorus is tested here on its phases, one
+Fraction dot product per equation reduced mod 1, against the library's
+integer test on (order, exponents).
 Likewise `lp_maximize` here is the two-phase simplex over fractions that the
 library's integer tableau must match pivot for pivot.
 """
@@ -73,6 +76,20 @@ def subtorus_contains(outer, inner):
         # a saturated lattice holds every integer vector of its rational span
         assert all(c.denominator == 1 for c in coeffs)
         if sum(c * b for c, (_, b) in zip(coeffs, inner.equations)) % 1 != beta:
+            return False
+    return True
+
+
+def _mod1(q):
+    whole = q.numerator // q.denominator
+    return q - whole if whole else q
+
+
+def torus_contains_phases(torus, phases):
+    """Whether the character with these phases (arg / 2 pi, any
+    representatives mod 1) lies on the translated subtorus."""
+    for v, beta in torus.equations:
+        if _mod1(sum(Fraction(c) * Fraction(p) for c, p in zip(v, phases))) != beta:
             return False
     return True
 

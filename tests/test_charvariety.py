@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -28,7 +29,7 @@ F = Fraction
 
 
 def test_character_point_basics():
-    chi = CharacterPoint((F(5, 4), F(-1, 3), F(0)))
+    chi = CharacterPoint.from_phases((F(5, 4), F(-1, 3), F(0)))
     assert chi.phases == (F(1, 4), F(2, 3), F(0))
     assert chi.r == 3
     assert chi.order == 12
@@ -36,10 +37,9 @@ def test_character_point_basics():
     assert not chi.is_trivial()
     assert chi.conjugate().phases == (F(3, 4), F(1, 3), F(0))
     assert chi.restrict((0, 2)).phases == (F(1, 4), F(0))
-    assert chi.insert(1, F(1, 2)).phases == (F(1, 4), F(1, 2), F(2, 3), F(0))
     assert diagonal_character(F(1, 2), 2).phases == (F(1, 2), F(1, 2))
     with pytest.raises(TypeError):
-        CharacterPoint((0.5,))
+        CharacterPoint.from_phases((0.5,))
 
 
 def test_torsion_characters_enumeration():
@@ -48,6 +48,69 @@ def test_torsion_characters_enumeration():
     assert len(set(chars)) == 6
     with pytest.raises(ValueError):
         list(torsion_characters((10000, 10000)))  # cap exceeded
+
+
+def test_character_canonical_form():
+    # equal characters compare and hash equal however they were built
+    rng = random.Random(313)
+    for _ in range(1000):
+        raw = [F(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 5, 6, 12))) for _ in range(rng.randint(0, 5))]
+        chi = CharacterPoint.from_phases(raw)
+        assert chi.phases == tuple(reference._mod1(p) for p in raw)
+        assert chi.order == lcm(*(p.denominator for p in chi.phases))
+        assert all(0 <= k < chi.order for k in chi.exponents) and gcd(chi.order, *chi.exponents) == 1
+        scale = rng.randint(1, 6)
+        same = [CharacterPoint.from_phases([p + rng.randint(-3, 3) for p in raw]),
+                CharacterPoint(chi.order * scale, tuple(k * scale + chi.order * scale * rng.randint(-2, 2)
+                                                        for k in chi.exponents))]
+        for other in same:
+            assert other == chi and hash(other) == hash(chi)
+            assert other.order == chi.order and other.phases == chi.phases
+        assert chi.is_trivial() == (chi.order == 1) == all(p.denominator == 1 for p in raw)
+
+
+def test_character_refuses_non_integers():
+    for order, exponents in ((2.0, (1,)), (2, (1.0,)), (True, (0,)), (2, (0, False)), (F(2), (1,)), (2, (F(1),))):
+        with pytest.raises(TypeError):
+            CharacterPoint(order, exponents)
+    for order in (0, -4):
+        with pytest.raises(ValueError, match="order"):
+            CharacterPoint(order, (1,))
+    with pytest.raises(TypeError, match="floating point"):
+        CharacterPoint.from_phases((F(1, 2), 0.25))
+
+
+def test_character_containment_matches_rational_reference():
+    # the integer test (v.k) q = b N mod N q against one Fraction dot product
+    # per equation; half the tori are built through a point near the
+    # character, so that containment is often true
+    rng = random.Random(727)
+    cases = contained = 0
+    while cases < 2000:
+        nvars = rng.randint(1, 5)
+        raw = [F(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 5, 6, 12))) for _ in range(nvars)]
+        if rng.random() < 0.5:
+            near = [p + rng.choice((0, 0, 0, F(1, 2), F(1, 3))) for p in raw]
+            vectors = [tuple(rng.randint(-3, 3) for _ in range(nvars)) for _ in range(rng.randint(1, nvars))]
+            try:
+                torus = make_subtorus(nvars, [(v, sum(c * p for c, p in zip(v, near))) for v in vectors])
+            except ValueError:
+                continue
+        else:
+            torus = _random_subtorus(rng, nvars, rng.randint(0, nvars))
+            if torus is None:
+                continue
+        chi = CharacterPoint.from_phases(raw)
+        got = torus.contains(chi)
+        assert got == reference.torus_contains_phases(torus, raw)
+        assert torus.contains(chi.conjugate()) == reference.torus_contains_phases(torus, [-p for p in raw])
+        keep = sorted(rng.sample(range(nvars), rng.randint(1, nvars)))
+        sub = _random_subtorus(rng, len(keep), rng.randint(0, len(keep)))
+        if sub is not None:
+            assert sub.contains(chi.restrict(keep)) == reference.torus_contains_phases(sub, [raw[i] for i in keep])
+        cases += 1
+        contained += got
+    assert 400 <= contained <= 1600  # 940 with this seed
 
 
 def test_make_subtorus_canonicalizes():
@@ -131,9 +194,9 @@ def test_principal_f_values():
     a4 = generic_arrangement(4, 2)
     comps = principal_components(a4)
     assert principal_f(diagonal_character(F(1, 4), 4), comps) == 1
-    assert principal_f(CharacterPoint((F(1, 2), F(1, 2), F(0), F(0))), comps) == 1
-    assert principal_f(CharacterPoint((F(1, 2), F(0), F(0), F(0))), comps) == 0
-    assert principal_f(CharacterPoint((F(0),) * 4), comps) == 1  # trivial lies on the torus
+    assert principal_f(CharacterPoint.from_phases((F(1, 2), F(1, 2), F(0), F(0))), comps) == 1
+    assert principal_f(CharacterPoint.from_phases((F(1, 2), F(0), F(0), F(0))), comps) == 0
+    assert principal_f(CharacterPoint.from_phases((F(0),) * 4), comps) == 1  # trivial lies on the torus
 
 
 def test_polynomial_invariant_exact():
@@ -254,12 +317,12 @@ def test_containment_properties_randomized():
     cases = 0
     while cases < 1000:
         phases = tuple(F(rng.randint(0, 5), rng.choice((1, 2, 3, 4, 6))) for _ in range(4))
-        chi = CharacterPoint(phases)
+        chi = CharacterPoint.from_phases(phases)
         # containment is conjugation-symmetric for these self-conjugate tori
         for comp in comps:
             assert comp.contains(chi) == comp.contains(chi.conjugate())
             assert comp.contains(chi) == (sum(chi.phases) % 1 == 0)
-        chi3 = CharacterPoint(phases[:3])
+        chi3 = CharacterPoint.from_phases(phases[:3])
         assert big.contains(chi3) == (sum(chi3.phases) % 1 == 0)
         cases += 1
 
@@ -274,5 +337,5 @@ def test_slice_consistency_after_deletion():
             for chi in torsion_characters((4,) * sub.r):
                 if not comp.contains(chi):
                     continue
-                extended = chi.insert(index, F(0))
+                extended = CharacterPoint.from_phases(chi.phases[:index] + (F(0),) + chi.phases[index:])
                 assert any(c.contains(extended) for c in full)

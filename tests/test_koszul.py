@@ -104,7 +104,7 @@ def test_conjugation_invariance_property():
         r = rng.randint(2, 5)
         n = rng.randint(1, r - 1)
         phases = tuple(F(rng.randint(0, 5), rng.choice((1, 2, 3, 6))) for _ in range(r))
-        chi = CharacterPoint(phases)
+        chi = CharacterPoint.from_phases(phases)
         assert oracle_f(r, n, chi.phases) == oracle_f(r, n, chi.conjugate().phases)
 
 

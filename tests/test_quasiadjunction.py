@@ -17,7 +17,7 @@ from quasiadj.quasiadjunction import (
 import quasiadj.cli as cli
 import quasiadj.quasiadjunction as quasiadjunction
 import quasiadj.ratgeom as ratgeom
-from quasiadj.ratgeom import Infeasible, cube_bounds, relative_interior_point, span_equations
+from quasiadj.ratgeom import Infeasible, cube_bounds, integer_kernel, relative_interior_point, span_equations
 from quasiadj.resolution import (
     GermBasisElement,
     QuasiArray,
@@ -259,16 +259,16 @@ def test_face_search_solves_each_region_once(monkeypatch):
     assert len(calls) == walked + 2 * len(comparisons)
 
 
-def _random_chart(rng, nexc, germs):
+def _random_chart(rng, nexc, germs, c_min=1):
     """A random r = 3 chart: components with a_E in [0, 3]^3 (sum >= 2) and
-    c_E in [1, 3], a tree of incidences, distinct germ valuations in [0, 2]."""
+    c_E in [c_min, 3], a tree of incidences, distinct germ valuations in [0, 2]."""
     ids = ["E%d" % (k + 1) for k in range(nexc)]
     lines = ["r: 3", "n: 2", "exceptional:"]
     for eid in ids:
         a = [0, 0, 0]
         while sum(a) < 2:
             a = [rng.randint(0, 3) for _ in range(3)]
-        lines.append("- {id: %s, a: %s, c: %d}" % (eid, a, rng.randint(1, 3)))
+        lines.append("- {id: %s, a: %s, c: %d}" % (eid, a, rng.randint(c_min, 3)))
     lines.append("incidence:")
     lines += ["- {members: [%s, %s], fold: 2}" % (ids[rng.randrange(k)], ids[k]) for k in range(1, nexc)]
     lines.append("germs:")
@@ -306,6 +306,41 @@ def test_face_search_work_is_bounded(monkeypatch, capsys, tmp_path):
     assert "error: face search needs more than 20 region solves" in capsys.readouterr().err
     monkeypatch.setattr(quasiadjunction, "MAX_REGION_SOLVES", 44)
     assert cli.main(["faces", "--input", str(chart)]) == 0
+
+
+def _contains_with_span_test(face, x):
+    """Face membership with the span equations tested as well."""
+    return (all(f.value(x) == 0 for f in face.tight)
+            and all(sum(F(c) * p for c, p in zip(v, x)) == beta for v, beta in face.span)
+            and face.ambient.contains(x))
+
+
+def test_face_contains_needs_no_span_test():
+    # the tight forms and the ambient system cut out the face's region, so a
+    # point passing both lies on the span.  Points: every face's sample, and
+    # each face's sample moved along the zero set of its tight forms, which
+    # leaves the span where the span also holds cube facets
+    rng = random.Random(1212)
+    inside = outside = off_span = 0
+    for _ in range(60):
+        data = _random_chart(rng, rng.randint(2, 6), rng.randint(2, 4), c_min=0)
+        faces = faces_of_quasiadjunction(data)
+        for face in faces:
+            kernel = integer_kernel([f.scaled[1] for f in face.tight], data.r)
+            points = [other.sample for other in faces]
+            for _ in range(20):
+                step = F(rng.choice((-1, 1)) * rng.randint(1, 6), rng.choice((2, 5, 60, 600)))
+                coeffs = [rng.randint(-2, 2) for _ in kernel]
+                points.append(tuple(s + step * sum(c * w[i] for c, w in zip(coeffs, kernel))
+                                    for i, s in enumerate(face.sample)))
+            for x in points:
+                got = face.contains(x)
+                assert got == _contains_with_span_test(face, x), (face.span, x)
+                inside += got
+                outside += not got
+                off_span += (all(f.value(x) == 0 for f in face.tight)
+                             and any(sum(c * p for c, p in zip(v, x)) != beta for v, beta in face.span))
+    assert inside >= 1000 and outside >= 1000 and off_span >= 20  # 3484, 5161 and 80 with this seed
 
 
 def test_constraint_form_normalization():
