@@ -81,7 +81,11 @@ def diagonal_character(phase, r: int) -> CharacterPoint:
     return CharacterPoint.from_phases((phase,) * r)
 
 
-def torsion_characters(orders, cap: int = 1_000_000):
+# characters one torsion_characters sweep may yield before it gives up
+MAX_CHARACTERS = 1_000_000
+
+
+def torsion_characters(orders):
     """All characters with phases k_i / orders[i]; plain product order."""
     orders = [_expect_int(m, "order[%d]" % i) for i, m in enumerate(orders)]
     total = 1
@@ -89,8 +93,8 @@ def torsion_characters(orders, cap: int = 1_000_000):
         if m < 1:
             raise ValueError("order %d < 1" % m)
         total *= m
-    if total > cap:
-        raise ValueError("character sweep of size %d exceeds cap %d" % (total, cap))
+    if total > MAX_CHARACTERS:
+        raise ValueError("character sweep of size %d exceeds cap %d" % (total, MAX_CHARACTERS))
     n = lcm(*orders)
     for exponents in product(*(range(0, n, n // m) for m in orders)):
         yield CharacterPoint(n, exponents)

@@ -183,9 +183,7 @@ class MilnorTable:
         return str(out.normalized()).replace("t1", "t")
 
 
-def milnor_fiber(
-    data: ResolutionData, order_bound: int, components=None, f_mode: str = PRINCIPAL
-) -> MilnorTable:
+def milnor_fiber(data: ResolutionData, order_bound: int, f_mode: str = PRINCIPAL) -> MilnorTable:
     """Monodromy data of the Milnor fiber of the defining germ.
 
     Sub-top ranks are C(r-1, p).  The degree-n eigenvalue multiplicity at a
@@ -197,7 +195,7 @@ def milnor_fiber(
     """
     if _expect_int(order_bound, "order bound") < 1:
         raise ValueError("order bound %d < 1" % order_bound)
-    f = f_source(data, f_mode, components)
+    f = f_source(data, f_mode)
     mults: dict[Fraction, int] = {}
     for k in range(1, order_bound):
         phase = Fraction(k, order_bound)

@@ -183,11 +183,11 @@ class LaurentPoly:
         self.terms = {}
         if terms:
             for exps, coeff in terms.items():
-                if coeff:
-                    exps = tuple(int(e) for e in exps)
-                    if len(exps) != nvars:
-                        raise ValueError("exponent arity %d != %d" % (len(exps), nvars))
-                    self.terms[exps] = self.terms.get(exps, 0) + int(coeff)
+                if type(coeff) is not int or any(type(e) is not int for e in exps):
+                    raise TypeError("term %r: %r rejected; integers only" % (exps, coeff))
+                if len(exps) != nvars:
+                    raise ValueError("exponent arity %d != %d" % (len(exps), nvars))
+                self.terms[exps] = self.terms.get(exps, 0) + coeff
             self.terms = {e: c for e, c in self.terms.items() if c}
 
     @classmethod

@@ -8,8 +8,10 @@ contraction complex on Lambda^p(Z[t^+-]^(r-1)) truncated at p <= n, with
 differential contracting against (t_1 - 1, ..., t_(r-1) - 1).  Evaluating at
 a torsion character of order N, whose phases are k_i / N, puts every entry
 in Z[zeta_N]; fraction-free ranks there give twisted homology over
-Q(zeta_N) with no reference to the quasiadjunction machinery.  This module
-only shares the cyclotomic substrate, so it can serve as a second route.
+Q(zeta_N) with no reference to the quasiadjunction machinery.  The top of a
+complex truncated at n has no incoming differential, so the oracle's
+h_n = dim C_n - rank d_n takes one rank.  This module only shares the
+cyclotomic substrate, so it can serve as a second route.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, lcm
+from math import lcm
 
 from .cyclotomic import CyclotomicField, LaurentPoly, matrix_rank
 
@@ -106,23 +108,19 @@ def composition_is_zero(spec: ComplexSpec) -> bool:
     return True
 
 
-def field_for(phases) -> CyclotomicField:
-    return CyclotomicField(_exponents(phases)[0])
+def _evaluated(field: CyclotomicField, exponents, matrix):
+    """A differential evaluated at t_i = zeta_N ** exponents[i]."""
+    return [[entry.evaluate(field, exponents) for entry in row] for row in matrix]
 
 
 def evaluate_at(spec: ComplexSpec, phases):
     """Evaluate every differential at the character; returns (field, dict
     p -> matrix of field elements)."""
-    phases = tuple(phases)
-    _, exponents = _exponents(phases)
+    order, exponents = _exponents(phases)
     if len(exponents) != spec.params:
         raise ValueError("character arity %d != %d parameters" % (len(exponents), spec.params))
-    field = field_for(phases)
-    mats = {}
-    for p in range(1, spec.top + 1):
-        mats[p] = [
-            [entry.evaluate(field, exponents) for entry in row] for row in spec.differential(p)
-        ]
+    field = CyclotomicField(order)
+    mats = {p: _evaluated(field, exponents, spec.differential(p)) for p in range(1, spec.top + 1)}
     return field, mats
 
 
@@ -133,12 +131,8 @@ def homology_ranks_at(spec: ComplexSpec, phases) -> tuple[int, ...]:
     differential, so h_top is the kernel rank of d_top.
     """
     field, mats = evaluate_at(spec, phases)
-    ranks = {p: matrix_rank(field, mats[p]) if mats[p] else 0 for p in mats}
-    out = []
-    for p in range(spec.top + 1):
-        h = spec.dims[p] - ranks.get(p, 0) - ranks.get(p + 1, 0)
-        out.append(h)
-    return tuple(out)
+    ranks = [0] + [matrix_rank(field, mats[p]) for p in range(1, spec.top + 1)] + [0]
+    return tuple(spec.dims[p] - ranks[p] - ranks[p + 1] for p in range(spec.top + 1))
 
 
 def on_support(phases) -> bool:
@@ -152,19 +146,24 @@ def oracle_f(r: int, n: int, phases) -> int:
 
     Off the support this is 0.  On the support the character factors through
     the (r-1)-parameter skeleton group, and the value is H_n of the evaluated
-    skeleton complex: C(r-2, n) at nontrivial characters, C(r-1, n) at the
-    trivial one (which is elimination output, not a cover rank; callers keep
-    it labeled).
+    skeleton complex truncated at n, whose top has no incoming differential:
+    h_n = dim C_n - rank d_n.  That is C(r-2, n) at nontrivial characters and
+    C(r-1, n) at the trivial one (elimination output, not a cover rank;
+    callers keep it labeled).  There k_r = -(k_1 + ... + k_(r-1)) mod N, so
+    d_n is evaluated at the first r-1 exponents in the same Z[zeta_N].
     """
     phases = tuple(phases)
     if len(phases) != r:
         raise ValueError("character arity %d != r = %d" % (len(phases), r))
     if not 1 <= n <= r - 1:
         raise ValueError("degree n = %d outside [1, %d] for the skeleton model" % (n, r - 1))
-    if not on_support(phases):
+    order, exponents = _exponents(phases)
+    if sum(exponents) % order:
         return 0
     spec = truncated_koszul(r - 1, n)
-    return homology_ranks_at(spec, phases[: r - 1])[n]
+    field = CyclotomicField(order)
+    d_n = _evaluated(field, exponents[: r - 1], spec.differential(n))
+    return spec.dims[n] - matrix_rank(field, d_n)
 
 
 def cone_support(degrees, phases) -> bool:

@@ -22,6 +22,7 @@ from .ratgeom import (
     Infeasible,
     cube_bounds,
     lp_maximize,
+    rat,
     relative_interior_point,
     span_equations,
 )
@@ -87,9 +88,7 @@ def multiplier_ideal_membership(data: ResolutionData, germ, gamma) -> bool:
     """
     if isinstance(germ, str):
         germ = data.germ(germ)
-    gamma = [Fraction(g) if not isinstance(g, float) else None for g in gamma]
-    if None in gamma:
-        raise TypeError("floating point weight rejected")
+    gamma = [rat(g) for g in gamma]
     if len(gamma) != data.r:
         raise ValueError("gamma length %d != r = %d" % (len(gamma), data.r))
     for exc in data.exceptional:
@@ -297,10 +296,8 @@ class LogCanonicalBoundary:
     def contains_gamma(self, gamma_point) -> bool:
         """Whether a weight vector gamma lies on the boundary face (tested in
         cube coordinates x = 1 - gamma)."""
-        if self.face is None:
-            return False
-        x = tuple(Fraction(1) - Fraction(g) for g in gamma_point)
-        return self.face.contains(x)
+        x = tuple(1 - rat(g) for g in gamma_point)
+        return self.face is not None and self.face.contains(x)
 
 
 def lct_face(data: ResolutionData, faces=None) -> LogCanonicalBoundary:

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from quasiadj.cyclotomic import (
     CyclotomicField,
     LaurentPoly,
@@ -112,6 +114,17 @@ def test_laurent_poly_algebra():
     assert (t1 - one) * (t1 + one) == t1 ** 2 - one
     assert str(t1 ** 2 * t2 ** 3 - one) == "t1^2*t2^3 - 1"
     assert cyclotomic_in_monomial(2, (1, 2)) == t1 * t2 ** 2 + one
+
+
+def test_laurent_poly_refuses_non_integers():
+    # a non-int coefficient or exponent is refused, not truncated by int()
+    for terms in ({(1,): 0.5}, {(1,): Fraction(3, 2)}, {(1,): Fraction(2)}, {(1,): True},
+                  {(1.0,): 1}, {(True,): 1}):
+        with pytest.raises(TypeError, match="integers"):
+            LaurentPoly(1, terms)
+    with pytest.raises(TypeError, match="integers"):
+        LaurentPoly.monomial((2.9,), 1)
+    assert LaurentPoly(1, {(1,): 0}).is_zero()
 
 
 def test_laurent_evaluate_is_multiplicative_property():

@@ -13,7 +13,6 @@ from quasiadj.koszul import (
     composition_is_zero,
     cone_support,
     evaluate_at,
-    field_for,
     homology_ranks_at,
     on_support,
     oracle_f,
@@ -137,5 +136,29 @@ def test_exponents_clear_phase_denominators():
 
 
 def test_field_for_uses_phase_orders():
-    assert field_for((F(1, 2), F(1, 3))).order == 6
-    assert field_for((F(0),)).order == 1
+    assert evaluate_at(truncated_koszul(2, 1), (F(1, 2), F(1, 3)))[0].order == 6
+    assert evaluate_at(truncated_koszul(1, 1), (F(0),))[0].order == 1
+
+
+def test_oracle_top_rank_matches_full_complex_property():
+    # h_n from the rank of d_n alone equals the all-degree homology of the
+    # truncated skeleton complex at the first r - 1 phases, and 0 off support
+    rng = random.Random(1212)
+    on = off = 0
+    for _ in range(600):
+        r = rng.randint(2, 6)
+        n = rng.randint(1, r - 1)
+        order = rng.randint(1, 12)
+        k = [rng.randrange(order) for _ in range(r)]
+        if rng.random() < 0.7:
+            k[-1] = -sum(k[:-1]) % order
+        chi = CharacterPoint(order, tuple(k))
+        for phases in (chi.phases, chi.conjugate().phases):
+            if on_support(phases):
+                on += 1
+                full = homology_ranks_at(truncated_koszul(r - 1, n), phases[: r - 1])
+                assert oracle_f(r, n, phases) == full[n]
+            else:
+                off += 1
+                assert oracle_f(r, n, phases) == 0
+    assert on > 600 and off > 200

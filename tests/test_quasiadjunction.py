@@ -113,6 +113,15 @@ def test_lct_values():
     assert not lct.contains_gamma((F(1, 4),) * 4)
 
 
+def test_contains_gamma_refuses_floats():
+    # with a boundary face and without one (gamma* = 1 lies outside the cube)
+    for data in (cone_over((2, 3), 2), generic_arrangement(2, 1)):
+        lct = lct_face(data)
+        assert lct.contains_gamma((lct.gamma,) * 2) == (lct.face is not None)
+        with pytest.raises(TypeError, match="floating point"):
+            lct.contains_gamma((0.5, 1.0))
+
+
 def test_faces_stabilized():
     assert faces_stabilized(cone_over((2, 3), 2, 3))
     assert not faces_stabilized(cone_over((2, 3), 2, 0))

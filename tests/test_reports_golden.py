@@ -63,6 +63,9 @@ QUERIES = {
     "milnor-cone": ["milnor", "--cone", "2,2,2", "--n", "2", "--bound", "2", "--order", "6"],
     "components-cone": ["components", "--cone", "2,3,4", "--n", "2", "--bound", "2"],
     "betti-cone": ["betti", "--cone", "2,3,4", "--n", "2", "--bound", "1", "--m", "2,3,2"],
+    "oracle-arrangement": ["oracle", "--arrangement", "5", "--n", "3", "--order", "3"],
+    "betti-arrangement": ["betti", "--arrangement", "5", "--n", "4", "--m", "2,2,2,2,3"],
+    "milnor-arrangement": ["milnor", "--arrangement", "4", "--n", "3", "--order", "6"],
 }
 
 # recorded before the face search shared one phase 1 per region
@@ -77,6 +80,10 @@ DIGESTS = {
     # recorded before subtorus containment moved onto the Hermite route
     "components-cone": "8384d66e84b1430c741f7f89e2b1ecdc0b2455b741fec13fb9d7cd8132a7da3f",
     "betti-cone": "c00adc2ef6827dcc5b38f502664526efa0b297b1c05c63644ef378680d7f2ab4",
+    # recorded before the oracle ranked only the top differential
+    "oracle-arrangement": "d2754c7cc51a10a0264c1d46be5da44446419aceacc6a8cda2f5211ffd30acc2",
+    "betti-arrangement": "5ae2987eba78cb6ec19d402e4f1685f5243fb90ec54fd4225daf3f0ed0f3e5e6",
+    "milnor-arrangement": "7e66a59e33c0f40570a8bc3a67058f62b3bc9f6b96cea79e3a227a1913486f18",
 }
 
 
