@@ -32,7 +32,7 @@ from .charvariety import (
 from .covers import ORACLE, PRINCIPAL, betti_branched, betti_dict, betti_unbranched, milnor_dict, milnor_fiber, oracle_applies
 from .koszul import cone_support, on_support, oracle_f
 from .quasiadjunction import faces_of_quasiadjunction, faces_stabilized, lct_face
-from .resolution import _dump_yaml, cone_over, generic_arrangement, load_resolution
+from .resolution import _dump_oracle_yaml, _dump_yaml, cone_over, generic_arrangement, load_resolution
 
 
 class CliInputError(Exception):
@@ -241,15 +241,17 @@ def cmd_oracle(args):
         raise CliInputError("oracle needs R >= 2 and 1 <= n <= R-1")
     if args.order < 1:
         raise CliInputError("--order must be positive")
-    rows = []
-    for chi in torsion_characters((args.order,) * args.arrangement):
-        rows.append({"phases": [str(p) for p in chi.phases], "f": oracle_f(args.arrangement, args.n, chi.phases)})
-    report = {"r": args.arrangement, "n": args.n, "order": args.order, "characters": rows}
+    rows = [
+        ([str(p) for p in chi.phases], oracle_f(args.arrangement, args.n, chi.phases))
+        for chi in torsion_characters((args.order,) * args.arrangement)
+    ]
+    if args.format == "structured":  # thousands of rows: skip PyYAML's representer
+        return _dump_oracle_yaml(args.arrangement, args.n, args.order, rows), None, 0
     lines = ["oracle sweep: r=%d n=%d, %d characters of order dividing %d" % (
         args.arrangement, args.n, len(rows), args.order)]
-    for row in rows:
-        lines.append("  (%s) -> %d" % (", ".join(row["phases"]), row["f"]))
-    return report, lines, 0
+    for phases, f in rows:
+        lines.append("  (%s) -> %d" % (", ".join(phases), f))
+    return None, lines, 0
 
 
 def cmd_check(args):
@@ -349,8 +351,8 @@ def main(argv=None) -> int:
     except (CliInputError, ValueError) as exc:  # library input checks raise ValueError
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    if args.format == "structured":
-        text = _dump_yaml(report)
+    if args.format == "structured":  # a command may return its report already written
+        text = report if isinstance(report, str) else _dump_yaml(report)
     else:
         text = "\n".join(lines) + "\n"
     if args.out:

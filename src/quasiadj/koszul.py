@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 from .cyclotomic import CyclotomicField, LaurentPoly, matrix_rank
 
@@ -49,13 +49,18 @@ class ComplexSpec:
 
 def _exponents(phases) -> tuple[int, tuple[int, ...]]:
     """The order N of the character and its exponents: phase_i = k_i / N mod 1."""
-    qs = []
+    ratios = []
     for p in phases:
         if isinstance(p, float):
             raise TypeError("floating point phase %r rejected" % p)
-        qs.append(p if isinstance(p, (int, Fraction)) else Fraction(p))
-    order = lcm(*(q.denominator for q in qs))
-    return order, tuple(q.numerator * (order // q.denominator) % order for q in qs)
+        ratios.append((p if isinstance(p, (int, Fraction)) else Fraction(p)).as_integer_ratio())
+    order = lcm(*(q for _, q in ratios))
+    return order, tuple(k * (order // q) % order for k, q in ratios)
+
+
+# entries of the dense differentials plus entry products of the composition
+# check that one truncated_koszul build may make before it gives up
+MAX_KOSZUL_WORK = 1_000_000
 
 
 @lru_cache(maxsize=None)
@@ -64,12 +69,22 @@ def truncated_koszul(params: int, top: int) -> ComplexSpec:
 
     d(e_S) = sum over a in S of sign * (t_a - 1) * e_(S minus a), the sign
     alternating with the position of a in S.  The composite of consecutive
-    differentials is asserted to vanish identically.
+    differentials is asserted to vanish identically.  The build costs
+    dim C_p * dim C_(p-1) entries for each d_p and dim C_p * dim C_(p-1) *
+    dim C_(p-2) products for each composite; one that would cost more than
+    MAX_KOSZUL_WORK raises ValueError before any basis is built.
     """
     if params < 0:
         raise ValueError("params %d < 0" % params)
     if not 0 <= top <= params:
         raise ValueError("truncation %d outside [0, %d]" % (top, params))
+    dims = [comb(params, p) for p in range(top + 1)]
+    work = sum(dims[p] * dims[p - 1] for p in range(1, top + 1))
+    work += sum(dims[p] * dims[p - 1] * dims[p - 2] for p in range(2, top + 1))
+    if work > MAX_KOSZUL_WORK:
+        raise ValueError(
+            "Koszul complex on %d parameters truncated at %d needs %d entries and products, over cap %d"
+            % (params, top, work, MAX_KOSZUL_WORK))
     bases = tuple(tuple(combinations(range(params), p)) for p in range(top + 1))
     gens = [
         LaurentPoly.variable(i, params) - LaurentPoly.constant(params, 1)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 import io
+import re
 
 import yaml
 
@@ -280,6 +281,40 @@ else:
 def _dump_yaml(doc) -> str:
     """The one YAML emitter: keys in insertion order, leaf lists in flow style."""
     return yaml.dump(doc, Dumper=_SafeDumper, sort_keys=False, default_flow_style=None)
+
+
+# a nonzero phase in [0, 1) as str(Fraction) writes it; the resolver reads it as a string
+_PLAIN_PHASE = re.compile(r"[1-9][0-9]*/[1-9][0-9]*")
+
+
+def _dump_oracle_yaml(r: int, n: int, order: int, rows) -> str:
+    """The bytes _dump_yaml writes for the `oracle` report {r, n, order,
+    characters: [{phases: [...], f}, ...]}, one row per (phases, f) pair,
+    without building PyYAML nodes.  Phase '0' is quoted, since the resolver
+    would read a plain 0 as an int, and every p/q is plain.  A phase list
+    wraps as the emitter wraps a flow sequence: after each ',' it writes a
+    newline and the four-space indent if the column is past 80, else a
+    space.  Anything outside this shape raises ValueError."""
+    for value in (r, n, order):
+        if type(value) is not int:
+            raise ValueError("oracle report field %r is not an int" % (value,))
+    if not rows:
+        raise ValueError("oracle report has no characters")
+    out = ["r: %d\nn: %d\norder: %d\ncharacters:\n" % (r, n, order)]
+    for phases, f in rows:
+        if type(f) is not int or not phases:
+            raise ValueError("oracle row %r outside the report shape" % ((phases, f),))
+        line, sep = "- phases: [", ""
+        for p in phases:
+            if p == "0":
+                p = "'0'"
+            elif type(p) is not str or not _PLAIN_PHASE.fullmatch(p):
+                raise ValueError("oracle phase %r outside the report shape" % (p,))
+            line += sep + p
+            column = len(line) - line.rfind("\n") - 1
+            sep = ",\n    " if column + 1 > 80 else ", "  # the column just after the ','
+        out.append("%s]\n  f: %d\n" % (line, f))
+    return "".join(out)
 
 
 class _UniqueKeys:

@@ -6,6 +6,8 @@ from math import comb
 
 import pytest
 
+import quasiadj.cli as cli
+import quasiadj.koszul as koszul
 from quasiadj.charvariety import CharacterPoint, torsion_characters
 from quasiadj.cyclotomic import LaurentPoly
 from quasiadj.koszul import (
@@ -28,6 +30,23 @@ def test_truncated_koszul_shape():
     # rows index the domain basis: d2 is 6x4, d1 is 4x1
     assert len(spec.differential(2)) == 6 and len(spec.differential(2)[0]) == 4
     assert len(spec.differential(1)) == 4 and len(spec.differential(1)[0]) == 1
+
+
+def test_koszul_build_work_is_bounded(monkeypatch, capsys):
+    # one character, but C(29, 14) degree-14 generators: refused before any basis is built
+    assert cli.main(["oracle", "--arrangement", "30", "--n", "14", "--order", "1"]) == 1
+    assert "error: Koszul complex on 29 parameters truncated at 14 needs" in capsys.readouterr().err
+    # truncated_koszul(3, 2): 3 + 9 differential entries and 3 * 3 * 1 products
+    truncated_koszul.cache_clear()
+    monkeypatch.setattr(koszul, "MAX_KOSZUL_WORK", 20)
+    with pytest.raises(ValueError, match="needs 21 entries and products, over cap 20"):
+        truncated_koszul(3, 2)
+    argv = ["oracle", "--arrangement", "4", "--n", "2", "--order", "1"]
+    assert cli.main(argv) == 1
+    assert "error: Koszul complex on 3 parameters truncated at 2 needs 21" in capsys.readouterr().err
+    monkeypatch.setattr(koszul, "MAX_KOSZUL_WORK", 21)
+    assert truncated_koszul(3, 2).dims == (1, 3, 3)
+    assert cli.main(argv) == 0
 
 
 def test_first_differential_entries():
