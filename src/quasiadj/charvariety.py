@@ -16,7 +16,7 @@ from math import gcd, lcm
 
 from .cyclotomic import LaurentPoly, cyclotomic_in_monomial
 from .quasiadjunction import FaceOfQuasiadjunction, faces_of_quasiadjunction
-from .ratgeom import hermite, rat, saturation_basis
+from .ratgeom import _integers, hermite, rat, saturation_basis
 from .resolution import ResolutionData, ResolutionError, _expect_int, delete_component
 
 
@@ -100,6 +100,15 @@ def torsion_characters(orders):
         yield CharacterPoint(n, exponents)
 
 
+def _exponent_vector(v, nvars: int) -> tuple[int, ...]:
+    """v as nvars ints: a float, Fraction or bool entry is refused, and so is
+    a vector of another length."""
+    v = _integers(v, "exponent vector")
+    if len(v) != nvars:
+        raise ValueError("exponent vector %s has %d entries, not %d" % (list(v), len(v), nvars))
+    return v
+
+
 @dataclass(frozen=True)
 class TranslatedSubtorus:
     """Solution set of prod_i t_i^(v_i) = exp(2 pi i beta) for (v, beta) in
@@ -110,7 +119,7 @@ class TranslatedSubtorus:
     equations: tuple[tuple[tuple[int, ...], Fraction], ...]
 
     def __post_init__(self):
-        eqs = tuple((tuple(int(c) for c in v), rat(b) % 1) for v, b in self.equations)
+        eqs = tuple((_exponent_vector(v, self.nvars), rat(b) % 1) for v, b in self.equations)
         object.__setattr__(self, "equations", eqs)
         vectors = [v for v, _ in eqs]
         if saturation_basis(vectors, self.nvars) != vectors:
@@ -145,7 +154,7 @@ def make_subtorus(nvars: int, equations) -> TranslatedSubtorus:
     empty: the exponent lattice is not saturated, or a relation among the
     generators carries a nonzero phase.
     """
-    gens = [(tuple(int(c) for c in v), rat(b) % 1) for v, b in equations]
+    gens = [(_exponent_vector(v, nvars), rat(b) % 1) for v, b in equations]
     ident = [[int(i == j) for j in range(len(gens))] for i in range(len(gens))]
     mat, rank = hermite([list(v) + ident[i] for i, (v, _) in enumerate(gens)], nvars)
     eqs = []

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from . import charvariety
 from .charvariety import (
     diagonal_character,
     principal_components,
@@ -192,9 +193,14 @@ def milnor_fiber(data: ResolutionData, order_bound: int, f_mode: str = PRINCIPAL
     polynomial divisor takes, per cyclotomic orbit, the largest multiplicity
     seen (each per-eigenvalue value is a lower bound for the orbit-constant
     true multiplicity).  The multiplicity at t = 1 is left unresolved.
+    A sweep of more than MAX_CHARACTERS diagonal characters raises
+    ValueError before any is visited.
     """
     if _expect_int(order_bound, "order bound") < 1:
         raise ValueError("order bound %d < 1" % order_bound)
+    if order_bound - 1 > charvariety.MAX_CHARACTERS:
+        raise ValueError("Milnor fiber sweep of %d diagonal characters exceeds cap %d"
+                         % (order_bound - 1, charvariety.MAX_CHARACTERS))
     f = f_source(data, f_mode)
     mults: dict[Fraction, int] = {}
     for k in range(1, order_bound):

@@ -45,8 +45,7 @@ def constraint_form(exc: ExceptionalComponent, germ: GermBasisElement) -> Affine
     value(x) = sum_i a_i (1 - x_i) - (e + c + 1), so the coefficient vector
     is -a and the constant is sum(a) - threshold.
     """
-    coeffs = tuple(Fraction(-ai) for ai in exc.a)
-    return AffineForm(coeffs, Fraction(sum(exc.a) - threshold(exc, germ)))
+    return AffineForm(tuple(-ai for ai in exc.a), sum(exc.a) - threshold(exc, germ))
 
 
 @dataclass(frozen=True)
@@ -170,15 +169,15 @@ class _Candidate:
         self.germs = set(germ_labels)
 
 
-def _same_face(a: _Candidate, b: _Candidate, r: int) -> bool:
+def _same_face(a: _Candidate, b: _Candidate) -> bool:
     """Exact set equality of two candidates with equal affine span: each
     one's inequalities hold on the other's set.  One solve per side, and
     both sides always run."""
     same = True
     for first, second in ((a, b), (b, a)):
-        # objective den * g.coeffs (g.scaled): g <= 0 holds iff opt <= -den * g.const
-        optima = lp_maximize([g.scaled[1] for g in second.ineqs], first.ineqs, first.eqs, r)
-        same &= all(opt <= -g.scaled[2] for g, (opt, _) in zip(second.ineqs, optima))
+        # objective g.coeffs: g <= 0 holds iff opt <= -g.const
+        optima = lp_maximize([g.coeffs for g in second.ineqs], first.ineqs, first.eqs)
+        same &= all(opt <= -g.const for g, (opt, _) in zip(second.ineqs, optima))
     return same
 
 
@@ -255,7 +254,7 @@ def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction
                 order.append(span)
             for known in bucket:
                 spend(2)
-                if _same_face(known, cand, r):
+                if _same_face(known, cand):
                     known.germs.update(labels)
                     for f in eqs:
                         if f.equation_key() not in known.tight_keys:

@@ -1,21 +1,20 @@
-"""Exact rational affine geometry inside the unit cube.
+"""Exact affine geometry inside the unit cube: integer forms, rational points.
 
-Affine forms and halfspace systems over fractions.Fraction; integer lattice
-work (kernels, saturation, affine spans) through the one Hermite reducer;
-and a small two-phase simplex that solves one set for many objectives
-(phase 1 once, phase 2 once per objective).  Fractions appear only at the
-public boundary: each form carries its integer scaling, computed once, and
-evaluation, the simplex tableau (one common denominator, exact-division
-pivots) and the relative-interior centroid all work in integers.  An
-optimum or witness becomes a Fraction once, on the way out.  Floating
-point input is rejected at the boundary; nothing in here ever rounds.
+Affine forms have integer coefficients and constant; points, witnesses and
+optima are fractions.Fraction.  Integer lattice work (kernels, saturation,
+affine spans) goes through the one Hermite reducer, and a small two-phase
+simplex solves one set for many objectives (phase 1 once, phase 2 once per
+objective).  Evaluation, the simplex tableau (one common denominator,
+exact-division pivots) and the relative-interior centroid all work in
+integers; an optimum or witness becomes a Fraction once, on the way out.
+Floating point input is rejected at the boundary; nothing in here ever
+rounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -29,15 +28,20 @@ def rat(x) -> Fraction:
     return Fraction(x)
 
 
-def rat_vector(values: Iterable) -> tuple[Fraction, ...]:
-    return tuple(rat(v) for v in values)
-
-
 def _over_lcm(values: Iterable) -> tuple[list[int], int]:
     """Rationals as integer numerators over their least common denominator."""
     values = [v if type(v) is int else rat(v) for v in values]
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values as a tuple, each an int: a Fraction, float or bool is refused."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            raise TypeError("%s entry %r is not an int" % (what, v))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -46,38 +50,30 @@ def _over_lcm(values: Iterable) -> tuple[list[int], int]:
 
 @dataclass(frozen=True)
 class AffineForm:
-    """coeffs . x + const; as a constraint it is read as value <= 0."""
+    """coeffs . x + const with integer coefficients and constant; as a
+    constraint it is read as value <= 0."""
 
-    coeffs: tuple[Fraction, ...]
-    const: Fraction
+    coeffs: tuple[int, ...]
+    const: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", rat_vector(self.coeffs))
-        object.__setattr__(self, "const", rat(self.const))
+        object.__setattr__(self, "coeffs", _integers(self.coeffs, "form coefficient"))
+        _integers((self.const,), "form constant")
 
     @property
     def arity(self) -> int:
         return len(self.coeffs)
 
-    @cached_property
-    def scaled(self) -> tuple[int, tuple[int, ...], int]:
-        """(den, den * coeffs, den * const) with den the least positive
-        integer that makes both integral."""
-        ints, den = _over_lcm((*self.coeffs, self.const))
-        return den, tuple(ints[:-1]), ints[-1]
-
     def value(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != len(self.coeffs):
             raise ValueError("point arity %d != form arity %d" % (len(point), len(self.coeffs)))
-        den, coeffs, const = self.scaled
         nums, pden = _over_lcm(point)
-        return Fraction(sum(c * v for c, v in zip(coeffs, nums)) + const * pden, den * pden)
+        return Fraction(sum(c * v for c, v in zip(self.coeffs, nums)) + self.const * pden, pden)
 
     def equation_key(self) -> tuple:
         """Canonical key for the hyperplane {value == 0}: primitive integers,
         first nonzero entry positive.  Only meaningful for equations."""
-        _, coeffs, const = self.scaled
-        ints = (*coeffs, const)
+        ints = (*self.coeffs, self.const)
         g = gcd(*ints)
         lead = next((v for v in ints if v), 0)
         return tuple(v // g if lead > 0 else -v // g for v in ints) if g else ints
@@ -107,29 +103,14 @@ def cube_bounds(r: int) -> list[AffineForm]:
     """The 2r facet constraints of [0,1]^r in <= 0 form."""
     forms = []
     for i in range(r):
-        lo = [Fraction(0)] * r
-        lo[i] = Fraction(-1)
-        forms.append(AffineForm(tuple(lo), Fraction(0)))          # -x_i <= 0
-        hi = [Fraction(0)] * r
-        hi[i] = Fraction(1)
-        forms.append(AffineForm(tuple(hi), Fraction(-1)))         # x_i - 1 <= 0
+        unit = tuple(int(j == i) for j in range(r))
+        forms.append(AffineForm(tuple(-v for v in unit), 0))       # -x_i <= 0
+        forms.append(AffineForm(unit, -1))                         # x_i - 1 <= 0
     return forms
 
 
 # ---------------------------------------------------------------------------
 # integer lattices
-
-
-def integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Scale each row to primitive integers (rowspace is unchanged)."""
-    out = []
-    for row in rows:
-        row = [rat(v) for v in row]
-        scale = lcm(*(v.denominator for v in row))
-        ints = [int(v * scale) for v in row]
-        g = gcd(*ints)
-        out.append([v // g for v in ints] if g else ints)
-    return out
 
 
 def hermite(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[tuple[int, ...]], int]:
@@ -188,14 +169,15 @@ def integer_kernel(rows: Sequence[Sequence[int]], width: int) -> list[tuple[int,
     return [row[len(rows):] for row in mat[rank:]]
 
 
-def saturation_basis(rows: Sequence[Sequence[Fraction]], width: int) -> list[tuple[int, ...]]:
-    """Canonical basis of rowspace_Q(rows) intersect Z^width (saturated).
+def saturation_basis(rows: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:
+    """Canonical basis of rowspace_Q(rows) intersect Z^width (saturated), for
+    integer rows.
 
     Kernel of the kernel: v lies in the rational rowspace iff it is
     orthogonal to every rational kernel vector of the matrix.  The result
     is put in Hermite form, so equal rowspaces give equal bases.
     """
-    ker = integer_kernel(integer_rows(rows), width)
+    ker = integer_kernel(rows, width)
     return hnf_rows(integer_kernel(ker, width))
 
 
@@ -278,39 +260,33 @@ def _run_simplex(rows, cost, basis, den):
 
 
 def lp_maximize(
-    objectives: Sequence[Sequence[Fraction]],
+    objectives: Sequence[Sequence[int]],
     ineqs: Sequence[AffineForm],
     eqs: Sequence[AffineForm] = (),
-    width: int | None = None,
 ) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
     """max objective . x subject to x >= 0, every ineq <= 0, every eq == 0,
-    for each of the objectives over the one set.
+    for each of the integer objectives over the one set.
 
     Phase 1 runs once.  Each objective's phase 2 starts from its own copy of
     the post-phase-1 tableau and basis, so its answer is the one a solve with
     that objective alone gives, whatever the other objectives are.  Returns
     one (optimum, witness point) per objective.  Raises Infeasible or
-    Unbounded.  An objective may be given in integers: a positive multiple
-    of it gives the same pivots and witness, and that multiple of the
-    optimum.
+    Unbounded.
 
-    Every form is scaled by one common positive integer, which leaves the
-    set, the phase 1 objective and so every pivot unchanged; the tableau
-    then holds integers over one denominator (see _pivot), and Fractions
-    appear only in the returned witnesses and optima.
+    Forms and objectives are integers, so the tableau holds integers over one
+    denominator (see _pivot), and Fractions appear only in the returned
+    witnesses and optima.
     """
-    objectives = [_over_lcm(obj) for obj in objectives]
-    r = width if width is not None else len(objectives[0][0])
-    if any(len(obj) != r for obj, _ in objectives):
+    objectives = [_integers(obj, "objective") for obj in objectives]
+    if not objectives:
+        raise ValueError("no objective: the variable count is the objectives' arity")
+    r = len(objectives[0])
+    if any(len(obj) != r for obj in objectives):
         raise ValueError("objective arity mismatch")
-    forms = [*ineqs, *eqs]
-    scale = lcm(*(f.scaled[0] for f in forms))
     nslack = len(ineqs)
     rows = []
-    for k, f in enumerate(forms):
-        den, coeffs, const = f.scaled
-        m = scale // den
-        row = [c * m for c in coeffs] + [0] * nslack + [-const * m]
+    for k, f in enumerate((*ineqs, *eqs)):
+        row = list(f.coeffs) + [0] * nslack + [-f.const]
         if k < nslack:
             row[r + k] = 1
         rows.append(row)
@@ -349,9 +325,8 @@ def lp_maximize(
     rows = [rows[i][:real] + rows[i][-1:] for i in keep]
     basis = [basis[i] for i in keep]
     results = []
-    for objective, oscale in objectives:
-        # phase 2 pivots a copy: the next objective starts where this one did;
-        # the objective is scaled to integers, which changes no reduced cost sign
+    for objective in objectives:
+        # phase 2 pivots a copy: the next objective starts where this one did
         prows, pbasis = [row[:] for row in rows], basis[:]
         cost = [-c * den for c in objective] + [0] * (nslack + 1)
         for i, b in enumerate(pbasis):
@@ -363,8 +338,8 @@ def lp_maximize(
         for i, b in enumerate(pbasis):
             if b < r:
                 point[b] = Fraction(prows[i][-1], pden)
-        # the z-row's right-hand side is oscale * optimum over pden
-        results.append((Fraction(cost[-1], oscale * pden), tuple(point)))
+        # the z-row's right-hand side is the optimum over pden
+        results.append((Fraction(cost[-1], pden), tuple(point)))
     return results
 
 
@@ -381,15 +356,15 @@ def relative_interior_point(
     -x_i <= 0 among ineqs, the set has a point with every coordinate
     positive iff every coordinate of the point is positive.
 
-    The slack objective of g is -den * g.coeffs (g.scaled), so g vanishes on
-    the whole set iff its optimum is den * g.const, with no evaluation.
+    The slack objective of g is -g.coeffs, so g vanishes on the whole set
+    iff its optimum is g.const, with no evaluation.
     """
-    objectives = [(0,) * width] + [[-c for c in g.scaled[1]] for g in ineqs]
-    (_, base), *slacks = lp_maximize(objectives, ineqs, eqs, width)
+    objectives = [(0,) * width] + [[-c for c in g.coeffs] for g in ineqs]
+    (_, base), *slacks = lp_maximize(objectives, ineqs, eqs)
     witnesses = [base]
     implicit = []
     for k, (g, (opt, pt)) in enumerate(zip(ineqs, slacks)):
-        if opt == g.scaled[2]:
+        if opt == g.const:
             implicit.append(k)  # g vanishes on the whole set
         else:
             witnesses.append(pt)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 import io
 import re
 
@@ -486,13 +487,18 @@ def _monomial_label(alpha: tuple[int, ...]) -> str:
     return "*".join(parts)
 
 
+# germs (monomials of degree <= bound in n + 1 variables) one cone family may have
+MAX_GERMS = 100_000
+
+
 def cone_over(degrees, n: int, degree_bound: int = 0) -> ResolutionData:
     """Cone over a smooth divisor:  r branches of the given projective
     degrees, resolved by the single blowup of the origin in C^(n+1).
 
     The one exceptional component has multiplicities a = degrees and
     threshold constant c = n; the germ basis is every monomial of total
-    degree <= degree_bound, each valuating as its degree.
+    degree <= degree_bound, each valuating as its degree.  A basis of more
+    than MAX_GERMS monomials raises ResolutionError before any is built.
     """
     degrees = tuple(_expect_int(d, "cone family: degrees[%d]" % i) for i, d in enumerate(degrees))
     _expect_int(n, "cone family: n")
@@ -503,6 +509,10 @@ def cone_over(degrees, n: int, degree_bound: int = 0) -> ResolutionData:
         raise ResolutionError("cone family: n = %d < 1" % n)
     if degree_bound < 0:
         raise ResolutionError("cone family: degree bound %d < 0" % degree_bound)
+    count = comb(n + 1 + degree_bound, n + 1)
+    if count > MAX_GERMS:
+        raise ResolutionError("cone family: %d germs (degree <= %d in %d variables) exceed cap %d"
+                              % (count, degree_bound, n + 1, MAX_GERMS))
     r = len(degrees)
     exc = ExceptionalComponent("E0", degrees, n)
     germs = []

@@ -13,7 +13,7 @@ library's integer tableau must match pivot for pivot.
 
 from fractions import Fraction
 
-from quasiadj.ratgeom import Infeasible, Unbounded, rat_vector
+from quasiadj.ratgeom import Infeasible, Unbounded
 
 
 def _rref(rows, ncols):
@@ -125,27 +125,28 @@ def _run_simplex(rows, cost, basis):
         _pivot(rows, cost, basis, pr, pc)
 
 
-def lp_maximize(objectives, ineqs, eqs=(), width=None):
+def lp_maximize(objectives, ineqs, eqs=()):
     """max objective . x subject to x >= 0, every ineq <= 0, every eq == 0,
     for each of the objectives over the one set, with the same signature,
     outputs and exceptions as `quasiadj.ratgeom.lp_maximize`.
 
-    Phase 1 runs once.  Each objective's phase 2 starts from its own copy of
-    the post-phase-1 tableau and basis.
+    Every coefficient goes through Fraction as the tableau is built, so each
+    pivot divides over Q.  Phase 1 runs once.  Each objective's phase 2
+    starts from its own copy of the post-phase-1 tableau and basis.
     """
-    objectives = [rat_vector(obj) for obj in objectives]
-    r = width if width is not None else len(objectives[0])
+    objectives = [[Fraction(c) for c in obj] for obj in objectives]
+    r = len(objectives[0])
     if any(len(obj) != r for obj in objectives):
         raise ValueError("objective arity mismatch")
     nslack = len(ineqs)
     rows = []
     slack_col = lambda k: r + k
     for k, f in enumerate(ineqs):
-        row = list(f.coeffs) + [Fraction(0)] * nslack + [-f.const]
+        row = [Fraction(c) for c in f.coeffs] + [Fraction(0)] * nslack + [-Fraction(f.const)]
         row[slack_col(k)] = Fraction(1)
         rows.append(row)
     for f in eqs:
-        rows.append(list(f.coeffs) + [Fraction(0)] * nslack + [-f.const])
+        rows.append([Fraction(c) for c in f.coeffs] + [Fraction(0)] * nslack + [-Fraction(f.const)])
     ncols = r + nslack
     basis = [-1] * len(rows)
     art_cols = []

@@ -11,6 +11,7 @@ import quasiadj.cli as cli
 from quasiadj.charvariety import (
     CharacterPoint,
     PrincipalComponent,
+    TranslatedSubtorus,
     classify_essential,
     diagonal_character,
     exp_face,
@@ -136,6 +137,28 @@ def test_make_subtorus_canonicalizes():
     # a non-saturated exponent lattice describes a disconnected set
     with pytest.raises(ValueError, match="saturated"):
         make_subtorus(2, [((4, 6), F(0))])
+
+
+def test_exponent_vectors_must_be_ints_of_length_nvars():
+    # a float was truncated, a short vector read the identity column as a
+    # coordinate, and a long one lost its extra entries
+    with pytest.raises(TypeError):
+        make_subtorus(2, [((0.5, 1), F(1, 2))])
+    with pytest.raises(TypeError):
+        make_subtorus(2, [((True, 1), F(0))])
+    with pytest.raises(TypeError):
+        make_subtorus(2, [((F(1), 1), F(0))])
+    with pytest.raises(ValueError, match="has 1 entries, not 2"):
+        make_subtorus(2, [((1,), F(1, 2))])
+    with pytest.raises(ValueError, match="has 3 entries, not 2"):
+        make_subtorus(2, [((1, 2, 3), F(0))])
+    with pytest.raises(TypeError):
+        TranslatedSubtorus(2, (((0, 1.0), F(1, 3)),))
+    with pytest.raises(TypeError):
+        TranslatedSubtorus(2, (((0, True), F(1, 3)),))
+    with pytest.raises(ValueError, match="has 1 entries, not 2"):
+        TranslatedSubtorus(2, (((1,), F(1, 3)),))
+    assert TranslatedSubtorus(2, (((0, 1), F(1, 3)),)) == make_subtorus(2, [((0, 1), F(1, 3))])
 
 
 def test_make_subtorus_reads_phases_off_relations():

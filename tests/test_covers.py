@@ -16,6 +16,8 @@ from quasiadj.covers import (
     milnor_dict,
     milnor_fiber,
 )
+import quasiadj.charvariety as charvariety
+import quasiadj.cli as cli
 from quasiadj.charvariety import torsion_characters
 from quasiadj.resolution import ResolutionError, cone_over, generic_arrangement
 
@@ -117,6 +119,18 @@ def test_cover_orders_must_be_integers():
         betti_branched(cone_over((1, 2), 1, 0), (True, 2))
     with pytest.raises(ResolutionError, match="order bound"):
         milnor_fiber(generic_arrangement(4, 2), 3.5)
+
+
+def test_milnor_sweep_work_is_bounded(monkeypatch, capsys):
+    # order bound M visits the M - 1 diagonal characters omega != 1
+    monkeypatch.setattr(charvariety, "MAX_CHARACTERS", 5)
+    assert len(milnor_fiber(cone_over((2, 3), 2), 6).multiplicities) == 5
+    with pytest.raises(ValueError, match="6 diagonal characters exceeds cap 5"):
+        milnor_fiber(cone_over((2, 3), 2), 7)
+    assert cli.main(["milnor", "--cone", "2,3", "--n", "2", "--order", "6"]) == 0
+    capsys.readouterr()
+    assert cli.main(["milnor", "--cone", "2,3", "--n", "2", "--order", "7"]) == 1
+    assert "error: Milnor fiber sweep of 6 diagonal characters exceeds cap 5" in capsys.readouterr().err
 
 
 def test_tables_serialize():

@@ -1,7 +1,9 @@
 """Truncated Koszul complexes and the independent homology oracle."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 from math import comb
 
 import pytest
@@ -22,6 +24,22 @@ from quasiadj.koszul import (
 )
 
 F = Fraction
+
+
+def test_oracle_imports_only_the_cyclotomic_substrate():
+    # the oracle shares no code path with the face and torus machinery: its
+    # one import from the package is .cyclotomic
+    tree = ast.parse(Path(koszul.__file__).read_text())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "quasiadj"):
+            if node.module:
+                package.add("." * node.level + node.module)
+            else:  # from . import name
+                package.update("." * node.level + alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            package.update(alias.name for alias in node.names if alias.name.split(".")[0] == "quasiadj")
+    assert package == {".cyclotomic"}
 
 
 def test_truncated_koszul_shape():

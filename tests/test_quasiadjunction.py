@@ -180,7 +180,7 @@ def _walk_count(data):
             eqs = [forms[i] for i in range(nexc) if mask >> i & 1]
             ineqs = [forms[i] for i in range(nexc) if not mask >> i & 1] + cube_bounds(r)
             try:
-                rational_reference.lp_maximize([[F(0)] * r], ineqs, eqs, r)
+                rational_reference.lp_maximize([[F(0)] * r], ineqs, eqs)
             except Infeasible:
                 infeasible.add(mask)
     return count
@@ -209,7 +209,7 @@ def _all_mask_faces(data):
             if span not in buckets:
                 order.append(span)
             for known in buckets.setdefault(span, []):
-                if quasiadjunction._same_face(known, cand, r):
+                if quasiadjunction._same_face(known, cand):
                     known.germs.update(labels)
                     for f in eqs:
                         if f.equation_key() not in {g.equation_key() for g in known.tight_forms}:
@@ -335,7 +335,7 @@ def test_face_contains_needs_no_span_test():
         data = _random_chart(rng, rng.randint(2, 6), rng.randint(2, 4), c_min=0)
         faces = faces_of_quasiadjunction(data)
         for face in faces:
-            kernel = integer_kernel([f.scaled[1] for f in face.tight], data.r)
+            kernel = integer_kernel([f.coeffs for f in face.tight], data.r)
             points = [other.sample for other in faces]
             for _ in range(20):
                 step = F(rng.choice((-1, 1)) * rng.randint(1, 6), rng.choice((2, 5, 60, 600)))

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -14,10 +14,8 @@ from quasiadj.ratgeom import (
     cube_bounds,
     hnf_rows,
     integer_kernel,
-    integer_rows,
     lp_maximize,
     rat,
-    rat_vector,
     relative_interior_point,
     saturation_basis,
     span_equations,
@@ -34,34 +32,55 @@ def rand_frac(rng, num=6, den=6):
     return F(rng.randint(-num, num), rng.randint(1, den))
 
 
+def integer_vector(values):
+    """Rationals times their least common denominator, as ints."""
+    den = lcm(*(F(v).denominator for v in values))
+    return [int(v * den) for v in values]
+
+
+def integer_form(coeffs, const):
+    """The form with these rational coefficients, denominators cleared."""
+    *coeffs, const = integer_vector((*coeffs, const))
+    return AffineForm(tuple(coeffs), const)
+
+
 def test_rat_coercions():
     assert rat("2/3") == F(2, 3)
     assert rat(5) == 5
     assert rat(F(1, 7)) == F(1, 7)
     with pytest.raises(TypeError):
         rat(0.5)
-    with pytest.raises(TypeError):
-        rat_vector([1, 0.25])
 
 
 def test_affine_form_value_and_scaling():
-    f = AffineForm((F(2), F(3)), F(-1))
+    f = AffineForm((2, 3), -1)
     assert f.value((F(1, 2), F(1, 3))) == 1
-    assert AffineForm((F(1), F(3, 2)), F(-1, 2)).value((F(1, 2), F(1, 3))) == F(1, 2)
+    assert AffineForm((1, 2), -1).value((F(1, 2), F(1, 3))) == F(1, 6)
     with pytest.raises(ValueError):
         f.value((F(1),))
+
+
+def test_forms_and_objectives_refuse_non_integers():
+    # a Fraction is never truncated, a float never rounded, a bool never read as 0/1
+    for bad in (F(3, 2), F(2), 0.5, 1.0, True, False):
+        with pytest.raises(TypeError):
+            AffineForm((bad, 1), 0)
+        with pytest.raises(TypeError):
+            AffineForm((1, 1), bad)
+        with pytest.raises(TypeError):
+            lp_maximize([[1, 0], [bad, 1]], cube_bounds(2))
 
 
 def test_equation_key_is_scale_invariant():
     rng = random.Random(101)
     for _ in range(1000):
         r = rng.randint(1, 4)
-        f = AffineForm(tuple(rand_frac(rng) for _ in range(r)), rand_frac(rng))
+        f = integer_form(tuple(rand_frac(rng) for _ in range(r)), rand_frac(rng))
         factor = F(rng.randint(1, 9), rng.randint(1, 9))
         if rng.random() < 0.5:
             factor = -factor
         key = f.equation_key()
-        assert AffineForm(tuple(c * factor for c in f.coeffs), f.const * factor).equation_key() == key
+        assert integer_form(tuple(c * factor for c in f.coeffs), f.const * factor).equation_key() == key
         # primitive integers, first nonzero positive
         g = 0
         for v in key:
@@ -76,7 +95,7 @@ def test_halfspace_system():
     assert sys_.contains((F(1, 2), F(1, 2)))
     assert not sys_.contains((F(3, 2), F(0)))
     with pytest.raises(ValueError):
-        HalfspaceSystem((AffineForm((F(1),), F(0)), AffineForm((F(1), F(2)), F(0))))
+        HalfspaceSystem((AffineForm((1,), 0), AffineForm((1, 2), 0)))
 
 
 def test_rational_rank_known():
@@ -132,9 +151,9 @@ def test_hnf_rows_canonical_property():
 
 
 def test_saturation_basis_known():
-    assert saturation_basis([[F(2), F(4)]], 2) == [(1, 2)]
-    assert saturation_basis([[F(2), F(3)]], 2) == [(2, 3)]
-    assert saturation_basis([[F(1, 2), F(1, 3)]], 2) == [(3, 2)]
+    assert saturation_basis([[2, 4]], 2) == [(1, 2)]
+    assert saturation_basis([[2, 3]], 2) == [(2, 3)]
+    assert saturation_basis([[3, 2]], 2) == [(3, 2)]
     assert saturation_basis([], 2) == []
 
 
@@ -142,10 +161,9 @@ def test_saturation_contains_original_rows_property():
     rng = random.Random(404)
     for _ in range(1000):
         width = rng.randint(1, 4)
-        rows = [[rand_frac(rng, 4, 3) for _ in range(width)] for _ in range(rng.randint(1, 3))]
+        rows = [integer_vector([rand_frac(rng, 4, 3) for _ in range(width)]) for _ in range(rng.randint(1, 3))]
         sat = saturation_basis(rows, width)
-        ints = integer_rows(rows)
-        for row in ints:
+        for row in rows:
             coeffs = solve_row_combination(sat, row)
             assert coeffs is not None
             for c in coeffs:
@@ -170,7 +188,7 @@ def test_solve_row_combination_property():
 
 
 def test_span_equations_point_check():
-    eqs = [AffineForm((F(2), F(3)), F(-1))]
+    eqs = [AffineForm((2, 3), -1)]
     point = (F(1, 2), F(0))
     assert span_equations(eqs, point) == [((2, 3), F(1))]
     with pytest.raises(ValueError):
@@ -179,14 +197,16 @@ def test_span_equations_point_check():
 
 def test_lp_known_values():
     # max x + y over the triangle x, y >= 0, x + y <= 1
-    ineqs = cube_bounds(2) + [AffineForm((F(1), F(1)), F(-1))]
-    [(value, point)] = lp_maximize([[F(1), F(1)]], ineqs)
+    ineqs = cube_bounds(2) + [AffineForm((1, 1), -1)]
+    [(value, point)] = lp_maximize([[1, 1]], ineqs)
     assert value == 1
     assert sum(point) == 1
     with pytest.raises(Unbounded):
-        lp_maximize([[F(1)]], [], width=1)
+        lp_maximize([[1]], [])
     with pytest.raises(Infeasible):
-        lp_maximize([[F(1)]], [AffineForm((F(1),), F(1))], width=1)  # x <= -1, x >= 0
+        lp_maximize([[1]], [AffineForm((1,), 1)])  # x <= -1, x >= 0
+    with pytest.raises(ValueError, match="no objective"):
+        lp_maximize([], cube_bounds(1))
 
 
 def _random_feasible_system(rng):
@@ -199,7 +219,7 @@ def _random_feasible_system(rng):
         coeffs = tuple(rand_frac(rng, 3, 2) for _ in range(width))
         slack = F(rng.randint(0, 4), 4)
         const = -(sum(c * a for c, a in zip(coeffs, anchor)) + slack)
-        ineqs.append(AffineForm(coeffs, const))  # anchor stays feasible
+        ineqs.append(integer_form(coeffs, const))  # anchor stays feasible
     return width, anchor, ineqs
 
 
@@ -208,7 +228,7 @@ def test_lp_optimality_property():
     rng = random.Random(606)
     for _ in range(1000):
         width, anchor, ineqs = _random_feasible_system(rng)
-        objective = [rand_frac(rng, 3, 2) for _ in range(width)]
+        objective = integer_vector([rand_frac(rng, 3, 2) for _ in range(width)])
         [(value, point)] = lp_maximize([objective], ineqs)
         for g in ineqs:
             assert g.value(point) <= 0
@@ -230,21 +250,21 @@ def test_lp_many_objectives_match_single_solves_property():
         eqs = []
         for _ in range(rng.randint(0, 2)):
             coeffs = tuple(rand_frac(rng, 3, 2) for _ in range(width))
-            eqs.append(AffineForm(coeffs, -sum(c * a for c, a in zip(coeffs, anchor))))
+            eqs.append(integer_form(coeffs, -sum(c * a for c, a in zip(coeffs, anchor))))
         if eqs and rng.random() < 0.5:
             # a combination of the others: its artificial cannot leave the
             # basis and its row is dropped before phase 2
             eqs.append(AffineForm(
-                tuple(sum(F(k + 2) * f.coeffs[i] for k, f in enumerate(eqs)) for i in range(width)),
-                sum(F(k + 2) * f.const for k, f in enumerate(eqs))))
+                tuple(sum((k + 2) * f.coeffs[i] for k, f in enumerate(eqs)) for i in range(width)),
+                sum((k + 2) * f.const for k, f in enumerate(eqs))))
             redundant += 1
-        objectives = [[rand_frac(rng, 3, 2) for _ in range(width)] for _ in range(rng.randint(2, 5))]
-        objectives.append([F(0)] * width)
-        single = [lp_maximize([obj], ineqs, eqs, width)[0] for obj in objectives]
-        assert lp_maximize(objectives, ineqs, eqs, width) == single
+        objectives = [integer_vector([rand_frac(rng, 3, 2) for _ in range(width)]) for _ in range(rng.randint(2, 5))]
+        objectives.append([0] * width)
+        single = [lp_maximize([obj], ineqs, eqs)[0] for obj in objectives]
+        assert lp_maximize(objectives, ineqs, eqs) == single
         order = list(range(len(objectives)))
         rng.shuffle(order)
-        assert lp_maximize([objectives[k] for k in order], ineqs, eqs, width) == [single[k] for k in order]
+        assert lp_maximize([objectives[k] for k in order], ineqs, eqs) == [single[k] for k in order]
         for value, point in single:
             assert all(g.value(point) <= 0 for g in ineqs)
             assert all(f.value(point) == 0 for f in eqs)
@@ -252,8 +272,8 @@ def test_lp_many_objectives_match_single_solves_property():
 
 
 def _random_lp(rng):
-    """Objectives and a system with fractional coefficients, mostly inside
-    the cube: forms often pass through a cube vertex (degenerate vertices,
+    """Objectives and a system drawn with fractional coefficients, each form
+    and objective then cleared of denominators, mostly inside the cube: forms often pass through a cube vertex (degenerate vertices,
     so artificials stay basic at zero and are driven out), some equalities
     are multiples of another (redundant rows), many sets are empty, and a
     system without the cube facets may be unbounded."""
@@ -265,14 +285,14 @@ def _random_lp(rng):
         coeffs = tuple(rand_frac(rng, 3, 3) for _ in range(width))
         through = rng.random() < 0.6
         const = -sum(c * a for c, a in zip(coeffs, anchor)) if through else rand_frac(rng, 3, 3)
-        forms.append(AffineForm(coeffs, const))
+        forms.append(integer_form(coeffs, const))
     split = rng.randint(0, len(forms))
     eqs, ineqs = forms[:split], ineqs + forms[split:]
     redundant = bool(eqs) and rng.random() < 0.3
     if redundant:
         k = rng.choice((F(2), F(1, 3), F(-1)))
-        eqs.append(AffineForm(tuple(k * c for c in eqs[0].coeffs), k * eqs[0].const))
-    objectives = [[rand_frac(rng, 3, 3) for _ in range(width)] for _ in range(rng.randint(1, 3))]
+        eqs.append(integer_form(tuple(k * c for c in eqs[0].coeffs), k * eqs[0].const))
+    objectives = [integer_vector([rand_frac(rng, 3, 3) for _ in range(width)]) for _ in range(rng.randint(1, 3))]
     return objectives, ineqs, eqs, width, redundant
 
 
@@ -291,38 +311,24 @@ def test_integer_simplex_matches_rational_reference_property(monkeypatch):
 
         monkeypatch.setattr(mod, "_pivot", counted)
     rng = random.Random(2718)
-    seen = {"redundant": 0, "fractional": 0, Infeasible: 0, Unbounded: 0, "negative pivots": 0}
+    seen = {"redundant": 0, Infeasible: 0, Unbounded: 0, "negative pivots": 0}
     for _ in range(2000):
         objectives, ineqs, eqs, width, redundant = _random_lp(rng)
         outcomes = []
         for mod in (ratgeom, rational_reference):
             logs[mod].clear()
             try:
-                outcome = mod.lp_maximize(objectives, ineqs, eqs, width)
+                outcome = mod.lp_maximize(objectives, ineqs, eqs)
             except (Infeasible, Unbounded) as exc:
                 outcome = type(exc)
             outcomes.append((outcome, logs[mod][:]))
         assert outcomes[0] == outcomes[1], (objectives, ineqs, eqs)
         outcome, pivots = outcomes[0]
         seen["redundant"] += redundant
-        seen["fractional"] += any(c.denominator > 1 for f in ineqs + eqs for c in f.coeffs)
         seen["negative pivots"] += sum(pivots)
         if outcome in (Infeasible, Unbounded):
             seen[outcome] += 1
     assert min(seen.values()) >= 20, seen
-
-
-def test_integer_scaling_property():
-    # each form's cached scaling reproduces it, over the least denominator:
-    # a common factor of den and every entry would be a smaller valid den
-    rng = random.Random(3141)
-    for _ in range(2000):
-        objectives, ineqs, eqs, width, _ = _random_lp(rng)
-        for f in ineqs + eqs:
-            den, coeffs, const = f.scaled
-            assert den > 0 and f.scaled is f.scaled
-            assert tuple(F(c, den) for c in coeffs) == f.coeffs and F(const, den) == f.const
-            assert gcd(den, *coeffs, const) == 1
 
 
 def test_relative_interior_implicit_set_property():
@@ -339,10 +345,11 @@ def test_relative_interior_implicit_set_property():
         except (Infeasible, Unbounded) as exc:
             with pytest.raises(type(exc)):
                 rational_reference.lp_maximize([[F(0)] * width] + [[-c for c in g.coeffs] for g in ineqs],
-                                               ineqs, eqs, width)
+                                               ineqs, eqs)
             seen[type(exc)] += 1
             continue
-        slacks = rational_reference.lp_maximize([[-c for c in g.coeffs] for g in ineqs], ineqs, eqs, width)
+        _, *slacks = rational_reference.lp_maximize([[F(0)] * width] + [[-c for c in g.coeffs] for g in ineqs],
+                                                    ineqs, eqs)
         assert implicit == tuple(k for k, (g, (_, w)) in enumerate(zip(ineqs, slacks)) if value(g, w) == 0)
         assert all(value(f, point) == 0 for f in eqs)
         assert all((value(g, point) == 0) == (k in implicit) and value(g, point) <= 0 for k, g in enumerate(ineqs))
@@ -362,7 +369,7 @@ def _grid_points(grid, width):
 
 def test_relative_interior_point_simplex():
     ineqs = cube_bounds(3)
-    eqs = [AffineForm((F(1), F(1), F(1)), F(-1))]
+    eqs = [AffineForm((1, 1, 1), -1)]
     point, implicit = relative_interior_point(ineqs, eqs, 3)
     assert implicit == ()
     assert sum(point) == 1
@@ -371,10 +378,10 @@ def test_relative_interior_point_simplex():
 
 
 def test_relative_interior_detects_implicit_equalities():
-    # x <= 1/2 and x >= 1/2 force x = 1/2: both become implicit
+    # 2x <= 1 and 2x >= 1 force x = 1/2: both become implicit
     ineqs = cube_bounds(1) + [
-        AffineForm((F(1),), F(-1, 2)),
-        AffineForm((F(-1),), F(1, 2)),
+        AffineForm((2,), -1),
+        AffineForm((-2,), 1),
     ]
     point, implicit = relative_interior_point(ineqs, [], 1)
     assert point == (F(1, 2),)
@@ -384,14 +391,14 @@ def test_relative_interior_detects_implicit_equalities():
 def _max_min_coordinate(ineqs, eqs, width):
     """Reference: max over the set of min_i x_i, by one LP with a common
     lower bound delta as extra variable."""
-    widen = lambda f: AffineForm(f.coeffs + (F(0),), f.const)
+    widen = lambda f: AffineForm(f.coeffs + (0,), f.const)
     bounds = []
     for i in range(width):
-        coeffs = [F(0)] * (width + 1)
-        coeffs[i], coeffs[width] = F(-1), F(1)
-        bounds.append(AffineForm(tuple(coeffs), F(0)))  # delta - x_i <= 0
-    objective = [F(0)] * width + [F(1)]
-    [(opt, _)] = lp_maximize([objective], [widen(f) for f in ineqs] + bounds, [widen(f) for f in eqs], width + 1)
+        coeffs = [0] * (width + 1)
+        coeffs[i], coeffs[width] = -1, 1
+        bounds.append(AffineForm(tuple(coeffs), 0))  # delta - x_i <= 0
+    objective = [0] * width + [1]
+    [(opt, _)] = lp_maximize([objective], [widen(f) for f in ineqs] + bounds, [widen(f) for f in eqs])
     return opt
 
 
@@ -402,7 +409,7 @@ def test_relative_interior_sample_is_positive_iff_max_min_is():
     checked = positive = 0
     while checked < 300:
         width = rng.randint(1, 3)
-        forms = [AffineForm(tuple(F(rng.randint(-3, 3)) for _ in range(width)), F(rng.randint(-3, 3)))
+        forms = [AffineForm(tuple(rng.randint(-3, 3) for _ in range(width)), rng.randint(-3, 3))
                  for _ in range(rng.randint(1, 3))]
         split = rng.randint(0, len(forms))
         eqs, ineqs = forms[:split], forms[split:] + cube_bounds(width)
@@ -418,4 +425,4 @@ def test_relative_interior_sample_is_positive_iff_max_min_is():
 
 def test_relative_interior_point_raises_when_empty():
     with pytest.raises(Infeasible):
-        relative_interior_point([AffineForm((F(1),), F(1))], [], 1)
+        relative_interior_point([AffineForm((1,), 1)], [], 1)

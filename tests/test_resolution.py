@@ -10,6 +10,8 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import quasiadj.cli as cli
+import quasiadj.resolution as resolution
 from quasiadj.resolution import (
     ExceptionalComponent,
     GermBasisElement,
@@ -90,6 +92,18 @@ def test_data_model_refuses_floats_and_bools():
         with pytest.raises(ResolutionError, match="expected an integer|expected a string"):
             make()
     assert GermBasisElement("g", 1, {"E0": 2}).e == (("E0", 2),)
+
+
+def test_cone_germ_basis_is_bounded(monkeypatch, capsys):
+    # degree <= 3 in 3 variables is C(6, 3) = 20 monomials, degree <= 4 is 35
+    monkeypatch.setattr(resolution, "MAX_GERMS", 20)
+    assert len(cone_over((2, 3), 2, 3).germs) == 20
+    with pytest.raises(ResolutionError, match="35 germs .* exceed cap 20"):
+        cone_over((2, 3), 2, 4)
+    assert cli.main(["faces", "--cone", "2,3", "--n", "2", "--bound", "3"]) == 0
+    capsys.readouterr()
+    assert cli.main(["faces", "--cone", "2,3", "--n", "2", "--bound", "4"]) == 1
+    assert "error: cone family: 35 germs" in capsys.readouterr().err
 
 
 def test_germ_lookup():
