@@ -22,7 +22,7 @@ from .resolution import ResolutionData, ResolutionError, _expect_int, delete_com
 
 @lru_cache(maxsize=4096)
 def _phase(k: int, n: int) -> Fraction:
-    """Fraction(k, n), shared: a character sweep meets few distinct phases."""
+    """Fraction(k, n) for reports only, shared: a sweep meets few phases."""
     return Fraction(k, n)
 
 
@@ -36,9 +36,7 @@ class CharacterPoint:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        n, ks = self.order, tuple(self.exponents)
-        if type(n) is not int or not set(map(type, ks)) <= {int}:
-            raise TypeError("character order and exponents must be int, got %r, %r" % (n, ks))
+        n, *ks = _integers((self.order, *self.exponents), "character")
         if n < 1:
             raise ValueError("character order %d < 1" % n)
         g = gcd(n, *ks)
@@ -75,10 +73,6 @@ class CharacterPoint:
     def support(self) -> tuple[int, ...]:
         """Coordinates where the character is nontrivial."""
         return tuple(i for i, k in enumerate(self.exponents) if k)
-
-
-def diagonal_character(phase, r: int) -> CharacterPoint:
-    return CharacterPoint.from_phases((phase,) * r)
 
 
 # characters one torsion_characters sweep may yield before it gives up

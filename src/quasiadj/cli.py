@@ -242,7 +242,7 @@ def cmd_oracle(args):
     if args.order < 1:
         raise CliInputError("--order must be positive")
     rows = [
-        ([str(p) for p in chi.phases], oracle_f(args.arrangement, args.n, chi.phases))
+        ([str(p) for p in chi.phases], oracle_f(args.arrangement, args.n, chi.order, chi.exponents))
         for chi in torsion_characters((args.order,) * args.arrangement)
     ]
     if args.format == "structured":  # thousands of rows: skip PyYAML's representer
@@ -265,11 +265,11 @@ def cmd_check(args):
         mismatches = []
         for chi in torsion_characters((args.order,) * data.r):
             pf = principal_f(chi, comps)
-            of = oracle_f(data.r, data.n, chi.phases)
+            of = oracle_f(data.r, data.n, chi.order, chi.exponents)
             if chi.is_trivial():
                 trivial_line = "trivial character: principal %d (lower bound) vs oracle %d (elimination output); excluded" % (pf, of)
                 continue
-            if on_support(chi.phases):
+            if on_support(chi.order, chi.exponents):
                 on_total += 1
                 if pf == of:
                     on_ok += 1
@@ -307,7 +307,7 @@ def cmd_check(args):
     bad = []
     for chi in torsion_characters((args.order,) * data.r):
         member = principal_f(chi, comps) > 0
-        supp = cone_support(degrees, chi.phases)
+        supp = cone_support(degrees, chi.order, chi.exponents)
         if member and not supp:
             unsound += 1
             bad.append(chi)

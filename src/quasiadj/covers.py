@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, prod
 
 from . import charvariety
 from .charvariety import (
-    diagonal_character,
+    CharacterPoint,
     principal_components,
     principal_f,
     torsion_characters,
@@ -61,7 +61,7 @@ def f_source(data: ResolutionData, mode: str, components=None):
     if mode == ORACLE:
         if not oracle_applies(data):
             raise ValueError("oracle f-values are only available for generic arrangements with 1 <= n <= r - 1")
-        return lambda chi: oracle_f(chi.r, data.n, chi.phases) if chi.r > data.n else 0
+        return lambda chi: oracle_f(chi.r, data.n, chi.order, chi.exponents) if chi.r > data.n else 0
     raise ValueError("unknown f mode %r" % mode)
 
 
@@ -86,10 +86,7 @@ def betti_unbranched(
         count += 1
         if chi.is_trivial():
             trivial_term = val
-    expected = 1
-    for v in m:
-        expected *= v
-    assert count == expected, "character audit failed: %d != %d" % (count, expected)
+    assert count == prod(m), "character audit failed: %d != %d" % (count, prod(m))
     ranks = tuple(comb(data.r, p) for p in range(data.n)) + (total,)
     return BettiTable(
         mode="unbranched",
@@ -143,10 +140,7 @@ def betti_branched(
         val = f_by_support[keep](chi.restrict(keep))
         total += val
         buckets[keep] = buckets.get(keep, 0) + val
-    expected = 1
-    for v in m:
-        expected *= v
-    assert count == expected, "character audit failed: %d != %d" % (count, expected)
+    assert count == prod(m), "character audit failed: %d != %d" % (count, prod(m))
     ranks = (1,) + (0,) * (data.n - 1) + (total,)
     return BettiTable(
         mode="branched",
@@ -204,13 +198,12 @@ def milnor_fiber(data: ResolutionData, order_bound: int, f_mode: str = PRINCIPAL
     f = f_source(data, f_mode)
     mults: dict[Fraction, int] = {}
     for k in range(1, order_bound):
-        phase = Fraction(k, order_bound)
-        mults[phase] = f(diagonal_character(phase, data.r))
+        mults[Fraction(k, order_bound)] = f(CharacterPoint(order_bound, (k,) * data.r))
     factors = []
     for d in range(2, order_bound + 1):
         if order_bound % d:
             continue
-        orbit = [mults[Fraction(k, d)] for k in range(1, d) if Fraction(k, d).denominator == d]
+        orbit = [mults[Fraction(k, d)] for k in range(1, d) if gcd(k, d) == 1]
         if f_mode == ORACLE:
             assert len(set(orbit)) == 1, "oracle multiplicities must be orbit-constant"
         power = max(orbit)

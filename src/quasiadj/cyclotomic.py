@@ -14,7 +14,17 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
+
+
+def _integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values as a tuple of ints, refusing a Fraction, float or bool: the
+    oracle side's int check, apart from ratgeom's so the routes share none."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            raise TypeError("%s %r rejected; integers only" % (what, v))
+    return values
 
 
 def _exact_poly_div(num: Sequence[int], den: Sequence[int]) -> tuple[int, ...]:
@@ -183,8 +193,7 @@ class LaurentPoly:
         self.terms = {}
         if terms:
             for exps, coeff in terms.items():
-                if type(coeff) is not int or any(type(e) is not int for e in exps):
-                    raise TypeError("term %r: %r rejected; integers only" % (exps, coeff))
+                _integers((coeff, *exps), "Laurent term entry")
                 if len(exps) != nvars:
                     raise ValueError("exponent arity %d != %d" % (len(exps), nvars))
                 self.terms[exps] = self.terms.get(exps, 0) + coeff

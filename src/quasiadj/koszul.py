@@ -5,11 +5,12 @@ deformation-retracts to the n-skeleton of a product of circles whose
 fundamental group is the quotient of Z^r by the diagonal class.  The chain
 complex of the universal abelian cover of that skeleton is the Koszul-style
 contraction complex on Lambda^p(Z[t^+-]^(r-1)) truncated at p <= n, with
-differential contracting against (t_1 - 1, ..., t_(r-1) - 1).  Evaluating at
-a torsion character of order N, whose phases are k_i / N, puts every entry
-in Z[zeta_N]; fraction-free ranks there give twisted homology over
-Q(zeta_N) with no reference to the quasiadjunction machinery.  The top of a
-complex truncated at n has no incoming differential, so the oracle's
+differential contracting against (t_1 - 1, ..., t_(r-1) - 1).  A torsion
+character crosses into this module as integers, its order N and exponents
+k_i with t_i = zeta_N ** k_i; evaluating there puts every entry in
+Z[zeta_N], and fraction-free ranks give twisted homology over Q(zeta_N) with
+no reference to the quasiadjunction machinery.  The top of a complex
+truncated at n has no incoming differential, so the oracle's
 h_n = dim C_n - rank d_n takes one rank.  This module only shares the
 cyclotomic substrate, so it can serve as a second route.
 """
@@ -17,12 +18,11 @@ cyclotomic substrate, so it can serve as a second route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, lcm
+from math import comb, gcd
 
-from .cyclotomic import CyclotomicField, LaurentPoly, matrix_rank
+from .cyclotomic import CyclotomicField, LaurentPoly, _integers, matrix_rank
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,16 @@ class ComplexSpec:
         return ()
 
 
-def _exponents(phases) -> tuple[int, tuple[int, ...]]:
-    """The order N of the character and its exponents: phase_i = k_i / N mod 1."""
-    ratios = []
-    for p in phases:
-        if isinstance(p, float):
-            raise TypeError("floating point phase %r rejected" % p)
-        ratios.append((p if isinstance(p, (int, Fraction)) else Fraction(p)).as_integer_ratio())
-    order = lcm(*(q for _, q in ratios))
-    return order, tuple(k * (order // q) % order for k, q in ratios)
+def _character(order: int, exponents) -> tuple[int, tuple[int, ...]]:
+    """The character t_i = zeta_N ** k_i as (N, k) in lowest terms, so it has
+    one Z[zeta_N] however it is written.  A non-int order or exponent (bool,
+    float, Fraction) raises TypeError, an order below 1 ValueError."""
+    order, *ks = _integers((order, *exponents), "character order or exponent")
+    if order < 1:
+        raise ValueError("character order %d < 1" % order)
+    g = gcd(order, *ks)
+    order //= g
+    return order, tuple(k // g % order for k in ks)
 
 
 # entries of the dense differentials plus entry products of the composition
@@ -128,10 +129,10 @@ def _evaluated(field: CyclotomicField, exponents, matrix):
     return [[entry.evaluate(field, exponents) for entry in row] for row in matrix]
 
 
-def evaluate_at(spec: ComplexSpec, phases):
-    """Evaluate every differential at the character; returns (field, dict
-    p -> matrix of field elements)."""
-    order, exponents = _exponents(phases)
+def evaluate_at(spec: ComplexSpec, order: int, exponents):
+    """Evaluate every differential at the character of order N and exponents
+    k; returns (field, dict p -> matrix of field elements)."""
+    order, exponents = _character(order, exponents)
     if len(exponents) != spec.params:
         raise ValueError("character arity %d != %d parameters" % (len(exponents), spec.params))
     field = CyclotomicField(order)
@@ -139,25 +140,26 @@ def evaluate_at(spec: ComplexSpec, phases):
     return field, mats
 
 
-def homology_ranks_at(spec: ComplexSpec, phases) -> tuple[int, ...]:
+def homology_ranks_at(spec: ComplexSpec, order: int, exponents) -> tuple[int, ...]:
     """Exact Betti numbers of the evaluated complex in degrees 0..top.
 
     h_p = dim_p - rank d_p - rank d_(p+1); the top degree has no incoming
     differential, so h_top is the kernel rank of d_top.
     """
-    field, mats = evaluate_at(spec, phases)
+    field, mats = evaluate_at(spec, order, exponents)
     ranks = [0] + [matrix_rank(field, mats[p]) for p in range(1, spec.top + 1)] + [0]
     return tuple(spec.dims[p] - ranks[p] - ranks[p + 1] for p in range(spec.top + 1))
 
 
-def on_support(phases) -> bool:
-    """The arrangement support criterion: sum of phases integral."""
-    order, exponents = _exponents(phases)
+def on_support(order: int, exponents) -> bool:
+    """The arrangement support criterion: k_1 + ... + k_r = 0 mod N."""
+    order, exponents = _character(order, exponents)
     return sum(exponents) % order == 0
 
 
-def oracle_f(r: int, n: int, phases) -> int:
-    """Twisted rank of degree-n homology for the r-hyperplane arrangement.
+def oracle_f(r: int, n: int, order: int, exponents) -> int:
+    """Twisted rank of degree-n homology for the r-hyperplane arrangement at
+    the character t_i = zeta_N ** k_i, N = order and k = exponents (ints).
 
     Off the support this is 0.  On the support the character factors through
     the (r-1)-parameter skeleton group, and the value is H_n of the evaluated
@@ -167,12 +169,11 @@ def oracle_f(r: int, n: int, phases) -> int:
     callers keep it labeled).  There k_r = -(k_1 + ... + k_(r-1)) mod N, so
     d_n is evaluated at the first r-1 exponents in the same Z[zeta_N].
     """
-    phases = tuple(phases)
-    if len(phases) != r:
-        raise ValueError("character arity %d != r = %d" % (len(phases), r))
+    order, exponents = _character(order, exponents)
+    if len(exponents) != r:
+        raise ValueError("character arity %d != r = %d" % (len(exponents), r))
     if not 1 <= n <= r - 1:
         raise ValueError("degree n = %d outside [1, %d] for the skeleton model" % (n, r - 1))
-    order, exponents = _exponents(phases)
     if sum(exponents) % order:
         return 0
     spec = truncated_koszul(r - 1, n)
@@ -181,13 +182,11 @@ def oracle_f(r: int, n: int, phases) -> int:
     return spec.dims[n] - matrix_rank(field, d_n)
 
 
-def cone_support(degrees, phases) -> bool:
-    """Support certification for cone families: the weighted phase sum
-    d_1 p_1 + ... + d_r p_r must be integral (weighted-degree grading)."""
-    for d in degrees:
-        if type(d) is not int:
-            raise TypeError("degree %r rejected; degrees are integers" % (d,))
-    order, exponents = _exponents(phases)
+def cone_support(degrees, order: int, exponents) -> bool:
+    """Support certification for cone families: the weighted exponent sum
+    d_1 k_1 + ... + d_r k_r must vanish mod N (weighted-degree grading)."""
+    degrees = _integers(degrees, "degree")
+    order, exponents = _character(order, exponents)
     if len(exponents) != len(degrees):
         raise ValueError("character arity %d != %d" % (len(exponents), len(degrees)))
     return sum(d * k for d, k in zip(degrees, exponents)) % order == 0

@@ -271,7 +271,7 @@ def lp_maximize(
     the post-phase-1 tableau and basis, so its answer is the one a solve with
     that objective alone gives, whatever the other objectives are.  Returns
     one (optimum, witness point) per objective.  Raises Infeasible or
-    Unbounded.
+    Unbounded, and ValueError when the objectives and forms differ in arity.
 
     Forms and objectives are integers, so the tableau holds integers over one
     denominator (see _pivot), and Fractions appear only in the returned
@@ -281,8 +281,9 @@ def lp_maximize(
     if not objectives:
         raise ValueError("no objective: the variable count is the objectives' arity")
     r = len(objectives[0])
-    if any(len(obj) != r for obj in objectives):
-        raise ValueError("objective arity mismatch")
+    arities = {len(v) for v in (*objectives, *(f.coeffs for f in (*ineqs, *eqs)))}
+    if arities != {r}:
+        raise ValueError("objectives and forms of arities %s in one problem" % sorted(arities))
     nslack = len(ineqs)
     rows = []
     for k, f in enumerate((*ineqs, *eqs)):

@@ -13,7 +13,6 @@ from quasiadj.charvariety import (
     PrincipalComponent,
     TranslatedSubtorus,
     classify_essential,
-    diagonal_character,
     exp_face,
     make_subtorus,
     polynomial_invariant,
@@ -40,7 +39,7 @@ def test_character_point_basics():
     assert not chi.is_trivial()
     assert chi.conjugate().phases == (F(3, 4), F(1, 3), F(0))
     assert chi.restrict((0, 2)).phases == (F(1, 4), F(0))
-    assert diagonal_character(F(1, 2), 2).phases == (F(1, 2), F(1, 2))
+    assert CharacterPoint(4, (2, 2)).phases == (F(1, 2), F(1, 2))
     with pytest.raises(TypeError):
         CharacterPoint.from_phases((0.5,))
 
@@ -232,7 +231,7 @@ def test_eigenvalue_points_of_one_variable_cone():
 def test_principal_f_values():
     a4 = generic_arrangement(4, 2)
     comps = principal_components(a4)
-    assert principal_f(diagonal_character(F(1, 4), 4), comps) == 1
+    assert principal_f(CharacterPoint(4, (1,) * 4), comps) == 1
     assert principal_f(CharacterPoint.from_phases((F(1, 2), F(1, 2), F(0), F(0))), comps) == 1
     assert principal_f(CharacterPoint.from_phases((F(1, 2), F(0), F(0), F(0))), comps) == 0
     assert principal_f(CharacterPoint.from_phases((F(0),) * 4), comps) == 1  # trivial lies on the torus

@@ -86,14 +86,14 @@ def test_check_cone_support(capsys):
 
 
 def test_check_exit_two_on_mismatch(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "oracle_f", lambda r, n, phases: 99)
+    monkeypatch.setattr(cli, "oracle_f", lambda r, n, order, exponents: 99)
     code, out, _ = run(["check", "--arrangement", "4", "--n", "2", "--order", "2"], capsys)
     assert code == 2
     assert "MISMATCH" in out
 
 
 def test_check_cone_exit_two_on_unsound_membership(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "cone_support", lambda degrees, phases: False)
+    monkeypatch.setattr(cli, "cone_support", lambda degrees, order, exponents: False)
     code, out, _ = run(["check", "--cone", "2,3", "--n", "2", "--bound", "3", "--order", "6"], capsys)
     assert code == 2
     assert "VIOLATION" in out

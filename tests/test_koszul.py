@@ -13,7 +13,6 @@ import quasiadj.koszul as koszul
 from quasiadj.charvariety import CharacterPoint, torsion_characters
 from quasiadj.cyclotomic import LaurentPoly
 from quasiadj.koszul import (
-    _exponents,
     composition_is_zero,
     cone_support,
     evaluate_at,
@@ -28,18 +27,23 @@ F = Fraction
 
 def test_oracle_imports_only_the_cyclotomic_substrate():
     # the oracle shares no code path with the face and torus machinery: its
-    # one import from the package is .cyclotomic
+    # one import from the package is .cyclotomic; and characters cross into
+    # it as integers, so it never imports fractions
     tree = ast.parse(Path(koszul.__file__).read_text())
-    package = set()
+    package, outside = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "quasiadj"):
             if node.module:
                 package.add("." * node.level + node.module)
             else:  # from . import name
                 package.update("." * node.level + alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            outside.add(node.module.split(".")[0])
         elif isinstance(node, ast.Import):
             package.update(alias.name for alias in node.names if alias.name.split(".")[0] == "quasiadj")
+            outside.update(alias.name.split(".")[0] for alias in node.names)
     assert package == {".cyclotomic"}
+    assert "fractions" not in outside
 
 
 def test_truncated_koszul_shape():
@@ -84,54 +88,49 @@ def test_composition_is_zero_all_sizes():
 def test_homology_full_vs_truncated():
     # full Koszul complex of r parameters at a nontrivial character is exact
     spec = truncated_koszul(3, 3)
-    nontrivial = (F(1, 2), F(0), F(0))
-    assert homology_ranks_at(spec, nontrivial) == (0, 0, 0, 0)
+    assert homology_ranks_at(spec, 2, (1, 0, 0)) == (0, 0, 0, 0)
     # truncation keeps the kernel of the missing differential in top degree
     trunc = truncated_koszul(3, 2)
-    assert homology_ranks_at(trunc, nontrivial) == (0, 0, 1)
-    trivial = (F(0), F(0), F(0))
-    assert homology_ranks_at(trunc, trivial) == (1, 3, 3)
+    assert homology_ranks_at(trunc, 2, (1, 0, 0)) == (0, 0, 1)
+    assert homology_ranks_at(trunc, 1, (0, 0, 0)) == (1, 3, 3)
 
 
 def test_oracle_f_known_values():
     # diagonal and generic order-4 characters on the 4-line arrangement
-    assert oracle_f(4, 2, (F(1, 4),) * 4) == 1
-    assert oracle_f(4, 2, (F(1, 2),) * 4) == 1
-    assert oracle_f(4, 2, (F(3, 4),) * 4) == 1
-    assert oracle_f(4, 2, (F(1, 2), F(1, 2), F(1, 2), F(1, 2))) == 1
-    assert oracle_f(4, 2, (F(1, 2), F(1, 2), F(0), F(0))) == 1
-    assert oracle_f(4, 2, (F(1, 4), F(1, 4), F(1, 4), F(0))) == 0  # off support
-    assert oracle_f(4, 2, (F(0),) * 4) == 3  # trivial: elimination output
-    assert oracle_f(5, 2, (F(1, 5),) * 5) == comb(3, 2)
+    assert oracle_f(4, 2, 4, (1,) * 4) == 1
+    assert oracle_f(4, 2, 2, (1,) * 4) == 1
+    assert oracle_f(4, 2, 4, (3,) * 4) == 1
+    assert oracle_f(4, 2, 4, (2, 2, 2, 2)) == 1  # order 2, not in lowest terms
+    assert oracle_f(4, 2, 2, (1, 1, 0, 0)) == 1
+    assert oracle_f(4, 2, 4, (1, 1, 1, 0)) == 0  # off support
+    assert oracle_f(4, 2, 1, (0,) * 4) == 3  # trivial: elimination output
+    assert oracle_f(5, 2, 5, (1,) * 5) == comb(3, 2)
     with pytest.raises(ValueError):
-        oracle_f(4, 4, (F(0),) * 4)
-    with pytest.raises(TypeError):
-        oracle_f(4, 2, (0.25, 0.25, 0.25, 0.25))
+        oracle_f(4, 4, 1, (0,) * 4)
 
 
 def test_character_sweep_support_law():
-    rows = [(chi.phases, oracle_f(4, 2, chi.phases)) for chi in torsion_characters((3,) * 4)]
+    rows = [(chi, oracle_f(4, 2, chi.order, chi.exponents)) for chi in torsion_characters((3,) * 4)]
     assert len(rows) == 81
-    for phases, f in rows:
-        assert (f > 0) == on_support(phases)
+    for chi, f in rows:
+        assert (f > 0) == on_support(chi.order, chi.exponents)
     total = sum(f for _, f in rows)
     # 26 nontrivial on-support characters with f = 1, trivial contributes 3
     assert total == 29
 
 
 def test_support_predicates():
-    assert on_support((F(1, 2), F(1, 2)))
-    assert not on_support((F(1, 2), F(0)))
-    assert cone_support((2, 3), (F(1, 2), F(1, 3)))
-    assert not cone_support((2, 3), (F(1, 2), F(1, 2)))
+    assert on_support(2, (1, 1))
+    assert not on_support(2, (1, 0))
+    assert cone_support((2, 3), 6, (3, 2))
+    assert not cone_support((2, 3), 2, (1, 1))
 
 
 def test_cone_support_refuses_non_integer_degrees():
     # a float or bool degree is refused, not read as the integer it equals
-    for degrees, phases in (((2.0, 3), (F(1, 2), F(1, 3))), ((True, 1), (F(1, 2), F(1, 2))),
-                            ((2, F(3)), (F(1, 2), F(1, 3)))):
+    for degrees, order, exponents in (((2.0, 3), 6, (3, 2)), ((True, 1), 2, (1, 1)), ((2, F(3)), 6, (3, 2))):
         with pytest.raises(TypeError, match="degree"):
-            cone_support(degrees, phases)
+            cone_support(degrees, order, exponents)
 
 
 def test_conjugation_invariance_property():
@@ -141,7 +140,8 @@ def test_conjugation_invariance_property():
         n = rng.randint(1, r - 1)
         phases = tuple(F(rng.randint(0, 5), rng.choice((1, 2, 3, 6))) for _ in range(r))
         chi = CharacterPoint.from_phases(phases)
-        assert oracle_f(r, n, chi.phases) == oracle_f(r, n, chi.conjugate().phases)
+        bar = chi.conjugate()
+        assert oracle_f(r, n, chi.order, chi.exponents) == oracle_f(r, n, bar.order, bar.exponents)
 
 
 def test_numeric_composition_vanishes_property():
@@ -150,8 +150,8 @@ def test_numeric_composition_vanishes_property():
         params = rng.randint(2, 4)
         top = rng.randint(1, min(params, 3))
         spec = truncated_koszul(params, top)
-        phases = tuple(F(rng.randint(0, 5), rng.choice((1, 2, 3, 4, 6))) for _ in range(params))
-        field, mats = evaluate_at(spec, phases)
+        chi = CharacterPoint.from_phases(F(rng.randint(0, 5), rng.choice((1, 2, 3, 4, 6))) for _ in range(params))
+        field, mats = evaluate_at(spec, chi.order, chi.exponents)
         for p in range(2, top + 1):
             upper, lower = mats[p], mats[p - 1]
             # (d_{p-1} after d_p) must vanish entrywise
@@ -161,20 +161,58 @@ def test_numeric_composition_vanishes_property():
                     for k2, down in enumerate(lower[j]):
                         composed[k2] = field.add(composed[k2], field.mul(entry, down))
                 assert all(field.is_zero(v) for v in composed)
-        ranks = homology_ranks_at(spec, phases)
+        ranks = homology_ranks_at(spec, chi.order, chi.exponents)
         assert all(v >= 0 for v in ranks)
 
 
-def test_exponents_clear_phase_denominators():
-    assert _exponents((F(1, 2), F(-1, 3))) == (6, (3, 4))
-    assert _exponents((F(0),)) == (1, (0,))
-    with pytest.raises(TypeError):
-        _exponents((F(1, 2), 0.5))
+def test_characters_evaluate_in_lowest_terms():
+    # (12, (6, 4)) is the character (6, (3, 2)): its entries lie in Z[zeta_6]
+    field, mats = evaluate_at(truncated_koszul(2, 1), 12, (6, 4))
+    assert field.order == 6
+    assert mats == evaluate_at(truncated_koszul(2, 1), 6, (3, 2))[1]
+    assert evaluate_at(truncated_koszul(1, 1), 5, (0,))[0].order == 1
+    # negative exponents reduce mod N
+    assert koszul._character(6, (-3, -4)) == (6, (3, 2))
+    assert koszul._character(12, (-6, 4)) == (6, (3, 2))
+    assert evaluate_at(truncated_koszul(2, 1), 6, (-3, -4))[1] == mats
+    assert oracle_f(3, 1, 6, (-1, -2, 3)) == oracle_f(3, 1, 6, (5, 4, 3)) == 1
 
 
-def test_field_for_uses_phase_orders():
-    assert evaluate_at(truncated_koszul(2, 1), (F(1, 2), F(1, 3)))[0].order == 6
-    assert evaluate_at(truncated_koszul(1, 1), (F(0),))[0].order == 1
+def test_oracle_refuses_non_integer_characters():
+    # a float, bool or Fraction order or exponent is refused, never read as
+    # the integer it equals, and so are orders below 1 and wrong arities
+    bad = ((2.0, (1, 1)), (True, (0, 0)), (F(2), (1, 1)), (2, (1.0, 1)), (2, (1, False)), (2, (F(1), 1)))
+    for order, exponents in bad:
+        for call in (lambda: oracle_f(2, 1, order, exponents), lambda: on_support(order, exponents),
+                     lambda: cone_support((1, 1), order, exponents),
+                     lambda: evaluate_at(truncated_koszul(2, 1), order, exponents),
+                     lambda: homology_ranks_at(truncated_koszul(2, 1), order, exponents)):
+            with pytest.raises(TypeError, match="integers"):
+                call()
+    for order in (0, -2):
+        for call in (lambda: oracle_f(2, 1, order, (1, 1)), lambda: on_support(order, (1, 1)),
+                     lambda: cone_support((1, 1), order, (1, 1)),
+                     lambda: evaluate_at(truncated_koszul(2, 1), order, (1, 1))):
+            with pytest.raises(ValueError, match="order"):
+                call()
+    for call in (lambda: oracle_f(3, 1, 2, (1, 1)), lambda: cone_support((1, 1, 1), 2, (1, 1)),
+                 lambda: evaluate_at(truncated_koszul(3, 1), 2, (1, 1))):
+        with pytest.raises(ValueError, match="arity"):
+            call()
+
+
+def test_oracle_is_invariant_under_scaling_the_character_property():
+    # (g N, g k) is the character (N, k): the same field, the same f
+    rng = random.Random(1616)
+    for _ in range(400):
+        r = rng.randint(2, 5)
+        n = rng.randint(1, r - 1)
+        order = rng.randint(1, 12)
+        k = [rng.randint(-2 * order, 2 * order) for _ in range(r)]
+        if rng.random() < 0.7:
+            k[-1] = -sum(k[:-1])
+        g = rng.randint(1, 6)
+        assert oracle_f(r, n, order, k) == oracle_f(r, n, g * order, [g * v for v in k])
 
 
 def test_oracle_top_rank_matches_full_complex_property():
@@ -190,12 +228,12 @@ def test_oracle_top_rank_matches_full_complex_property():
         if rng.random() < 0.7:
             k[-1] = -sum(k[:-1]) % order
         chi = CharacterPoint(order, tuple(k))
-        for phases in (chi.phases, chi.conjugate().phases):
-            if on_support(phases):
+        for c in (chi, chi.conjugate()):
+            if on_support(c.order, c.exponents):
                 on += 1
-                full = homology_ranks_at(truncated_koszul(r - 1, n), phases[: r - 1])
-                assert oracle_f(r, n, phases) == full[n]
+                full = homology_ranks_at(truncated_koszul(r - 1, n), c.order, c.exponents[: r - 1])
+                assert oracle_f(r, n, c.order, c.exponents) == full[n]
             else:
                 off += 1
-                assert oracle_f(r, n, phases) == 0
+                assert oracle_f(r, n, c.order, c.exponents) == 0
     assert on > 600 and off > 200

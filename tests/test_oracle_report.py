@@ -100,7 +100,7 @@ SMALL_SWEEPS = [(r, n, order) for r in range(2, 7) for n in range(1, r) for orde
 
 def test_oracle_cli_reports_match_dict_reports():
     for r, n, order in SMALL_SWEEPS:
-        rows = [([str(p) for p in chi.phases], oracle_f(r, n, chi.phases))
+        rows = [([str(p) for p in chi.phases], oracle_f(r, n, chi.order, chi.exponents))
                 for chi in torsion_characters((order,) * r)]
         argv = ["oracle", "--arrangement", str(r), "--n", str(n), "--order", str(order), "--format"]
         assert _cli(argv + ["structured"]) == _dump_yaml(as_dict(r, n, order, rows))

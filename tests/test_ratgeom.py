@@ -209,6 +209,19 @@ def test_lp_known_values():
         lp_maximize([], cube_bounds(1))
 
 
+def test_lp_refuses_forms_of_another_arity():
+    # a short form's slack entry would land on its right-hand side, and a long
+    # form's extra coefficient on a slack: each would solve another problem
+    with pytest.raises(ValueError, match=r"arities \[1, 2\] in one problem"):
+        lp_maximize([[1, 1]], cube_bounds(2) + [AffineForm((1,), -1)])
+    with pytest.raises(ValueError, match=r"arities \[1, 2\] in one problem"):
+        lp_maximize([[1]], cube_bounds(1) + [AffineForm((1, 1), -1)])
+    with pytest.raises(ValueError, match=r"arities \[1, 2\] in one problem"):
+        lp_maximize([[1]], cube_bounds(1), [AffineForm((1, 1), -1)])
+    with pytest.raises(ValueError, match=r"arities \[1, 2\] in one problem"):
+        lp_maximize([[1], [1, 0]], cube_bounds(1))
+
+
 def _random_feasible_system(rng):
     """Cube facets plus random inequalities that keep a random anchor point
     feasible; returns (width, anchor, ineqs)."""
