@@ -165,17 +165,24 @@ def test_numeric_composition_vanishes_property():
         assert all(v >= 0 for v in ranks)
 
 
-def test_characters_evaluate_in_lowest_terms():
+def test_exponents_clear_phase_denominators():
+    # a character (N, k) is reduced to lowest terms, as clearing the phases'
+    # denominators did: divide by gcd(N, *k), then reduce each k mod N
+    assert koszul._character(12, (6, 4)) == (6, (3, 2))
+    assert koszul._character(5, (0,)) == (1, (0,))
+    # negative exponents reduce mod N
+    assert koszul._character(6, (-3, -4)) == (6, (3, 2))
+    assert koszul._character(12, (-6, 4)) == (6, (3, 2))
+    assert oracle_f(3, 1, 6, (-1, -2, 3)) == oracle_f(3, 1, 6, (5, 4, 3)) == 1
+
+
+def test_field_for_uses_phase_orders():
     # (12, (6, 4)) is the character (6, (3, 2)): its entries lie in Z[zeta_6]
     field, mats = evaluate_at(truncated_koszul(2, 1), 12, (6, 4))
     assert field.order == 6
     assert mats == evaluate_at(truncated_koszul(2, 1), 6, (3, 2))[1]
-    assert evaluate_at(truncated_koszul(1, 1), 5, (0,))[0].order == 1
-    # negative exponents reduce mod N
-    assert koszul._character(6, (-3, -4)) == (6, (3, 2))
-    assert koszul._character(12, (-6, 4)) == (6, (3, 2))
     assert evaluate_at(truncated_koszul(2, 1), 6, (-3, -4))[1] == mats
-    assert oracle_f(3, 1, 6, (-1, -2, 3)) == oracle_f(3, 1, 6, (5, 4, 3)) == 1
+    assert evaluate_at(truncated_koszul(1, 1), 5, (0,))[0].order == 1
 
 
 def test_oracle_refuses_non_integer_characters():
