@@ -204,10 +204,12 @@ def cmd_betti(args):
     if len(args.m) != data.r:
         raise CliInputError("--m needs %d entries" % data.r)
     mode = ORACLE if oracle_applies(data) else PRINCIPAL
-    tables = [betti_unbranched(data, args.m, f_mode=mode)]
+    # one face search serves both tables' full support
+    components = principal_components(data) if mode == PRINCIPAL else None
+    tables = [betti_unbranched(data, args.m, components, f_mode=mode)]
     lines = []
     if data.family is not None:
-        tables.append(betti_branched(data, args.m, f_mode=mode))
+        tables.append(betti_branched(data, args.m, components, f_mode=mode))
     else:
         lines.append("branched table skipped: needs builtin family provenance")
     report = {t.mode: betti_dict(t) for t in tables}

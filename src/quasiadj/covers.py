@@ -111,13 +111,18 @@ def _subunion(data: ResolutionData, keep: tuple[int, ...]) -> ResolutionData:
 
 
 def betti_branched(
-    data: ResolutionData, m, f_mode: str = PRINCIPAL
+    data: ResolutionData, m, components=None, f_mode: str = PRINCIPAL
 ) -> BettiTable:
     """Homology ranks of the branched cover.
 
     Characters are bucketed by their support I (coordinates with nontrivial
     phase); each contributes f of the restricted character computed against
     the subunion with only the branches in I.  Degrees 1..n-1 vanish.
+
+    On the principal route the full support reads components (the principal
+    components of data, computed unless given), and a subunion's components
+    are computed once per family tuple: supports whose branches have equal
+    degrees, in order, give the same subunion.
     """
     m = tuple(_expect_int(v, "m[%d]" % i) for i, v in enumerate(m))
     if len(m) != data.r:
@@ -126,6 +131,7 @@ def betti_branched(
     # builds subunion data
     oracle = None if f_mode == PRINCIPAL else f_source(data, f_mode)
     f_by_support: dict = {}
+    f_by_family: dict = {}
     total = 0
     count = 0
     buckets: dict[tuple[int, ...], int] = {}
@@ -136,7 +142,15 @@ def betti_branched(
             buckets[keep] = buckets.get(keep, 0)
             continue
         if keep not in f_by_support:
-            f_by_support[keep] = oracle or f_source(_subunion(data, keep), PRINCIPAL)
+            if oracle is not None:
+                f_by_support[keep] = oracle
+            elif len(keep) == data.r:
+                f_by_support[keep] = f_source(data, PRINCIPAL, components)
+            else:
+                sub = _subunion(data, keep)
+                if sub.family not in f_by_family:
+                    f_by_family[sub.family] = f_source(sub, PRINCIPAL)
+                f_by_support[keep] = f_by_family[sub.family]
         val = f_by_support[keep](chi.restrict(keep))
         total += val
         buckets[keep] = buckets.get(keep, 0) + val

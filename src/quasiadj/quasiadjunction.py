@@ -20,6 +20,7 @@ from .ratgeom import (
     AffineForm,
     HalfspaceSystem,
     Infeasible,
+    _over_lcm,
     cube_bounds,
     lp_maximize,
     rat,
@@ -57,13 +58,23 @@ class MembershipVerdict:
     x: tuple[Fraction, ...]
 
 
-def _verdict_at(data: ResolutionData, forms: tuple[AffineForm, ...], x) -> MembershipVerdict:
+def _dots(forms: tuple[AffineForm, ...], x) -> tuple[list[int], int]:
+    """coeffs . x of each form at x, as integer numerators over one
+    positive denominator, x's least common one."""
+    nums, den = _over_lcm(x)
+    if forms and len(nums) != forms[0].arity:
+        raise ValueError("point arity %d != form arity %d" % (len(nums), forms[0].arity))
+    return [sum(c * v for c, v in zip(f.coeffs, nums)) for f in forms], den
+
+
+def _verdict_at(data: ResolutionData, forms: tuple[AffineForm, ...], x, dots, den) -> MembershipVerdict:
     """Verdict at x for the germ whose constraint forms, one per exceptional
-    component, are forms."""
-    values = {exc.id: f.value(x) for exc, f in zip(data.exceptional, forms)}
-    in_log = all(v <= 0 for v in values.values())
-    in_ideal = all(v < 0 for v in values.values())
-    tight = tuple(sorted(eid for eid, v in values.items() if v == 0))
+    component, are forms, with dots, den = _dots(forms, x).  Only signs
+    count, and the form's value at x has the sign of dot + const * den."""
+    values = [d + f.const * den for d, f in zip(dots, forms)]
+    in_log = all(v <= 0 for v in values)
+    in_ideal = all(v < 0 for v in values)
+    tight = tuple(sorted(exc.id for exc, v in zip(data.exceptional, values) if v == 0))
     weight = 0
     if in_log and not in_ideal:
         weight = max(rec.fold for rec in data.incidence if rec.members.issubset(tight))
@@ -76,7 +87,8 @@ def membership(data: ResolutionData, germ, array: QuasiArray) -> MembershipVerdi
         germ = data.germ(germ)
     if array.r != data.r:
         raise ValueError("array length %d != r = %d" % (array.r, data.r))
-    return _verdict_at(data, _forms(data, germ), array.x_point())
+    forms, x = _forms(data, germ), array.x_point()
+    return _verdict_at(data, forms, x, *_dots(forms, x))
 
 
 def multiplier_ideal_membership(data: ResolutionData, germ, gamma) -> bool:
@@ -111,10 +123,13 @@ def _systems(data: ResolutionData) -> dict[tuple[AffineForm, ...], list[str]]:
 
 
 def _weight_witnesses(data: ResolutionData, systems, x) -> dict[int, tuple[str, ...]]:
-    """weight_witnesses with the systems already built: one verdict per system."""
+    """weight_witnesses with the systems already built: one verdict per
+    system.  Systems differ only in their constants, so each exceptional
+    component's a_E . x is computed once."""
+    dots, den = _dots(next(iter(systems), ()), x)
     weights = {}
     for forms, labels in systems.items():
-        weights.update(dict.fromkeys(labels, _verdict_at(data, forms, x).weight))
+        weights.update(dict.fromkeys(labels, _verdict_at(data, forms, x, dots, den).weight))
     out: dict[int, list[str]] = {}
     for germ in data.germs:
         w = weights[germ.label]

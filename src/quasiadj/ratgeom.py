@@ -4,9 +4,11 @@ Affine forms have integer coefficients and constant; points, witnesses and
 optima are fractions.Fraction.  Integer lattice work (kernels, saturation,
 affine spans) goes through the one Hermite reducer, and a small two-phase
 simplex solves one set for many objectives (phase 1 once, phase 2 once per
-objective).  Evaluation, the simplex tableau (one common denominator,
-exact-division pivots) and the relative-interior centroid all work in
-integers; an optimum or witness becomes a Fraction once, on the way out.
+objective).  Evaluation, the simplex and the relative-interior centroid all
+work in integers.  The simplex keeps a condensed tableau, the nonbasic
+columns only, over one common denominator with exact-division pivots
+(Edmonds 1967; the dictionary form of lrs, Avis and Fukuda 1992); an
+optimum, witness or sample becomes a Fraction once, on the way out.
 Floating point input is rejected at the boundary; nothing in here ever
 rounds.
 """
@@ -211,43 +213,58 @@ class Unbounded(Exception):
     pass
 
 
-def _pivot(rows, cost, basis, den, pr, pc):
-    """Pivot the integer tableau rows/den (cost row included) on entry
-    (pr, pc) and return the new denominator, the pivot entry made positive.
+def _pivot(rows, cost, basis, nonbasic, den, pr, pc):
+    """Exchange the basic variable of row pr with the nonbasic variable of
+    column pc in the condensed integer tableau rows/den (cost row included),
+    and return the new denominator, the pivot entry made positive.
 
-    The pivot row stays as it is (negated if its entry is negative) and
-    every other row becomes (row * p - row[pc] * prow) / den.  The division
-    is exact (Edmonds 1967): every entry stays a minor of the initial
-    integer matrix, and den the absolute determinant of the current basis.
+    A row holds the entries of the nonbasic variables, in the order of
+    nonbasic, and then the right-hand side; a basic column is den times a
+    unit vector, so it is not stored (the dictionary form of lrs: Avis and
+    Fukuda, "A pivoting algorithm for convex hulls and vertex enumeration
+    of arrangements and polyhedra", 1992).  The pivot row stays as it is,
+    negated if its entry is negative.  The leaving variable's column takes
+    the entering one's place, with den on the pivot row and -row[pc] off
+    it (both negated with the pivot row), and every other entry becomes
+    (a * p - row[pc] * prow[j]) / den.  The division is exact (Edmonds,
+    "Systems of distinct representatives and linear algebra", 1967): every
+    entry stays a minor of the initial integer matrix, and den the absolute
+    determinant of the current basis.
     """
     prow = rows[pr]
-    if prow[pc] < 0:
-        prow[:] = [-v for v in prow]
     p = prow[pc]
+    prow[pc] = den  # the leaving variable's column: den on the pivot row, 0 off it
+    if p < 0:
+        p = -p
+        prow[:] = [-v for v in prow]
     for row in (*rows, cost):
         if row is prow:
             continue
         f = row[pc]
         if f:
+            row[pc] = 0
             row[:] = [(a * p - f * b) // den for a, b in zip(row, prow)]
         elif p != den:
             row[:] = [a * p // den for a in row]
-    basis[pr] = pc
+    basis[pr], nonbasic[pc] = nonbasic[pc], basis[pr]
     return p
 
 
-def _run_simplex(rows, cost, basis, den):
-    """Bland's rule on a canonical integer tableau with denominator den;
+def _run_simplex(rows, cost, basis, nonbasic, den):
+    """Bland's rule on a condensed integer tableau with denominator den;
     cost row is the z-row of a maximization (optimal when no negative
     reduced cost remains).  Returns the final denominator.
 
-    The leaving row has the least ratio rhs/entry over the positive entries
-    of the column, compared as cross products, and ties go to the smallest
-    basic variable: the rule over Q, so the pivots are the same."""
+    The entering variable is the nonbasic one of least index with a
+    negative reduced cost.  The leaving row has the least ratio rhs/entry
+    over the positive entries of the column, compared as cross products,
+    and ties go to the smallest basic variable: the rule over Q, so the
+    pivots are the same."""
     while True:
-        pc = next((j for j in range(len(cost) - 1) if cost[j] < 0), None)
-        if pc is None:
+        entering = [j for j in range(len(nonbasic)) if cost[j] < 0]
+        if not entering:
             return den
+        pc = min(entering, key=nonbasic.__getitem__)
         pr = best = None
         for i, row in enumerate(rows):
             if row[pc] > 0 and (
@@ -256,7 +273,87 @@ def _run_simplex(rows, cost, basis, den):
                 pr, best = i, row
         if pr is None:
             raise Unbounded()
-        den = _pivot(rows, cost, basis, den, pr, pc)
+        den = _pivot(rows, cost, basis, nonbasic, den, pr, pc)
+
+
+def _phase1(ineqs, eqs, r):
+    """The condensed tableau (rows, basis, nonbasic, den) of a basic
+    feasible point of {x >= 0, every ineq <= 0, every eq == 0} in r
+    variables, or Infeasible.
+
+    Variables 0..r-1 are x, r + k is the slack of ineqs[k], and an
+    artificial variable, numbered from there on in row order, starts basic
+    in each row whose slack cannot (an equation, or an inequality whose
+    right-hand side is negative, its row negated).  Phase 1 maximizes minus
+    their sum; the artificials left basic at zero are then driven out, and
+    a row that cannot drive its artificial out is redundant.  The result
+    holds neither the artificial columns nor the redundant rows, so phase 2
+    never pivots an artificial back in.
+    """
+    real = r + len(ineqs)
+    flipped = [k for k, f in enumerate(ineqs) if f.const > 0]  # slacks that start nonbasic
+    nonbasic = list(range(r)) + [r + k for k in flipped]
+    rows, basis = [], []
+    artificial = real
+    for k, f in enumerate((*ineqs, *eqs)):
+        row = [*f.coeffs, *(int(k == s) for s in flipped), -f.const]
+        if k < len(ineqs) and f.const <= 0:
+            basis.append(r + k)
+        else:
+            if f.const > 0:
+                row = [-v for v in row]
+            basis.append(artificial)
+            artificial += 1
+        rows.append(row)
+    # maximize -(sum of artificials), over denominator 1
+    cost = [0] * (len(nonbasic) + 1)
+    for row, b in zip(rows, basis):
+        if b >= real:
+            cost = [a - v for a, v in zip(cost, row)]
+    den = _run_simplex(rows, cost, basis, nonbasic, 1)
+    if cost[-1] != 0:
+        raise Infeasible()
+    keep = []
+    for i, row in enumerate(rows):
+        if basis[i] >= real:
+            cols = [j for j, v in enumerate(row[:-1]) if v and nonbasic[j] < real]
+            if not cols:
+                continue  # redundant constraint: row is zero on real variables
+            den = _pivot(rows, cost, basis, nonbasic, den, i, min(cols, key=nonbasic.__getitem__))
+        keep.append(i)
+    cols = [j for j, v in enumerate(nonbasic) if v < real]
+    rows = [[rows[i][j] for j in cols] + rows[i][-1:] for i in keep]
+    return rows, [basis[i] for i in keep], [nonbasic[j] for j in cols], den
+
+
+def _phase2(rows, basis, nonbasic, den, objective):
+    """max objective . x from the tableau _phase1 returned, as integers
+    (optimum numerator, witness numerators, den).  Raises Unbounded.
+
+    The tableau is left as it is: it is copied only when the objective's
+    cost row has a negative entry, so that a pivot follows.
+    """
+    r = len(objective)
+    cost = [-objective[v] * den if v < r else 0 for v in nonbasic] + [0]
+    for row, b in zip(rows, basis):
+        if b < r and objective[b]:
+            c = objective[b]
+            cost = [a + c * v for a, v in zip(cost, row)]
+    if min(cost[:-1], default=0) < 0:
+        rows, basis, nonbasic = [row[:] for row in rows], basis[:], nonbasic[:]
+        den = _run_simplex(rows, cost, basis, nonbasic, den)
+    point = [0] * r
+    for row, b in zip(rows, basis):
+        if b < r:
+            point[b] = row[-1]
+    # the z-row's right-hand side is the optimum over den
+    return cost[-1], point, den
+
+
+def _check_arities(r: int, vectors) -> None:
+    arities = {len(v) for v in vectors} | {r}
+    if len(arities) > 1:
+        raise ValueError("objectives and forms of arities %s in one problem" % sorted(arities))
 
 
 def lp_maximize(
@@ -267,10 +364,10 @@ def lp_maximize(
     """max objective . x subject to x >= 0, every ineq <= 0, every eq == 0,
     for each of the integer objectives over the one set.
 
-    Phase 1 runs once.  Each objective's phase 2 starts from its own copy of
-    the post-phase-1 tableau and basis, so its answer is the one a solve with
-    that objective alone gives, whatever the other objectives are.  Returns
-    one (optimum, witness point) per objective.  Raises Infeasible or
+    Phase 1 runs once.  Each objective's phase 2 starts from the
+    post-phase-1 tableau, so its answer is the one a solve with that
+    objective alone gives, whatever the other objectives are.  Returns one
+    (optimum, witness point) per objective.  Raises Infeasible or
     Unbounded, and ValueError when the objectives and forms differ in arity.
 
     Forms and objectives are integers, so the tableau holds integers over one
@@ -281,66 +378,12 @@ def lp_maximize(
     if not objectives:
         raise ValueError("no objective: the variable count is the objectives' arity")
     r = len(objectives[0])
-    arities = {len(v) for v in (*objectives, *(f.coeffs for f in (*ineqs, *eqs)))}
-    if arities != {r}:
-        raise ValueError("objectives and forms of arities %s in one problem" % sorted(arities))
-    nslack = len(ineqs)
-    rows = []
-    for k, f in enumerate((*ineqs, *eqs)):
-        row = list(f.coeffs) + [0] * nslack + [-f.const]
-        if k < nslack:
-            row[r + k] = 1
-        rows.append(row)
-    ncols = real = r + nslack  # artificial columns come after the real ones
-    basis = [-1] * len(rows)
-    for i, row in enumerate(rows):
-        if row[-1] < 0:
-            rows[i] = row = [-v for v in row]
-        if i < nslack and row[r + i] == 1:
-            basis[i] = r + i
-    for i in range(len(rows)):
-        if basis[i] == -1:
-            for row2 in rows:
-                row2.insert(-1, 0)
-            rows[i][-2] = 1
-            basis[i] = ncols
-            ncols += 1
-    # phase 1: maximize -(sum of artificials), over denominator 1
-    cost = [0] * real + [1] * (ncols - real) + [0]
-    for i, b in enumerate(basis):
-        if b >= real:
-            cost = [a - c for a, c in zip(cost, rows[i])]
-    den = _run_simplex(rows, cost, basis, 1)
-    if cost[-1] != 0:
-        raise Infeasible()
-    # drive remaining artificials out of the basis, then drop their columns
-    # entirely so phase 2 can never pivot one back in
-    keep = []
-    for i in range(len(rows)):
-        if basis[i] >= real:
-            pc = next((j for j in range(real) if rows[i][j] != 0), None)
-            if pc is None:
-                continue  # redundant constraint: row is zero on real variables
-            den = _pivot(rows, cost, basis, den, i, pc)
-        keep.append(i)
-    rows = [rows[i][:real] + rows[i][-1:] for i in keep]
-    basis = [basis[i] for i in keep]
+    _check_arities(r, (*objectives, *(f.coeffs for f in (*ineqs, *eqs))))
+    tableau = _phase1(ineqs, eqs, r)
     results = []
     for objective in objectives:
-        # phase 2 pivots a copy: the next objective starts where this one did
-        prows, pbasis = [row[:] for row in rows], basis[:]
-        cost = [-c * den for c in objective] + [0] * (nslack + 1)
-        for i, b in enumerate(pbasis):
-            if cost[b] != 0:
-                f = cost[b] // den
-                cost = [a - f * v for a, v in zip(cost, prows[i])]
-        pden = _run_simplex(prows, cost, pbasis, den)
-        point = [Fraction(0)] * r
-        for i, b in enumerate(pbasis):
-            if b < r:
-                point[b] = Fraction(prows[i][-1], pden)
-        # the z-row's right-hand side is the optimum over pden
-        results.append((Fraction(cost[-1], pden), tuple(point)))
+        opt, point, den = _phase2(*tableau, objective)
+        results.append((Fraction(opt, den), tuple(Fraction(v, den) for v in point)))
     return results
 
 
@@ -348,28 +391,34 @@ def relative_interior_point(
     ineqs: Sequence[AffineForm], eqs: Sequence[AffineForm], width: int
 ) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
     """A point with every non-implicit inequality strict, plus the indices of
-    the implicit equalities among ineqs.  Raises Infeasible on an empty set.
+    the implicit equalities among ineqs.  Raises Infeasible on an empty set,
+    Unbounded on an unbounded slack, and ValueError when the forms are not
+    of arity width.
 
-    The point is an exact average of a feasible point and per-constraint
-    max-slack witnesses, all from one lp_maximize call, so it lies in the
-    relative interior of the feasible set.  Hence an inequality is strict
-    somewhere on the set iff it is strict at the point: with the facets
-    -x_i <= 0 among ineqs, the set has a point with every coordinate
-    positive iff every coordinate of the point is positive.
+    The point is the exact average of a feasible point and per-constraint
+    max-slack witnesses, so it lies in the relative interior of the
+    feasible set.  Hence an inequality is strict somewhere on the set iff
+    it is strict at the point: with the facets -x_i <= 0 among ineqs, the
+    set has a point with every coordinate positive iff every coordinate of
+    the point is positive.
 
-    The slack objective of g is -g.coeffs, so g vanishes on the whole set
-    iff its optimum is g.const, with no evaluation.
+    Phase 1 runs once, and each witness is one phase 2 on the condensed
+    integer tableau (see _pivot).  The slack objective of g is -g.coeffs,
+    so g vanishes on the whole set iff its optimum is g.const: an integer
+    comparison, opt_num == g.const * den.  The witnesses are summed as
+    integer numerators, and a Fraction appears only in the returned point.
     """
-    objectives = [(0,) * width] + [[-c for c in g.coeffs] for g in ineqs]
-    (_, base), *slacks = lp_maximize(objectives, ineqs, eqs)
-    witnesses = [base]
+    _check_arities(width, (f.coeffs for f in (*ineqs, *eqs)))
+    tableau = _phase1(ineqs, eqs, width)
+    _, point, den = _phase2(*tableau, (0,) * width)
+    witnesses = [(point, den)]
     implicit = []
-    for k, (g, (opt, pt)) in enumerate(zip(ineqs, slacks)):
-        if opt == g.const:
+    for k, g in enumerate(ineqs):
+        opt, point, den = _phase2(*tableau, tuple(-c for c in g.coeffs))
+        if opt == g.const * den:
             implicit.append(k)  # g vanishes on the whole set
         else:
-            witnesses.append(pt)
-    den = lcm(*(v.denominator for w in witnesses for v in w))
-    total = [sum(w[i].numerator * (den // w[i].denominator) for w in witnesses) for i in range(width)]
-    centroid = tuple(Fraction(t, len(witnesses) * den) for t in total)
-    return centroid, tuple(implicit)
+            witnesses.append((point, den))
+    common = lcm(*(den for _, den in witnesses))
+    total = [sum(point[i] * (common // den) for point, den in witnesses) for i in range(width)]
+    return tuple(Fraction(t, len(witnesses) * common) for t in total), tuple(implicit)

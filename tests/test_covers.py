@@ -1,5 +1,6 @@
 """Homology ranks of abelian covers and Milnor fiber monodromy."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import comb
@@ -18,6 +19,7 @@ from quasiadj.covers import (
 )
 import quasiadj.charvariety as charvariety
 import quasiadj.cli as cli
+import quasiadj.covers as covers
 from quasiadj.charvariety import torsion_characters
 from quasiadj.resolution import ResolutionError, cone_over, generic_arrangement
 
@@ -161,6 +163,28 @@ def test_cover_rank_properties_randomized():
         assert branched.ranks[0] == 1
         assert all(v == 0 for v in branched.ranks[1:n])
         assert branched.ranks[n] >= 0
+
+
+def test_betti_shares_face_searches_within_one_call(monkeypatch, tmp_path):
+    # the full support is searched once for both tables, and the branched
+    # table searches one subunion per family tuple: degrees (3, 1, 4, 4)
+    # give 1 + 3 + 4 + 3 = 11 searches, where one per support gave 1 + 15;
+    # the report is the one that per-support searches wrote
+    calls = []
+    inner = charvariety.principal_components
+
+    def counted(data):
+        calls.append(data.family)
+        return inner(data)
+
+    monkeypatch.setattr(covers, "principal_components", counted)
+    monkeypatch.setattr(cli, "principal_components", counted)
+    out = tmp_path / "betti.yaml"
+    assert cli.main(["betti", "--cone", "3,1,4,4", "--n", "3", "--bound", "1", "--m", "24,3,3,2",
+                     "--format", "structured", "--out", str(out)]) == 0
+    assert len(calls) == len(set(calls)) == 11
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "ae61d46413230cd7fcfde34f3c7630ccc4ee9e39a5b02e0d38d55bc0b6ff3b79")
 
 
 def test_oracle_dominates_principal_property():

@@ -16,7 +16,6 @@ from quasiadj.quasiadjunction import (
 )
 import quasiadj.cli as cli
 import quasiadj.quasiadjunction as quasiadjunction
-import quasiadj.ratgeom as ratgeom
 from quasiadj.ratgeom import Infeasible, cube_bounds, integer_kernel, relative_interior_point, span_equations
 from quasiadj.resolution import (
     GermBasisElement,
@@ -139,7 +138,7 @@ def test_faces_stabilized():
 
 
 def test_germs_with_equal_valuations_share_one_search(monkeypatch):
-    # lp_maximize calls count region solves: one per mask each search solves
+    # region solves: one per mask each search solves
     calls, _ = _count_solves(monkeypatch)
     data = cone_over((2, 3, 4), 2, 1)
     faces = faces_of_quasiadjunction(data)
@@ -224,20 +223,24 @@ def _all_mask_faces(data):
 
 
 def _count_solves(monkeypatch):
-    """Record lp_maximize calls and _same_face outcomes of face searches."""
+    """Record the region solves of face searches (relative_interior_point
+    and lp_maximize calls) and the _same_face outcomes."""
     calls, comparisons = [], []
-    inner_lp, inner_same = ratgeom.lp_maximize, quasiadjunction._same_face
 
-    def counted_lp(*args, **kwargs):
-        calls.append(1)
-        return inner_lp(*args, **kwargs)
+    def counted(inner):
+        def call(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+        return call
+
+    inner_same = quasiadjunction._same_face
 
     def counted_same(*args):
         comparisons.append(inner_same(*args))
         return comparisons[-1]
 
-    monkeypatch.setattr(ratgeom, "lp_maximize", counted_lp)
-    monkeypatch.setattr(quasiadjunction, "lp_maximize", counted_lp)
+    for name in ("relative_interior_point", "lp_maximize"):
+        monkeypatch.setattr(quasiadjunction, name, counted(getattr(quasiadjunction, name)))
     monkeypatch.setattr(quasiadjunction, "_same_face", counted_same)
     return calls, comparisons
 
@@ -258,7 +261,7 @@ germs:
 
 
 def test_face_search_solves_each_region_once(monkeypatch):
-    # one lp_maximize call per mask the walk solves, two per candidate comparison
+    # one region solve per mask the walk solves, two per candidate comparison
     calls, comparisons = _count_solves(monkeypatch)
     data = load_resolution(FOUR_COMPONENTS)
     faces = faces_of_quasiadjunction(data)
@@ -350,6 +353,49 @@ def test_face_contains_needs_no_span_test():
                 off_span += (all(f.value(x) == 0 for f in face.tight)
                              and any(sum(c * p for c, p in zip(v, x)) != beta for v, beta in face.span))
     assert inside >= 1000 and outside >= 1000 and off_span >= 20  # 3484, 5161 and 80 with this seed
+
+
+def _fraction_verdict(data, germ, x):
+    """(in_ideal, in_log_ideal, weight, tight ids) at x from Fraction values
+    through AffineForm.value."""
+    values = {exc.id: constraint_form(exc, germ).value(x) for exc in data.exceptional}
+    tight = tuple(sorted(eid for eid, v in values.items() if v == 0))
+    in_log = all(v <= 0 for v in values.values())
+    in_ideal = all(v < 0 for v in values.values())
+    weight = 0
+    if in_log and not in_ideal:
+        weight = max(rec.fold for rec in data.incidence if rec.members.issubset(tight))
+    return in_ideal, in_log, weight, tight
+
+
+def test_integer_verdicts_match_fraction_values_property():
+    # _verdict_at reads signs off integer numerators over one denominator,
+    # and weight_witnesses shares a_E . x across systems; both against
+    # Fraction values, at random cube points and at face samples (where
+    # forms are tight and weights positive)
+    rng = random.Random(2020)
+    seen = {"tight": 0, "weighted": 0, "in_ideal": 0, "outside": 0}
+    for _ in range(40):
+        data = _random_chart(rng, rng.randint(2, 6), rng.randint(2, 4), c_min=0)
+        points = [face.sample for face in faces_of_quasiadjunction(data)]
+        points += [tuple(F(rng.randint(0, d), d) for _ in range(data.r))
+                   for d in rng.choices((1, 2, 3, 6, 60), k=10)]
+        for x in points:
+            expected = {}
+            for germ in data.germs:
+                forms = quasiadjunction._forms(data, germ)
+                verdict = quasiadjunction._verdict_at(data, forms, x, *quasiadjunction._dots(forms, x))
+                want = _fraction_verdict(data, germ, x)
+                assert (verdict.in_ideal, verdict.in_log_ideal, verdict.weight,
+                        verdict.tight_exceptional) == want, (germ.label, x)
+                if want[2] > 0:
+                    expected.setdefault(want[2], []).append(germ.label)
+                seen["tight"] += bool(want[3])
+                seen["weighted"] += want[2] > 0
+                seen["in_ideal"] += want[0]
+                seen["outside"] += not want[1]
+            assert weight_witnesses(data, x) == {w: tuple(labels) for w, labels in expected.items()}
+    assert min(seen.values()) >= 300, seen  # 805, 532, 571 and 918 with this seed
 
 
 def test_constraint_form_normalization():

@@ -1,8 +1,10 @@
 """Exact rational geometry: forms, integer lattices, and the simplex."""
 
+import ast
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
@@ -344,6 +346,17 @@ def test_integer_simplex_matches_rational_reference_property(monkeypatch):
     assert min(seen.values()) >= 20, seen
 
 
+def test_simplex_tableau_never_names_fraction():
+    # the tableau holds integers from phase 1 to the witness numerators: no
+    # simplex routine builds, converts or tests a Fraction
+    tree = ast.parse(Path(ratgeom.__file__).read_text())
+    routines = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_pivot", "_run_simplex", "_phase1", "_phase2"):
+        named = {node.id for node in ast.walk(routines[name]) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(routines[name]) if isinstance(node, ast.Attribute)}
+        assert "Fraction" not in named, name
+
+
 def test_relative_interior_implicit_set_property():
     # the implicit set is, by definition, the inequalities that vanish at
     # their own max-slack witness; witnesses and values come from the
@@ -361,9 +374,12 @@ def test_relative_interior_implicit_set_property():
                                                ineqs, eqs)
             seen[type(exc)] += 1
             continue
-        _, *slacks = rational_reference.lp_maximize([[F(0)] * width] + [[-c for c in g.coeffs] for g in ineqs],
+        (_, base), *slacks = rational_reference.lp_maximize([[F(0)] * width] + [[-c for c in g.coeffs] for g in ineqs],
                                                     ineqs, eqs)
         assert implicit == tuple(k for k, (g, (_, w)) in enumerate(zip(ineqs, slacks)) if value(g, w) == 0)
+        # the sample is the mean of the base point and the non-implicit witnesses
+        witnesses = [base] + [w for k, (_, w) in enumerate(slacks) if k not in implicit]
+        assert point == tuple(sum(w[i] for w in witnesses) / len(witnesses) for i in range(width))
         assert all(value(f, point) == 0 for f in eqs)
         assert all((value(g, point) == 0) == (k in implicit) and value(g, point) <= 0 for k, g in enumerate(ineqs))
         seen["implicit"] += len(implicit)
