@@ -374,8 +374,8 @@ def test_relative_interior_implicit_set_property():
                                                ineqs, eqs)
             seen[type(exc)] += 1
             continue
-        (_, base), *slacks = rational_reference.lp_maximize([[F(0)] * width] + [[-c for c in g.coeffs] for g in ineqs],
-                                                    ineqs, eqs)
+        (_, base), *slacks = rational_reference.lp_maximize(
+            [[F(0)] * width] + [[-c for c in g.coeffs] for g in ineqs], ineqs, eqs)
         assert implicit == tuple(k for k, (g, (_, w)) in enumerate(zip(ineqs, slacks)) if value(g, w) == 0)
         # the sample is the mean of the base point and the non-implicit witnesses
         witnesses = [base] + [w for k, (_, w) in enumerate(slacks) if k not in implicit]
