@@ -196,7 +196,7 @@ def _same_face(a: _Candidate, b: _Candidate) -> bool:
     return same
 
 
-# region solves (lp_maximize calls) one face search may make before it gives up
+# region solves (relative_interior_point and lp_maximize calls) a face search may make before it gives up
 MAX_REGION_SOLVES = 100_000
 
 

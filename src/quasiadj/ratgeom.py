@@ -283,8 +283,8 @@ def _phase1(ineqs, eqs, r):
 
     Variables 0..r-1 are x, r + k is the slack of ineqs[k], and an
     artificial variable, numbered from there on in row order, starts basic
-    in each row whose slack cannot (an equation, or an inequality whose
-    right-hand side is negative, its row negated).  Phase 1 maximizes minus
+    in each row without a slack to start basic (an equation, or an
+    inequality whose right-hand side is negative, its row negated).  Phase 1 maximizes minus
     their sum; the artificials left basic at zero are then driven out, and
     a row that cannot drive its artificial out is redundant.  The result
     holds neither the artificial columns nor the redundant rows, so phase 2
