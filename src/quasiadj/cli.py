@@ -30,7 +30,7 @@ from .charvariety import (
     torsion_characters,
 )
 from .covers import ORACLE, PRINCIPAL, betti_branched, betti_dict, betti_unbranched, milnor_dict, milnor_fiber, oracle_applies
-from .koszul import cone_support, on_support, oracle_f
+from .koszul import check_sweep, cone_support, on_support, oracle_f
 from .quasiadjunction import faces_of_quasiadjunction, faces_stabilized, lct_face
 from .resolution import _dump_oracle_yaml, _dump_yaml, cone_over, generic_arrangement, load_resolution
 
@@ -243,6 +243,7 @@ def cmd_oracle(args):
         raise CliInputError("oracle needs R >= 2 and 1 <= n <= R-1")
     if args.order < 1:
         raise CliInputError("--order must be positive")
+    check_sweep(args.order ** args.arrangement, args.order)
     rows = [
         ([str(p) for p in chi.phases], oracle_f(args.arrangement, args.n, chi.order, chi.exponents))
         for chi in torsion_characters((args.order,) * args.arrangement)
@@ -260,8 +261,11 @@ def cmd_check(args):
     data = _load_data(args)
     if args.order < 1:
         raise CliInputError("--order must be positive")
+    oracle = oracle_applies(data)
+    if oracle:
+        check_sweep(args.order ** data.r, args.order)
     comps = principal_components(data)
-    if oracle_applies(data):
+    if oracle:
         off_ok = on_ok = on_total = off_total = 0
         trivial_line = ""
         mismatches = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 
 from . import charvariety
 from .charvariety import (
@@ -22,7 +22,7 @@ from .charvariety import (
     principal_f,
     torsion_characters,
 )
-from .koszul import oracle_f
+from .koszul import check_sweep, oracle_f
 from .resolution import ResolutionData, _expect_int, delete_component, is_generic_arrangement
 
 PRINCIPAL = "principal lower bound"
@@ -71,11 +71,15 @@ def betti_unbranched(
     """Homology ranks of the unbranched cover of orders m in degrees 0..n.
 
     Below the top degree the rank is C(r, p), independent of m.  In degree n
-    the rank is the sum of f over all prod(m_i) torsion characters.
+    the rank is the sum of f over all prod(m_i) torsion characters.  An
+    oracle sweep over koszul.MAX_SWEEP_WORK (see check_sweep) raises
+    ValueError before any character is visited.
     """
     m = tuple(_expect_int(v, "m[%d]" % i) for i, v in enumerate(m))
     if len(m) != data.r:
         raise ValueError("m has length %d, expected r = %d" % (len(m), data.r))
+    if f_mode == ORACLE:
+        check_sweep(prod(m), lcm(*m))
     f = f_source(data, f_mode, components)
     total = 0
     count = 0
@@ -122,11 +126,14 @@ def betti_branched(
     On the principal route the full support reads components (the principal
     components of data, computed unless given), and a subunion's components
     are computed once per family tuple: supports whose branches have equal
-    degrees, in order, give the same subunion.
+    degrees, in order, give the same subunion.  The oracle route is bounded
+    as in betti_unbranched.
     """
     m = tuple(_expect_int(v, "m[%d]" % i) for i, v in enumerate(m))
     if len(m) != data.r:
         raise ValueError("m has length %d, expected r = %d" % (len(m), data.r))
+    if f_mode == ORACLE:
+        check_sweep(prod(m), lcm(*m))
     # the oracle serves every support as it is, so only the principal route
     # builds subunion data
     oracle = None if f_mode == PRINCIPAL else f_source(data, f_mode)
@@ -201,14 +208,17 @@ def milnor_fiber(data: ResolutionData, order_bound: int, f_mode: str = PRINCIPAL
     polynomial divisor takes, per cyclotomic orbit, the largest multiplicity
     seen (each per-eigenvalue value is a lower bound for the orbit-constant
     true multiplicity).  The multiplicity at t = 1 is left unresolved.
-    A sweep of more than MAX_CHARACTERS diagonal characters raises
-    ValueError before any is visited.
+    A sweep of more than MAX_CHARACTERS diagonal characters, or an oracle
+    sweep over koszul.MAX_SWEEP_WORK (see check_sweep), raises ValueError
+    before any is visited.
     """
     if _expect_int(order_bound, "order bound") < 1:
         raise ValueError("order bound %d < 1" % order_bound)
     if order_bound - 1 > charvariety.MAX_CHARACTERS:
         raise ValueError("Milnor fiber sweep of %d diagonal characters exceeds cap %d"
                          % (order_bound - 1, charvariety.MAX_CHARACTERS))
+    if f_mode == ORACLE:
+        check_sweep(order_bound - 1, order_bound)
     f = f_source(data, f_mode)
     mults: dict[Fraction, int] = {}
     for k in range(1, order_bound):

@@ -151,6 +151,35 @@ def homology_ranks_at(spec: ComplexSpec, order: int, exponents) -> tuple[int, ..
     return tuple(spec.dims[p] - ranks[p] - ranks[p + 1] for p in range(spec.top + 1))
 
 
+def _totient(n: int) -> int:
+    """Euler's phi(n), the degree of Z[zeta_n], by trial division."""
+    out, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            out -= out // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out - out // n if n > 1 else out
+
+
+# characters times the degree phi(N) of Z[zeta_N], N their common order,
+# that one oracle sweep may visit before it gives up
+MAX_SWEEP_WORK = 1_000_000
+
+
+def check_sweep(characters: int, order: int) -> None:
+    """Refuse an oracle sweep over `characters` characters whose orders
+    divide `order`, before it starts: each on-support character costs one
+    rank over Z[zeta_N], whose elements hold phi(N) <= phi(order) integers.
+    Raises ValueError when characters * phi(order) exceeds MAX_SWEEP_WORK.
+    A sweep's order is at most its character count plus one, so phi is
+    only computed for orders up to MAX_SWEEP_WORK + 1."""
+    if characters > MAX_SWEEP_WORK or characters * _totient(order) > MAX_SWEEP_WORK:
+        raise ValueError("oracle sweep of %d characters of order dividing %d exceeds cap %d on characters times phi(order)"
+                         % (characters, order, MAX_SWEEP_WORK))
+
+
 def on_support(order: int, exponents) -> bool:
     """The arrangement support criterion: k_1 + ... + k_r = 0 mod N."""
     order, exponents = _character(order, exponents)

@@ -7,22 +7,31 @@ For a germ phi and an exceptional component E the controlling inequality is
 evaluated at the cube point x_i = (j_i + 1)/m_i of a branching array (j|m).
 Strict inequality at every E puts phi in the ideal of quasiadjunction; the
 weak version is the logarithmic ideal, and the locus of equality cuts the
-faces of quasiadjunction out of the unit cube.  Everything here is exact.
+faces of quasiadjunction out of the unit cube.
+
+Each germ's inequalities cut a polytope P out of the cube, and its faces of
+quasiadjunction are faces of P.  They are read off P's vertices: one double
+description pass per constraint system (Motzkin, Raiffa, Thompson and
+Thrall, "The double description method", 1953; Fukuda and Prodon, "Double
+description method revisited", 1996) gives every vertex in integer
+homogeneous coordinates with the set of constraints tight there, and which
+masks cut a face, its equations and whether it meets the open positive
+orthant all follow from those sets.  One exact solve per face gives its
+sample point.  Everything here is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
+from math import gcd
+from operator import mul
 
 from .ratgeom import (
     AffineForm,
     HalfspaceSystem,
-    Infeasible,
     _over_lcm,
     cube_bounds,
-    lp_maximize,
     rat,
     relative_interior_point,
     span_equations,
@@ -171,33 +180,92 @@ class FaceOfQuasiadjunction:
         return all(f.value(x) == 0 for f in self.tight) and self.ambient.contains(x)
 
 
+# vertices a face search may hold for one constraint system before it gives up;
+# the pass starts from the 2^r cube corners, so r >= 15 branches are refused
+MAX_VERTICES = 20_000
+
+
+def _vertices(forms: tuple[AffineForm, ...], r: int) -> list[tuple[tuple[int, ...], int]]:
+    """The vertices of P = {x in [0,1]^r : every form <= 0}, by double
+    description (Motzkin et al. 1953; Fukuda and Prodon, "Double
+    description method revisited", 1996).
+
+    A vertex is (h, tight): h = (n_1, ..., n_r, den), the integer
+    homogeneous point x_i = n_i / den with den > 0 and gcd 1, and tight the
+    bitmask of the constraints that vanish there, bit i for forms[i] and
+    bit len(forms) + k for cube_bounds(r)[k].  The pass starts from the 2^r
+    cube corners and cuts by one form at a time.  A cut keeps the vertices
+    where the form is <= 0, and puts a new vertex on each edge from one
+    where it is negative to one where it is positive.  Two vertices span an
+    edge iff no third vertex's tight set holds their common one: that set
+    cuts out the least face holding both.  A pass that would hold more than
+    MAX_VERTICES vertices raises ValueError.
+    """
+    nforms = len(forms)
+
+    def held(count: int) -> None:
+        if count > MAX_VERTICES:
+            raise ValueError("face search holds more than %d vertices (%d forms in %d variables)"
+                             % (MAX_VERTICES, nforms, r))
+
+    held(1 << r)
+    verts = [((), 0)]
+    for i in range(r):  # x_i = 0 on facet -x_i <= 0, x_i = 1 on x_i - 1 <= 0
+        at0, at1 = 1 << (nforms + 2 * i), 1 << (nforms + 2 * i + 1)
+        verts = [(h + (b,), t | bit) for h, t in verts for b, bit in ((0, at0), (1, at1))]
+    verts = [(h + (1,), t) for h, t in verts]
+    for j, form in enumerate(forms):
+        w = (*form.coeffs, form.const)
+        neg, pos, kept = [], [], []
+        for k, (h, t) in enumerate(verts):
+            s = sum(map(mul, w, h))
+            if s < 0:
+                neg.append((k, h, t, s))
+                kept.append((h, t))
+            elif s > 0:
+                pos.append((k, h, t, s))
+            else:
+                kept.append((h, t | 1 << j))
+        if neg and pos:
+            # incident[b]: the vertices, one bit each, whose tight sets hold constraint bit b
+            incident: dict[int, int] = {}
+            for k, (_, t) in enumerate(verts):
+                while t:
+                    low = t & -t
+                    incident[low] = incident.get(low, 0) | 1 << k
+                    t ^= low
+            everyone = (1 << len(verts)) - 1
+            for ku, hu, tu, su in neg:
+                for kw, hw, tw, sw in pos:
+                    common = tu & tw
+                    if common.bit_count() < r - 1:
+                        continue  # an edge is one-dimensional: r - 1 independent constraints vanish on it
+                    pair = 1 << ku | 1 << kw
+                    on, c = everyone, common
+                    while c and on != pair:
+                        low = c & -c
+                        on &= incident[low]
+                        c ^= low
+                    if on != pair:
+                        continue
+                    h = [sw * a - su * b for a, b in zip(hu, hw)]
+                    g = gcd(*h)
+                    kept.append((tuple(v // g for v in h), common | 1 << j))
+                    held(len(kept))
+        verts = kept
+    return verts
+
+
 class _Candidate:
-    __slots__ = ("span", "eqs", "ineqs", "sample", "tight_keys", "tight_forms", "germs")
+    __slots__ = ("span", "eqs", "ineqs", "tight_keys", "tight_forms", "germs")
 
-    def __init__(self, span, eqs, ineqs, sample, tight_forms, germ_labels):
+    def __init__(self, span, eqs, ineqs, germ_labels):
         self.span = span
-        self.eqs = list(eqs)
-        self.ineqs = list(ineqs)
-        self.sample = sample
-        self.tight_keys = {f.equation_key() for f in tight_forms}
-        self.tight_forms = list(tight_forms)
+        self.eqs = eqs
+        self.ineqs = ineqs
+        self.tight_keys = {f.equation_key() for f in eqs}
+        self.tight_forms = list(eqs)
         self.germs = set(germ_labels)
-
-
-def _same_face(a: _Candidate, b: _Candidate) -> bool:
-    """Exact set equality of two candidates with equal affine span: each
-    one's inequalities hold on the other's set.  One solve per side, and
-    both sides always run."""
-    same = True
-    for first, second in ((a, b), (b, a)):
-        # objective g.coeffs: g <= 0 holds iff opt <= -g.const
-        optima = lp_maximize([g.coeffs for g in second.ineqs], first.ineqs, first.eqs)
-        same &= all(opt <= -g.const for g, (opt, _) in zip(second.ineqs, optima))
-    return same
-
-
-# region solves (relative_interior_point and lp_maximize calls) a face search may make before it gives up
-MAX_REGION_SOLVES = 100_000
 
 
 def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction]:
@@ -205,95 +273,82 @@ def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction
 
     A germ enters only through its constraint system, so germs whose
     valuations give the same system share one search and every face it
-    finds.  A candidate is kept only if it carries a point with every
-    coordinate strictly positive: realizable branching parameters
-    (j_i+1)/m_i never vanish, so boundary pieces inside the coordinate
-    hyperplanes bound no actual jump.
+    finds.  A face is the region of one mask of tight exceptional
+    components: those forms vanish, the others are <= 0, inside the cube.
+    It is a face of the polytope P the system cuts out of the cube, so it
+    is read off P's vertices (see _vertices), with no solve:
 
-    Each search walks the masks of tight exceptional components in
-    increasing numeric order and solves a mask's region only when every
-    mask with one bit cleared has a nonempty region.  Invariant: when a mask
-    is taken from the queue, every smaller mask has been decided, and
-    `feasible` holds exactly the decided masks (the empty mask included)
-    whose region is nonempty.  Skipping is exact, because one more tight
-    component adds an equality and so only shrinks the region: a mask
-    skipped or found empty has empty supersets.  The walk costs one solve
-    per mask with no empty one-bit-smaller mask, plus two per candidate
-    comparison; a search that would make more than MAX_REGION_SOLVES
-    solves raises ValueError.
+    - the region of a mask is the hull of the vertices whose tight sets
+      hold it, and a candidate is a mask that equals the meet (the common
+      tight set) of its vertices on the forms; such masks are the nonzero
+      intersections of vertex tight sets.  Any other nonempty mask has a
+      loose form that vanishes on its whole region, and the mask of the
+      meet cuts out the same set.
+    - it is kept only if it carries a point with every coordinate strictly
+      positive, which is when no facet -x_i <= 0 lies in the meet:
+      realizable branching parameters (j_i+1)/m_i never vanish, so boundary
+      pieces inside the coordinate hyperplanes bound no actual jump.
+    - the cube facets in the meet are its implicit equations, which with
+      the mask's forms give the span at any of its vertices.
+    - two candidates, from two systems, are the same set iff they have the
+      same vertices; the second one merges into the first.
+
+    Candidates come in increasing mask order per system.  Each face then
+    takes one relative_interior_point solve, of its first candidate's
+    system, for its sample.  A search that holds more than MAX_VERTICES
+    vertices for one system raises ValueError.
     """
     r = data.r
     cube = cube_bounds(r)
-    nexc = len(data.exceptional)
     systems = _systems(data)
-    buckets: dict[tuple, list[_Candidate]] = {}
-    order: list[tuple] = []
-    solves = 0
-
-    def spend(count: int) -> None:
-        nonlocal solves
-        solves += count
-        if solves > MAX_REGION_SOLVES:
-            raise ValueError(
-                "face search needs more than %d region solves (%d exceptional components, %d constraint systems)"
-                % (MAX_REGION_SOLVES, nexc, len(systems)))
-
+    nforms = len(data.exceptional)
+    at_zero = sum(1 << (nforms + 2 * i) for i in range(r))  # the facets -x_i <= 0
+    found: dict[frozenset, _Candidate] = {}
     for forms, labels in systems.items():
-        feasible = {0}
-        queue = [1 << i for i in range(nexc)]  # heap; a mask is queued once it is feasible without its top bit
-        while queue:
-            mask = heappop(queue)
-            tight_idx = [i for i in range(nexc) if mask >> i & 1]
-            if any(mask ^ (1 << i) not in feasible for i in tight_idx):
-                continue  # a one-bit-smaller region is empty, so this one is
-            loose_idx = [i for i in range(nexc) if not mask >> i & 1]
-            eqs = [forms[i] for i in tight_idx]
-            ineqs = [forms[i] for i in loose_idx] + cube
-            spend(1)
-            try:
-                sample, implicit = relative_interior_point(ineqs, eqs, r)
-            except Infeasible:
-                continue
-            feasible.add(mask)
-            for i in range(mask.bit_length(), nexc):
-                heappush(queue, mask | 1 << i)
-            if any(k < len(loose_idx) for k in implicit):
-                continue  # not tight-closed; the closed mask meets the same set
-            if not all(sample):
+        verts = _vertices(forms, r)
+        masks: set[int] = set()
+        for _, t in verts:
+            t &= (1 << nforms) - 1
+            masks |= {t & m for m in masks}
+            masks.add(t)
+        for mask in sorted(masks - {0}):
+            face = [v for v in verts if v[1] & mask == mask]
+            meet = -1
+            for _, t in face:
+                meet &= t
+            if meet & at_zero:
                 continue  # no strictly positive point
-            cube_eqs = [ineqs[k] for k in implicit]
-            span = tuple(span_equations(eqs + cube_eqs, sample))
-            cand = _Candidate(span, eqs + cube_eqs, ineqs, sample, eqs, labels)
-            bucket = buckets.setdefault(span, [])
-            if not bucket:
-                order.append(span)
-            for known in bucket:
-                spend(2)
-                if _same_face(known, cand):
-                    known.germs.update(labels)
-                    for f in eqs:
-                        if f.equation_key() not in known.tight_keys:
-                            known.tight_keys.add(f.equation_key())
-                            known.tight_forms.append(f)
-                    break
-            else:
-                bucket.append(cand)
+            eqs = [forms[i] for i in range(nforms) if mask >> i & 1]
+            key = frozenset(h for h, _ in face)
+            known = found.get(key)
+            if known is not None:
+                known.germs.update(labels)
+                for f in eqs:
+                    if f.equation_key() not in known.tight_keys:
+                        known.tight_keys.add(f.equation_key())
+                        known.tight_forms.append(f)
+                continue
+            cube_eqs = [g for k, g in enumerate(cube) if meet >> (nforms + k) & 1]
+            h = face[0][0]
+            span = tuple(span_equations(eqs + cube_eqs, tuple(Fraction(v, h[-1]) for v in h[:-1])))
+            ineqs = [forms[i] for i in range(nforms) if not mask >> i & 1] + cube
+            found[key] = _Candidate(span, eqs, ineqs, labels)
     faces = []
-    for span in order:
-        for cand in buckets[span]:
-            witnesses = _weight_witnesses(data, systems, cand.sample)
-            faces.append(
-                FaceOfQuasiadjunction(
-                    span=span,
-                    tight=tuple(cand.tight_forms),
-                    ambient=HalfspaceSystem(tuple(dict.fromkeys(cand.ineqs))),
-                    dim=r - len(span),  # span is a lattice basis of the equations
-                    sample=cand.sample,
-                    labels={l: len(labels) for l, labels in witnesses.items()},
-                    witnesses=witnesses,
-                    germ_labels=tuple(g.label for g in data.germs if g.label in cand.germs),
-                )
+    for cand in found.values():
+        sample, _ = relative_interior_point(cand.ineqs, cand.eqs, r)
+        witnesses = _weight_witnesses(data, systems, sample)
+        faces.append(
+            FaceOfQuasiadjunction(
+                span=cand.span,
+                tight=tuple(cand.tight_forms),
+                ambient=HalfspaceSystem(tuple(dict.fromkeys(cand.ineqs))),
+                dim=r - len(cand.span),  # span is a lattice basis of the equations
+                sample=sample,
+                labels={l: len(labels) for l, labels in witnesses.items()},
+                witnesses=witnesses,
+                germ_labels=tuple(g.label for g in data.germs if g.label in cand.germs),
             )
+        )
     faces.sort(key=lambda f: (-f.dim, f.span))
     return faces
 

@@ -9,10 +9,12 @@ from math import comb
 import pytest
 
 import quasiadj.cli as cli
+import quasiadj.covers as covers
 import quasiadj.koszul as koszul
 from quasiadj.charvariety import CharacterPoint, torsion_characters
 from quasiadj.cyclotomic import LaurentPoly
 from quasiadj.koszul import (
+    check_sweep,
     composition_is_zero,
     cone_support,
     evaluate_at,
@@ -69,6 +71,40 @@ def test_koszul_build_work_is_bounded(monkeypatch, capsys):
     monkeypatch.setattr(koszul, "MAX_KOSZUL_WORK", 21)
     assert truncated_koszul(3, 2).dims == (1, 3, 3)
     assert cli.main(argv) == 0
+
+
+def test_oracle_sweep_work_is_bounded(monkeypatch, capsys):
+    # 10^6 characters, each in Z[zeta_1000] of degree phi(1000) = 400:
+    # refused before the first oracle call
+    def no_oracle(*args):
+        raise AssertionError("oracle called")
+
+    monkeypatch.setattr(covers, "oracle_f", no_oracle)
+    monkeypatch.setattr(cli, "oracle_f", no_oracle)
+    assert cli.main(["betti", "--arrangement", "3", "--n", "2", "--m", "1000,1000,1"]) == 1
+    assert "error: oracle sweep of 1000000 characters of order dividing 1000 exceeds cap" in capsys.readouterr().err
+    monkeypatch.undo()
+    # every oracle sweep passes at its bound and is refused just over it:
+    # characters times phi of their common order
+    sweeps = [
+        (["oracle", "--arrangement", "3", "--n", "1", "--order", "3"], 27 * 2),
+        (["check", "--arrangement", "3", "--n", "1", "--order", "3"], 27 * 2),
+        (["betti", "--arrangement", "3", "--n", "1", "--m", "2,3,4"], 24 * 4),
+        (["milnor", "--arrangement", "3", "--n", "1", "--order", "5"], 4 * 4),
+    ]
+    for argv, work in sweeps:
+        monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", work - 1)
+        assert cli.main(argv) == 1, argv
+        assert "error: oracle sweep of" in capsys.readouterr().err
+        monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", work)
+        assert cli.main(argv) == 0, argv
+    monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", 54)
+    check_sweep(27, 3)
+    monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", 53)
+    with pytest.raises(ValueError, match="27 characters of order dividing 3 exceeds cap 53"):
+        check_sweep(27, 3)
+    assert [koszul._totient(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+    assert koszul._totient(1000) == 400
 
 
 def test_first_differential_entries():

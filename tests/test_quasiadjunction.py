@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -16,7 +18,14 @@ from quasiadj.quasiadjunction import (
 )
 import quasiadj.cli as cli
 import quasiadj.quasiadjunction as quasiadjunction
-from quasiadj.ratgeom import Infeasible, cube_bounds, integer_kernel, relative_interior_point, span_equations
+from quasiadj.ratgeom import (
+    AffineForm,
+    Infeasible,
+    cube_bounds,
+    integer_kernel,
+    relative_interior_point,
+    span_equations,
+)
 from quasiadj.resolution import (
     GermBasisElement,
     QuasiArray,
@@ -138,8 +147,8 @@ def test_faces_stabilized():
 
 
 def test_germs_with_equal_valuations_share_one_search(monkeypatch):
-    # region solves: one per mask each search solves
-    calls, _ = _count_solves(monkeypatch)
+    # one relative_interior_point solve per face, none for the twin's system
+    calls = _count_solves(monkeypatch)
     data = cone_over((2, 3, 4), 2, 1)
     faces = faces_of_quasiadjunction(data)
     before = len(calls)
@@ -149,7 +158,7 @@ def test_germs_with_equal_valuations_share_one_search(monkeypatch):
                           data.incidence, data.germs + (twin,), None)
     del calls[:]
     again = faces_of_quasiadjunction(more)
-    assert len(calls) == before > 0
+    assert len(calls) == before == len(faces) > 0
     assert [(f.span, f.sample, f.dim) for f in again] == [(f.span, f.sample, f.dim) for f in faces]
     for old, new in zip(faces, again):
         extra = ("y",) if "x0" in old.germ_labels else ()
@@ -164,31 +173,24 @@ def _systems(data):
     return systems
 
 
-def _walk_count(data):
-    """Masks the walk solves: those with no infeasible one-bit-smaller mask,
-    a skipped mask counting as infeasible, found with the reference simplex."""
-    r, nexc = data.r, len(data.exceptional)
-    count = 0
-    for forms in _systems(data):
-        infeasible = set()
-        for mask in range(1, 1 << nexc):
-            if any(mask >> i & 1 and mask ^ (1 << i) in infeasible for i in range(nexc)):
-                infeasible.add(mask)
-                continue
-            count += 1
-            eqs = [forms[i] for i in range(nexc) if mask >> i & 1]
-            ineqs = [forms[i] for i in range(nexc) if not mask >> i & 1] + cube_bounds(r)
-            try:
-                rational_reference.lp_maximize([[F(0)] * r], ineqs, eqs)
-            except Infeasible:
-                infeasible.add(mask)
-    return count
+def _same_set(a, b):
+    """Exact set equality of two regions, each {"ineqs", "eqs"}: every
+    inequality of each holds on the other, by the rational simplex."""
+    for first, second in ((a, b), (b, a)):
+        # objective g.coeffs: g <= 0 holds on first iff opt <= -g.const
+        optima = rational_reference.lp_maximize([g.coeffs for g in second["ineqs"]], first["ineqs"], first["eqs"])
+        if not all(opt <= -g.const for g, (opt, _) in zip(second["ineqs"], optima)):
+            return False
+    return True
 
 
 def _all_mask_faces(data):
-    """The face search with every mask solved, no skipping: (span, sample,
-    tight forms, ambient forms, germ labels) per face, in the library's
-    order."""
+    """The faces with every mask of every system solved, in the library's
+    order: (span, sample, tight forms, ambient forms, labels, witnesses,
+    germ labels) per face.  A mask is kept when its region is nonempty, no
+    loose form vanishes on all of it, and it has a point with every
+    coordinate positive; a mask whose region equals one kept before, by
+    _same_set, merges into it."""
     r, nexc = data.r, len(data.exceptional)
     buckets, order = {}, []
     for forms, labels in _systems(data).items():
@@ -204,45 +206,45 @@ def _all_mask_faces(data):
                 continue
             cube_eqs = [ineqs[k] for k in implicit]
             span = tuple(span_equations(eqs + cube_eqs, sample))
-            cand = quasiadjunction._Candidate(span, eqs + cube_eqs, ineqs, sample, eqs, labels)
+            cand = {"eqs": eqs + cube_eqs, "ineqs": ineqs, "sample": sample, "tight": list(eqs), "germs": set(labels)}
             if span not in buckets:
                 order.append(span)
             for known in buckets.setdefault(span, []):
-                if quasiadjunction._same_face(known, cand):
-                    known.germs.update(labels)
+                if _same_set(known, cand):
+                    known["germs"].update(labels)
+                    keys = {g.equation_key() for g in known["tight"]}
                     for f in eqs:
-                        if f.equation_key() not in {g.equation_key() for g in known.tight_forms}:
-                            known.tight_forms.append(f)
+                        if f.equation_key() not in keys:
+                            keys.add(f.equation_key())
+                            known["tight"].append(f)
                     break
             else:
                 buckets[span].append(cand)
-    faces = [(span, c.sample, tuple(c.tight_forms), tuple(dict.fromkeys(c.ineqs)),
-              tuple(g.label for g in data.germs if g.label in c.germs))
-             for span in order for c in buckets[span]]
+    faces = []
+    for span in order:
+        for c in buckets[span]:
+            witnesses = weight_witnesses(data, c["sample"])
+            faces.append((span, c["sample"], tuple(c["tight"]), tuple(dict.fromkeys(c["ineqs"])),
+                          {l: len(w) for l, w in witnesses.items()}, witnesses,
+                          tuple(g.label for g in data.germs if g.label in c["germs"])))
     return sorted(faces, key=lambda f: (len(f[0]), f[0]))  # the library's (-dim, span) order
 
 
+def _face_tuple(face):
+    return (face.span, face.sample, face.tight, face.ambient.forms, face.labels, face.witnesses, face.germ_labels)
+
+
 def _count_solves(monkeypatch):
-    """Record the region solves of face searches (relative_interior_point
-    and lp_maximize calls) and the _same_face outcomes."""
-    calls, comparisons = [], []
+    """Record the relative_interior_point calls of face searches."""
+    calls = []
+    inner = quasiadjunction.relative_interior_point
 
-    def counted(inner):
-        def call(*args, **kwargs):
-            calls.append(1)
-            return inner(*args, **kwargs)
-        return call
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
 
-    inner_same = quasiadjunction._same_face
-
-    def counted_same(*args):
-        comparisons.append(inner_same(*args))
-        return comparisons[-1]
-
-    for name in ("relative_interior_point", "lp_maximize"):
-        monkeypatch.setattr(quasiadjunction, name, counted(getattr(quasiadjunction, name)))
-    monkeypatch.setattr(quasiadjunction, "_same_face", counted_same)
-    return calls, comparisons
+    monkeypatch.setattr(quasiadjunction, "relative_interior_point", counted)
+    return calls
 
 
 FOUR_COMPONENTS = """\
@@ -261,14 +263,15 @@ germs:
 
 
 def test_face_search_solves_each_region_once(monkeypatch):
-    # one region solve per mask the walk solves, two per candidate comparison
-    calls, comparisons = _count_solves(monkeypatch)
+    # one solve per face returned: a candidate merged into an earlier one
+    # (a face of both germs) takes none
     data = load_resolution(FOUR_COMPONENTS)
+    expected = _all_mask_faces(data)
+    calls = _count_solves(monkeypatch)
     faces = faces_of_quasiadjunction(data)
-    walked = _walk_count(data)
-    assert faces and True in comparisons and False in comparisons
-    assert walked < len(_systems(data)) * (2 ** len(data.exceptional) - 1)
-    assert len(calls) == walked + 2 * len(comparisons)
+    assert [_face_tuple(f) for f in faces] == expected
+    assert len(calls) == len(faces) > 0
+    assert any(len(f.germ_labels) == 2 for f in faces)
 
 
 def _random_chart(rng, nexc, germs, c_min=1):
@@ -294,29 +297,103 @@ def _random_chart(rng, nexc, germs, c_min=1):
     return load_resolution("\n".join(lines) + "\n")
 
 
-def test_mask_walk_on_ten_components(monkeypatch):
-    # |E| = 10: the walk solves the masks with no empty one-bit-smaller mask,
-    # and finds the faces of the loop over all 1023 masks of each system
+def test_face_search_on_ten_components(monkeypatch):
+    # |E| = 10: the faces of the loop over all 1023 masks of each system,
+    # with one solve per face
     data = _random_chart(random.Random(1010), 10, 3)
     expected = _all_mask_faces(data)
-    calls, comparisons = _count_solves(monkeypatch)
+    calls = _count_solves(monkeypatch)
     faces = faces_of_quasiadjunction(data)
-    walked = _walk_count(data)
-    assert len(calls) == walked + 2 * len(comparisons)
-    assert walked < len(_systems(data)) * 1023 // 10
-    assert expected and [(f.span, f.sample, f.tight, f.ambient.forms, f.germ_labels) for f in faces] == expected
+    assert expected and [_face_tuple(f) for f in faces] == expected
+    assert len(calls) == len(faces)
+
+
+def test_face_search_matches_all_masks_property():
+    # random charts with |E| from 2 to 12 against the loop over all masks
+    rng = random.Random(1313)
+    faces = merged = 0
+    for nexc in list(range(2, 13)) + list(range(2, 9)) * 2:
+        data = _random_chart(rng, nexc, rng.randint(2, 3 if nexc < 11 else 2), c_min=rng.randint(0, 1))
+        got = [_face_tuple(f) for f in faces_of_quasiadjunction(data)]
+        assert got == _all_mask_faces(data), nexc
+        faces += len(got)
+        merged += sum(len(f[-1]) > 1 for f in got)
+    assert faces >= 100 and merged >= 5, (faces, merged)  # 169 and 11 with this seed
+
+
+def _brute_vertices(forms, r):
+    """The vertices of {x in [0,1]^r : every form <= 0} with their tight
+    sets (bit i for forms[i], bit len(forms) + k for cube_bounds(r)[k]):
+    every r constraints whose equations meet in one point, solved over Q,
+    kept when the point satisfies all constraints."""
+    cons = list(forms) + cube_bounds(r)
+    found = set()
+    for subset in combinations(cons, r):
+        cols = [[F(f.coeffs[i]) for f in subset] for i in range(r)]
+        if rational_rank(cols) < r:
+            continue
+        x = tuple(rational_reference.solve_row_combination(cols, [-F(f.const) for f in subset]))
+        values = [f.value(x) for f in cons]
+        if all(v <= 0 for v in values):
+            found.add((x, sum(1 << k for k, v in enumerate(values) if v == 0)))
+    return found
+
+
+def _library_vertices(forms, r):
+    out = set()
+    for h, tight in quasiadjunction._vertices(tuple(forms), r):
+        assert h[-1] > 0 and gcd(*h) == 1, h
+        out.add((tuple(F(v, h[-1]) for v in h[:-1]), tight))
+    return out
+
+
+def test_vertices_match_brute_force():
+    A = AffineForm
+    degenerate = {
+        "through a corner": [A((1, 1, 1), -1), A((2, 1, 0), -2)],
+        "parallel": [A((1, 2, 0), -1), A((1, 2, 0), -2), A((-2, -4, 0), 1)],
+        "empty": [A((1, -1, 0), 0), A((-1, -1, -1), 4), A((1, 0, 1), -1)],
+        "tight everywhere": [A((1, 1, 0), -1), A((-1, -1, 0), 1), A((3, 3, 0), -3), A((0, 0, 0), 0), A((0, 1, -1), 0)],
+        "tight on a facet": [A((0, 0, 1), 0), A((0, 0, 2), 0), A((1, 1, 1), -1)],
+    }
+    for name, forms in degenerate.items():
+        assert _library_vertices(forms, 3) == _brute_vertices(forms, 3), name
+    assert not _library_vertices(degenerate["empty"], 3)
+    # the corner (0, 1, 0): the first form, and facets -x_1, x_2 - 1, -x_3 (cube bits 0, 3, 4)
+    assert ((0, 1, 0), 1 | (1 << 0 | 1 << 3 | 1 << 4) << 2) in _library_vertices(degenerate["through a corner"], 3)
+    everywhere = _library_vertices(degenerate["tight everywhere"], 3)
+    assert everywhere and all(tight & 0b1111 == 0b1111 for _, tight in everywhere)
+    rng = random.Random(1414)
+    seen = 0
+    for _ in range(120):
+        r = rng.choice((1, 2, 3, 3, 3, 4))
+        forms = [A(tuple(rng.randint(-3, 3) for _ in range(r)), rng.randint(-4, 3))
+                 for _ in range(rng.randint(1, 7 - r))]
+        expected = _brute_vertices(forms, r)
+        assert _library_vertices(forms, r) == expected, (r, forms)
+        seen += len(expected)
+    assert seen >= 500, seen
+
+
+def _vertex_peak(data):
+    """Most vertices a search of data holds: the largest vertex count of
+    the cube cut by the first k forms of a system, over k and systems."""
+    return max(len(_brute_vertices(forms[:k], data.r))
+               for forms in _systems(data) for k in range(len(forms) + 1))
 
 
 def test_face_search_work_is_bounded(monkeypatch, capsys, tmp_path):
-    # the chart's search makes 44 region solves: 20 are too few, 44 enough
+    # the chart's search holds at most 12 vertices: 11 are too few, 12 enough
     chart = tmp_path / "chart.yaml"
     chart.write_text(FOUR_COMPONENTS)
-    monkeypatch.setattr(quasiadjunction, "MAX_REGION_SOLVES", 20)
-    with pytest.raises(ValueError, match="more than 20 region solves"):
-        faces_of_quasiadjunction(load_resolution(FOUR_COMPONENTS))
+    data = load_resolution(FOUR_COMPONENTS)
+    assert _vertex_peak(data) == 12
+    monkeypatch.setattr(quasiadjunction, "MAX_VERTICES", 11)
+    with pytest.raises(ValueError, match="face search holds more than 11 vertices"):
+        faces_of_quasiadjunction(data)
     assert cli.main(["faces", "--input", str(chart)]) == 1
-    assert "error: face search needs more than 20 region solves" in capsys.readouterr().err
-    monkeypatch.setattr(quasiadjunction, "MAX_REGION_SOLVES", 44)
+    assert "error: face search holds more than 11 vertices" in capsys.readouterr().err
+    monkeypatch.setattr(quasiadjunction, "MAX_VERTICES", 12)
     assert cli.main(["faces", "--input", str(chart)]) == 0
 
 
