@@ -17,21 +17,27 @@ description method revisited", 1996) gives every vertex in integer
 homogeneous coordinates with the set of constraints tight there, and which
 masks cut a face, its equations and whether it meets the open positive
 orthant all follow from those sets.  One exact solve per face gives its
-sample point.  Everything here is exact.
+sample point.  P can have about 2^r vertices whatever its forms, so a chart
+with many branches is searched by a walk over the masks of tight
+components instead, with one exact solve per mask.  Everything here is
+exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd
 from operator import mul
 
 from .ratgeom import (
     AffineForm,
     HalfspaceSystem,
+    Infeasible,
     _over_lcm,
     cube_bounds,
+    lp_maximize,
     rat,
     relative_interior_point,
     span_equations,
@@ -180,12 +186,38 @@ class FaceOfQuasiadjunction:
         return all(f.value(x) == 0 for f in self.tight) and self.ambient.contains(x)
 
 
-# vertices a face search may hold for one constraint system before it gives up;
-# the pass starts from the 2^r cube corners, so r >= 15 branches are refused
-MAX_VERTICES = 20_000
+# work the vertex route of one face search may spend before it hands the
+# search to the mask walk: the r * 2^r coordinates of the cube corners, the
+# vertex pairs tested at each cut, and masks times vertices, summed over the
+# systems
+MAX_VERTEX_WORK = 50_000
+
+# region solves (relative_interior_point and lp_maximize calls) the mask walk may make before it gives up
+MAX_REGION_SOLVES = 100_000
 
 
-def _vertices(forms: tuple[AffineForm, ...], r: int) -> list[tuple[tuple[int, ...], int]]:
+class _OverBudget(Exception):
+    """The vertex route would spend more than MAX_VERTEX_WORK."""
+
+
+class _Work:
+    """Work the vertex route of one face search has spent."""
+
+    __slots__ = ("spent",)
+
+    def __init__(self):
+        self.spent = 0
+
+    def check(self, more: int) -> None:
+        if self.spent + more > MAX_VERTEX_WORK:
+            raise _OverBudget
+
+    def spend(self, more: int) -> None:
+        self.check(more)
+        self.spent += more
+
+
+def _vertices(forms: tuple[AffineForm, ...], r: int, work: _Work) -> list[tuple[tuple[int, ...], int]]:
     """The vertices of P = {x in [0,1]^r : every form <= 0}, by double
     description (Motzkin et al. 1953; Fukuda and Prodon, "Double
     description method revisited", 1996).
@@ -198,17 +230,12 @@ def _vertices(forms: tuple[AffineForm, ...], r: int) -> list[tuple[tuple[int, ..
     where the form is <= 0, and puts a new vertex on each edge from one
     where it is negative to one where it is positive.  Two vertices span an
     edge iff no third vertex's tight set holds their common one: that set
-    cuts out the least face holding both.  A pass that would hold more than
-    MAX_VERTICES vertices raises ValueError.
+    cuts out the least face holding both.  The corners' coordinates and each
+    cut's negative-positive pairs are charged to work before they are
+    built, which bounds the vertices held as well.
     """
     nforms = len(forms)
-
-    def held(count: int) -> None:
-        if count > MAX_VERTICES:
-            raise ValueError("face search holds more than %d vertices (%d forms in %d variables)"
-                             % (MAX_VERTICES, nforms, r))
-
-    held(1 << r)
+    work.spend(r << r)
     verts = [((), 0)]
     for i in range(r):  # x_i = 0 on facet -x_i <= 0, x_i = 1 on x_i - 1 <= 0
         at0, at1 = 1 << (nforms + 2 * i), 1 << (nforms + 2 * i + 1)
@@ -227,6 +254,7 @@ def _vertices(forms: tuple[AffineForm, ...], r: int) -> list[tuple[tuple[int, ..
             else:
                 kept.append((h, t | 1 << j))
         if neg and pos:
+            work.spend(len(neg) * len(pos))
             # incident[b]: the vertices, one bit each, whose tight sets hold constraint bit b
             incident: dict[int, int] = {}
             for k, (_, t) in enumerate(verts):
@@ -251,21 +279,154 @@ def _vertices(forms: tuple[AffineForm, ...], r: int) -> list[tuple[tuple[int, ..
                     h = [sw * a - su * b for a, b in zip(hu, hw)]
                     g = gcd(*h)
                     kept.append((tuple(v // g for v in h), common | 1 << j))
-                    held(len(kept))
         verts = kept
     return verts
 
 
 class _Candidate:
-    __slots__ = ("span", "eqs", "ineqs", "tight_keys", "tight_forms", "germs")
+    """A face found so far.  tight_forms starts with the forms of the mask
+    that found it, `own` of them, and gains those of every mask merged
+    into it; all of them vanish on the face."""
 
-    def __init__(self, span, eqs, ineqs, germ_labels):
+    __slots__ = ("span", "ineqs", "own", "tight_forms", "tight_keys", "germs", "sample")
+
+    def __init__(self, span, eqs, ineqs, germ_labels, sample=None):
         self.span = span
-        self.eqs = eqs
         self.ineqs = ineqs
-        self.tight_keys = {f.equation_key() for f in eqs}
+        self.own = len(eqs)
         self.tight_forms = list(eqs)
+        self.tight_keys = {f.equation_key() for f in eqs}
         self.germs = set(germ_labels)
+        self.sample = sample
+
+    def merge(self, eqs, germ_labels) -> None:
+        self.germs.update(germ_labels)
+        for f in eqs:
+            if f.equation_key() not in self.tight_keys:
+                self.tight_keys.add(f.equation_key())
+                self.tight_forms.append(f)
+
+
+def _vertex_candidates(data: ResolutionData, systems) -> list[_Candidate]:
+    """The candidates of every system, read off its vertices with no solve,
+    in order of first appearance.  Raises _OverBudget when the work would
+    exceed MAX_VERTEX_WORK."""
+    r = data.r
+    cube = cube_bounds(r)
+    nforms = len(data.exceptional)
+    at_zero = sum(1 << (nforms + 2 * i) for i in range(r))  # the facets -x_i <= 0
+    work = _Work()
+    found: dict[frozenset, _Candidate] = {}
+    for forms, labels in systems.items():
+        verts = _vertices(forms, r, work)
+        masks: set[int] = set()
+        for _, t in verts:
+            t &= (1 << nforms) - 1
+            masks |= {t & m for m in masks}
+            masks.add(t)
+            work.check(len(masks) * len(verts))
+        work.spend(len(masks) * len(verts))
+        for mask in sorted(masks - {0}):
+            face = [v for v in verts if v[1] & mask == mask]
+            meet = -1
+            for _, t in face:
+                meet &= t
+            if meet & at_zero:
+                continue  # no strictly positive point
+            eqs = [forms[i] for i in range(nforms) if mask >> i & 1]
+            key = frozenset(h for h, _ in face)
+            known = found.get(key)
+            if known is not None:
+                known.merge(eqs, labels)
+                continue
+            cube_eqs = [g for k, g in enumerate(cube) if meet >> (nforms + k) & 1]
+            h = face[0][0]
+            span = tuple(span_equations(eqs + cube_eqs, tuple(Fraction(v, h[-1]) for v in h[:-1])))
+            ineqs = [forms[i] for i in range(nforms) if not mask >> i & 1] + cube
+            found[key] = _Candidate(span, eqs, ineqs, labels)
+    return list(found.values())
+
+
+def _same_face(a: _Candidate, b: _Candidate) -> bool:
+    """Exact set equality of two candidates with equal affine span: each
+    one's inequalities hold on the other's set.  One solve per side, and
+    both sides always run."""
+    same = True
+    for first, second in ((a, b), (b, a)):
+        # objective g.coeffs: g <= 0 holds iff opt <= -g.const
+        optima = lp_maximize([g.coeffs for g in second.ineqs], first.ineqs, first.tight_forms[:first.own])
+        same &= all(opt <= -g.const for g, (opt, _) in zip(second.ineqs, optima))
+    return same
+
+
+def _walk_candidates(data: ResolutionData, systems) -> list[_Candidate]:
+    """The candidates of every system by the mask walk, in order of first
+    appearance: one exact solve per mask, so its cost grows with 2^|E| and
+    not with 2^r.
+
+    The walk takes the masks of tight exceptional components in increasing
+    numeric order and solves a mask's region only when every mask with one
+    bit cleared has a nonempty region.  Invariant: when a mask is taken
+    from the queue, every smaller mask has been decided, and `feasible`
+    holds exactly the decided masks (the empty mask included) whose region
+    is nonempty.  Skipping is exact, because one more tight component adds
+    an equality and so only shrinks the region: a mask skipped or found
+    empty has empty supersets.  A mask is a candidate when no loose form is
+    an implicit equation of its region.  Candidates with one span are
+    compared by _same_face.  The walk costs one solve per mask with no
+    empty one-bit-smaller mask, plus two per comparison; a walk that would
+    make more than MAX_REGION_SOLVES solves raises ValueError.
+    """
+    r = data.r
+    cube = cube_bounds(r)
+    nexc = len(data.exceptional)
+    buckets: dict[tuple, list[_Candidate]] = {}
+    found: list[_Candidate] = []
+    solves = 0
+
+    def spend(count: int) -> None:
+        nonlocal solves
+        solves += count
+        if solves > MAX_REGION_SOLVES:
+            raise ValueError(
+                "face search needs more than %d region solves (%d exceptional components, %d constraint systems)"
+                % (MAX_REGION_SOLVES, nexc, len(systems)))
+
+    for forms, labels in systems.items():
+        feasible = {0}
+        queue = [1 << i for i in range(nexc)]  # heap; a mask is queued once it is feasible without its top bit
+        while queue:
+            mask = heappop(queue)
+            tight_idx = [i for i in range(nexc) if mask >> i & 1]
+            if any(mask ^ (1 << i) not in feasible for i in tight_idx):
+                continue  # a one-bit-smaller region is empty, so this one is
+            loose_idx = [i for i in range(nexc) if not mask >> i & 1]
+            eqs = [forms[i] for i in tight_idx]
+            ineqs = [forms[i] for i in loose_idx] + cube
+            spend(1)
+            try:
+                sample, implicit = relative_interior_point(ineqs, eqs, r)
+            except Infeasible:
+                continue
+            feasible.add(mask)
+            for i in range(mask.bit_length(), nexc):
+                heappush(queue, mask | 1 << i)
+            if any(k < len(loose_idx) for k in implicit):
+                continue  # not tight-closed; the closed mask meets the same set
+            if not all(sample):
+                continue  # no strictly positive point
+            span = tuple(span_equations(eqs + [ineqs[k] for k in implicit], sample))
+            cand = _Candidate(span, eqs, ineqs, labels, sample)
+            bucket = buckets.setdefault(span, [])
+            for known in bucket:
+                spend(2)
+                if _same_face(known, cand):
+                    known.merge(eqs, labels)
+                    break
+            else:
+                bucket.append(cand)
+                found.append(cand)
+    return found
 
 
 def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction]:
@@ -295,47 +456,22 @@ def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction
 
     Candidates come in increasing mask order per system.  Each face then
     takes one relative_interior_point solve, of its first candidate's
-    system, for its sample.  A search that holds more than MAX_VERTICES
-    vertices for one system raises ValueError.
+    system, for its sample.  P can have about 2^r vertices whatever its
+    forms, so a search whose vertex work would exceed MAX_VERTEX_WORK is
+    run by the mask walk instead (see _walk_candidates), which finds the
+    same faces with one solve per mask.
     """
     r = data.r
-    cube = cube_bounds(r)
     systems = _systems(data)
-    nforms = len(data.exceptional)
-    at_zero = sum(1 << (nforms + 2 * i) for i in range(r))  # the facets -x_i <= 0
-    found: dict[frozenset, _Candidate] = {}
-    for forms, labels in systems.items():
-        verts = _vertices(forms, r)
-        masks: set[int] = set()
-        for _, t in verts:
-            t &= (1 << nforms) - 1
-            masks |= {t & m for m in masks}
-            masks.add(t)
-        for mask in sorted(masks - {0}):
-            face = [v for v in verts if v[1] & mask == mask]
-            meet = -1
-            for _, t in face:
-                meet &= t
-            if meet & at_zero:
-                continue  # no strictly positive point
-            eqs = [forms[i] for i in range(nforms) if mask >> i & 1]
-            key = frozenset(h for h, _ in face)
-            known = found.get(key)
-            if known is not None:
-                known.germs.update(labels)
-                for f in eqs:
-                    if f.equation_key() not in known.tight_keys:
-                        known.tight_keys.add(f.equation_key())
-                        known.tight_forms.append(f)
-                continue
-            cube_eqs = [g for k, g in enumerate(cube) if meet >> (nforms + k) & 1]
-            h = face[0][0]
-            span = tuple(span_equations(eqs + cube_eqs, tuple(Fraction(v, h[-1]) for v in h[:-1])))
-            ineqs = [forms[i] for i in range(nforms) if not mask >> i & 1] + cube
-            found[key] = _Candidate(span, eqs, ineqs, labels)
+    try:
+        found = _vertex_candidates(data, systems)
+    except _OverBudget:
+        found = _walk_candidates(data, systems)
     faces = []
-    for cand in found.values():
-        sample, _ = relative_interior_point(cand.ineqs, cand.eqs, r)
+    for cand in found:
+        sample = cand.sample
+        if sample is None:
+            sample, _ = relative_interior_point(cand.ineqs, cand.tight_forms[:cand.own], r)
         witnesses = _weight_witnesses(data, systems, sample)
         faces.append(
             FaceOfQuasiadjunction(

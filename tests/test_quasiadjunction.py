@@ -247,6 +247,52 @@ def _count_solves(monkeypatch):
     return calls
 
 
+def _walk_count(data):
+    """Masks the walk solves: those with no infeasible one-bit-smaller mask,
+    a skipped mask counting as infeasible, found with the reference simplex."""
+    r, nexc = data.r, len(data.exceptional)
+    count = 0
+    for forms in _systems(data):
+        infeasible = set()
+        for mask in range(1, 1 << nexc):
+            if any(mask >> i & 1 and mask ^ (1 << i) in infeasible for i in range(nexc)):
+                infeasible.add(mask)
+                continue
+            count += 1
+            eqs = [forms[i] for i in range(nexc) if mask >> i & 1]
+            ineqs = [forms[i] for i in range(nexc) if not mask >> i & 1] + cube_bounds(r)
+            try:
+                rational_reference.lp_maximize([[F(0)] * r], ineqs, eqs)
+            except Infeasible:
+                infeasible.add(mask)
+    return count
+
+
+def _count_walk_solves(monkeypatch):
+    """Send face searches to the mask walk, and record its region solves
+    (relative_interior_point and lp_maximize calls) and the _same_face
+    outcomes."""
+    monkeypatch.setattr(quasiadjunction, "MAX_VERTEX_WORK", 0)
+    calls, comparisons = [], []
+
+    def counted(inner):
+        def call(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+        return call
+
+    inner_same = quasiadjunction._same_face
+
+    def counted_same(*args):
+        comparisons.append(inner_same(*args))
+        return comparisons[-1]
+
+    for name in ("relative_interior_point", "lp_maximize"):
+        monkeypatch.setattr(quasiadjunction, name, counted(getattr(quasiadjunction, name)))
+    monkeypatch.setattr(quasiadjunction, "_same_face", counted_same)
+    return calls, comparisons
+
+
 FOUR_COMPONENTS = """\
 r: 3
 n: 2
@@ -272,6 +318,19 @@ def test_face_search_solves_each_region_once(monkeypatch):
     assert [_face_tuple(f) for f in faces] == expected
     assert len(calls) == len(faces) > 0
     assert any(len(f.germ_labels) == 2 for f in faces)
+
+
+def test_mask_walk_solves_each_region_once(monkeypatch):
+    # one region solve per mask the walk solves, two per candidate comparison
+    data = load_resolution(FOUR_COMPONENTS)
+    expected = _all_mask_faces(data)
+    calls, comparisons = _count_walk_solves(monkeypatch)
+    faces = faces_of_quasiadjunction(data)
+    walked = _walk_count(data)
+    assert [_face_tuple(f) for f in faces] == expected
+    assert True in comparisons and False in comparisons
+    assert walked < len(_systems(data)) * (2 ** len(data.exceptional) - 1)
+    assert len(calls) == walked + 2 * len(comparisons)
 
 
 def _random_chart(rng, nexc, germs, c_min=1):
@@ -308,6 +367,19 @@ def test_face_search_on_ten_components(monkeypatch):
     assert len(calls) == len(faces)
 
 
+def test_mask_walk_on_ten_components(monkeypatch):
+    # |E| = 10: the walk solves the masks with no empty one-bit-smaller mask,
+    # and finds the faces of the loop over all 1023 masks of each system
+    data = _random_chart(random.Random(1010), 10, 3)
+    expected = _all_mask_faces(data)
+    calls, comparisons = _count_walk_solves(monkeypatch)
+    faces = faces_of_quasiadjunction(data)
+    walked = _walk_count(data)
+    assert len(calls) == walked + 2 * len(comparisons)
+    assert walked < len(_systems(data)) * 1023 // 10
+    assert expected and [_face_tuple(f) for f in faces] == expected
+
+
 def test_face_search_matches_all_masks_property():
     # random charts with |E| from 2 to 12 against the loop over all masks
     rng = random.Random(1313)
@@ -341,7 +413,7 @@ def _brute_vertices(forms, r):
 
 def _library_vertices(forms, r):
     out = set()
-    for h, tight in quasiadjunction._vertices(tuple(forms), r):
+    for h, tight in quasiadjunction._vertices(tuple(forms), r, quasiadjunction._Work()):
         assert h[-1] > 0 and gcd(*h) == 1, h
         out.add((tuple(F(v, h[-1]) for v in h[:-1]), tight))
     return out
@@ -375,25 +447,50 @@ def test_vertices_match_brute_force():
     assert seen >= 500, seen
 
 
-def _vertex_peak(data):
-    """Most vertices a search of data holds: the largest vertex count of
-    the cube cut by the first k forms of a system, over k and systems."""
-    return max(len(_brute_vertices(forms[:k], data.r))
-               for forms in _systems(data) for k in range(len(forms) + 1))
+def _vertex_work(data):
+    """The work the vertex route charges for data, from brute-force
+    vertices: per system, the r * 2^r corner coordinates, the
+    negative-positive vertex pairs of each cut, and masks times vertices."""
+    r, nexc = data.r, len(data.exceptional)
+    work = 0
+    for forms in _systems(data):
+        work += r << r
+        for k, form in enumerate(forms):
+            values = [form.value(x) for x, _ in _brute_vertices(forms[:k], r)]
+            work += sum(v < 0 for v in values) * sum(v > 0 for v in values)
+        verts = _brute_vertices(forms, r)
+        masks = set()
+        for _, tight in verts:
+            tight &= (1 << nexc) - 1
+            masks |= {tight & m for m in masks} | {tight}
+        work += len(masks) * len(verts)
+    return work
 
 
 def test_face_search_work_is_bounded(monkeypatch, capsys, tmp_path):
-    # the chart's search holds at most 12 vertices: 11 are too few, 12 enough
+    # the chart's vertex route charges 412 work units: at 412 it runs, at
+    # 411 the mask walk finds the same faces; the walk makes 44 region
+    # solves: 20 are too few, 44 enough
     chart = tmp_path / "chart.yaml"
     chart.write_text(FOUR_COMPONENTS)
     data = load_resolution(FOUR_COMPONENTS)
-    assert _vertex_peak(data) == 12
-    monkeypatch.setattr(quasiadjunction, "MAX_VERTICES", 11)
-    with pytest.raises(ValueError, match="face search holds more than 11 vertices"):
+    expected = _all_mask_faces(data)
+    work = _vertex_work(data)
+    assert work == 412 < quasiadjunction.MAX_VERTEX_WORK
+    walks = []
+    walk = quasiadjunction._walk_candidates
+    monkeypatch.setattr(quasiadjunction, "_walk_candidates", lambda *args: walks.append(1) or walk(*args))
+    for limit, walked in ((work, 0), (work - 1, 1)):
+        monkeypatch.setattr(quasiadjunction, "MAX_VERTEX_WORK", limit)
+        del walks[:]
+        assert [_face_tuple(f) for f in faces_of_quasiadjunction(data)] == expected
+        assert len(walks) == walked
+    monkeypatch.setattr(quasiadjunction, "MAX_REGION_SOLVES", 20)
+    with pytest.raises(ValueError, match="more than 20 region solves"):
         faces_of_quasiadjunction(data)
     assert cli.main(["faces", "--input", str(chart)]) == 1
-    assert "error: face search holds more than 11 vertices" in capsys.readouterr().err
-    monkeypatch.setattr(quasiadjunction, "MAX_VERTICES", 12)
+    assert "error: face search needs more than 20 region solves" in capsys.readouterr().err
+    monkeypatch.setattr(quasiadjunction, "MAX_REGION_SOLVES", 44)
     assert cli.main(["faces", "--input", str(chart)]) == 0
 
 

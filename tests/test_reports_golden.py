@@ -66,6 +66,9 @@ QUERIES = {
     "oracle-arrangement": ["oracle", "--arrangement", "5", "--n", "3", "--order", "3"],
     "betti-arrangement": ["betti", "--arrangement", "5", "--n", "4", "--m", "2,2,2,2,3"],
     "milnor-arrangement": ["milnor", "--arrangement", "4", "--n", "3", "--order", "6"],
+    "check-arrangement-15": ["check", "--arrangement", "15", "--n", "1", "--order", "1"],
+    "faces-arrangement-16": ["faces", "--arrangement", "16", "--n", "1"],
+    "components-cone-15": ["components", "--cone", "1,1,1,1,1,1,1,1,1,1,1,1,1,1,2", "--n", "13"],
 }
 
 # recorded before the face search shared one phase 1 per region
@@ -84,6 +87,11 @@ DIGESTS = {
     "oracle-arrangement": "d2754c7cc51a10a0264c1d46be5da44446419aceacc6a8cda2f5211ffd30acc2",
     "betti-arrangement": "5ae2987eba78cb6ec19d402e4f1685f5243fb90ec54fd4225daf3f0ed0f3e5e6",
     "milnor-arrangement": "7e66a59e33c0f40570a8bc3a67058f62b3bc9f6b96cea79e3a227a1913486f18",
+    # recorded before the face search read faces off polytope vertices: 15 and
+    # 16 branches, where the cube alone has 2^15 and 2^16 corners
+    "check-arrangement-15": "3e6ca38ca68702fe187477a975911e6a5b513d992b4864ac6bdccc2e6536b128",
+    "faces-arrangement-16": "7dd7da025b98539a6449db05c095af1f461375c8c3df7bbe0c3f77f0ea367089",
+    "components-cone-15": "7a600dde4f57bdab12fbf4811c28bdba8a71be6331bde6653fcadcbf5714f10b",
 }
 
 
