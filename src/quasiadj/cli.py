@@ -243,7 +243,7 @@ def cmd_oracle(args):
         raise CliInputError("oracle needs R >= 2 and 1 <= n <= R-1")
     if args.order < 1:
         raise CliInputError("--order must be positive")
-    check_sweep(args.order ** args.arrangement, args.order)
+    check_sweep(args.order ** args.arrangement, args.order, args.arrangement, args.n)
     rows = [
         ([str(p) for p in chi.phases], oracle_f(args.arrangement, args.n, chi.order, chi.exponents))
         for chi in torsion_characters((args.order,) * args.arrangement)
@@ -263,7 +263,7 @@ def cmd_check(args):
         raise CliInputError("--order must be positive")
     oracle = oracle_applies(data)
     if oracle:
-        check_sweep(args.order ** data.r, args.order)
+        check_sweep(args.order ** data.r, args.order, data.r, data.n)
     comps = principal_components(data)
     if oracle:
         off_ok = on_ok = on_total = off_total = 0

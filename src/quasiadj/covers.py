@@ -79,7 +79,7 @@ def betti_unbranched(
     if len(m) != data.r:
         raise ValueError("m has length %d, expected r = %d" % (len(m), data.r))
     if f_mode == ORACLE:
-        check_sweep(prod(m), lcm(*m))
+        check_sweep(prod(m), lcm(*m), data.r, data.n)
     f = f_source(data, f_mode, components)
     total = 0
     count = 0
@@ -133,7 +133,7 @@ def betti_branched(
     if len(m) != data.r:
         raise ValueError("m has length %d, expected r = %d" % (len(m), data.r))
     if f_mode == ORACLE:
-        check_sweep(prod(m), lcm(*m))
+        check_sweep(prod(m), lcm(*m), data.r, data.n)
     # the oracle serves every support as it is, so only the principal route
     # builds subunion data
     oracle = None if f_mode == PRINCIPAL else f_source(data, f_mode)
@@ -218,7 +218,7 @@ def milnor_fiber(data: ResolutionData, order_bound: int, f_mode: str = PRINCIPAL
         raise ValueError("Milnor fiber sweep of %d diagonal characters exceeds cap %d"
                          % (order_bound - 1, charvariety.MAX_CHARACTERS))
     if f_mode == ORACLE:
-        check_sweep(order_bound - 1, order_bound)
+        check_sweep(order_bound - 1, order_bound, data.r, data.n)
     f = f_source(data, f_mode)
     mults: dict[Fraction, int] = {}
     for k in range(1, order_bound):

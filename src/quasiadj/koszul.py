@@ -164,20 +164,24 @@ def _totient(n: int) -> int:
 
 
 # characters times the degree phi(N) of Z[zeta_N], N their common order,
-# that one oracle sweep may visit before it gives up
+# times the entries of d_n, that one oracle sweep may visit before it gives up
 MAX_SWEEP_WORK = 1_000_000
 
 
-def check_sweep(characters: int, order: int) -> None:
+def check_sweep(characters: int, order: int, r: int, n: int) -> None:
     """Refuse an oracle sweep over `characters` characters whose orders
-    divide `order`, before it starts: each on-support character costs one
-    rank over Z[zeta_N], whose elements hold phi(N) <= phi(order) integers.
-    Raises ValueError when characters * phi(order) exceeds MAX_SWEEP_WORK.
-    A sweep's order is at most its character count plus one, so phi is
-    only computed for orders up to MAX_SWEEP_WORK + 1."""
-    if characters > MAX_SWEEP_WORK or characters * _totient(order) > MAX_SWEEP_WORK:
-        raise ValueError("oracle sweep of %d characters of order dividing %d exceeds cap %d on characters times phi(order)"
-                         % (characters, order, MAX_SWEEP_WORK))
+    divide `order`, for the r-hyperplane arrangement in degree n, before it
+    starts: each on-support character costs one rank of d_n, a dim C_n x
+    dim C_(n-1) matrix over Z[zeta_N] whose entries hold phi(N) <=
+    phi(order) integers.  Raises ValueError when characters * phi(order) *
+    dim C_n * dim C_(n-1) exceeds MAX_SWEEP_WORK.  A sweep's order is at
+    most its character count plus one, so phi is only computed for orders
+    up to MAX_SWEEP_WORK + 1."""
+    rows, cols = comb(r - 1, n), comb(r - 1, n - 1)
+    if characters > MAX_SWEEP_WORK or characters * _totient(order) * max(1, rows * cols) > MAX_SWEEP_WORK:
+        raise ValueError("oracle sweep of %d characters of order dividing %d exceeds cap %d on characters"
+                         " times phi(order) times the %d x %d entries of d_n"
+                         % (characters, order, MAX_SWEEP_WORK, rows, cols))
 
 
 def on_support(order: int, exponents) -> bool:

@@ -16,11 +16,16 @@ Thrall, "The double description method", 1953; Fukuda and Prodon, "Double
 description method revisited", 1996) gives every vertex in integer
 homogeneous coordinates with the set of constraints tight there, and which
 masks cut a face, its equations and whether it meets the open positive
-orthant all follow from those sets.  One exact solve per face gives its
-sample point.  P can have about 2^r vertices whatever its forms, so a chart
-with many branches is searched by a walk over the masks of tight
-components instead, with one exact solve per mask.  Everything here is
-exact.
+orthant all follow from those sets.  Each face's sample point takes one
+phase 1 of the exact simplex, and a phase 2 only for a slack whose maximum
+its vertices leave undecided: a linear objective is greatest at a vertex,
+and a pivot of Bland's rule keeps the point or improves the objective
+(Bland, "New finite pivoting rules for the simplex method", 1977), so only
+a tie between vertices that leaves out the phase 1 point needs one (see
+ratgeom.relative_interior_point).  P can have about 2^r vertices whatever
+its forms, so a chart with many branches is searched by a walk over the
+masks of tight components instead, with one exact solve per mask.
+Everything here is exact.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .ratgeom import (
     lp_maximize,
     rat,
     relative_interior_point,
+    saturation_basis,
     span_equations,
 )
 from .resolution import (
@@ -288,9 +294,9 @@ class _Candidate:
     that found it, `own` of them, and gains those of every mask merged
     into it; all of them vanish on the face."""
 
-    __slots__ = ("span", "ineqs", "own", "tight_forms", "tight_keys", "germs", "sample")
+    __slots__ = ("span", "ineqs", "own", "tight_forms", "tight_keys", "germs", "sample", "vertices")
 
-    def __init__(self, span, eqs, ineqs, germ_labels, sample=None):
+    def __init__(self, span, eqs, ineqs, germ_labels, sample=None, vertices=None):
         self.span = span
         self.ineqs = ineqs
         self.own = len(eqs)
@@ -298,6 +304,7 @@ class _Candidate:
         self.tight_keys = {f.equation_key() for f in eqs}
         self.germs = set(germ_labels)
         self.sample = sample
+        self.vertices = vertices
 
     def merge(self, eqs, germ_labels) -> None:
         self.germs.update(germ_labels)
@@ -317,6 +324,9 @@ def _vertex_candidates(data: ResolutionData, systems) -> list[_Candidate]:
     at_zero = sum(1 << (nforms + 2 * i) for i in range(r))  # the facets -x_i <= 0
     work = _Work()
     found: dict[frozenset, _Candidate] = {}
+    # saturation basis of each meet's equations: a form's coefficients are
+    # -a_E in every system, so the meet's bits fix the coefficient rows
+    bases: dict[int, list[tuple[int, ...]]] = {}
     for forms, labels in systems.items():
         verts = _vertices(forms, r, work)
         masks: set[int] = set()
@@ -334,16 +344,20 @@ def _vertex_candidates(data: ResolutionData, systems) -> list[_Candidate]:
             if meet & at_zero:
                 continue  # no strictly positive point
             eqs = [forms[i] for i in range(nforms) if mask >> i & 1]
-            key = frozenset(h for h, _ in face)
+            vertices = tuple(h for h, _ in face)
+            key = frozenset(vertices)
             known = found.get(key)
             if known is not None:
                 known.merge(eqs, labels)
                 continue
-            cube_eqs = [g for k, g in enumerate(cube) if meet >> (nforms + k) & 1]
-            h = face[0][0]
-            span = tuple(span_equations(eqs + cube_eqs, tuple(Fraction(v, h[-1]) for v in h[:-1])))
+            basis = bases.get(meet)
+            if basis is None:
+                cube_eqs = [g for k, g in enumerate(cube) if meet >> (nforms + k) & 1]
+                basis = bases[meet] = saturation_basis([f.coeffs for f in eqs + cube_eqs], r)
+            h = vertices[0]
+            span = tuple((v, Fraction(sum(map(mul, v, h)), h[-1])) for v in basis)
             ineqs = [forms[i] for i in range(nforms) if not mask >> i & 1] + cube
-            found[key] = _Candidate(span, eqs, ineqs, labels)
+            found[key] = _Candidate(span, eqs, ineqs, labels, vertices=vertices)
     return list(found.values())
 
 
@@ -455,11 +469,24 @@ def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction
       same vertices; the second one merges into the first.
 
     Candidates come in increasing mask order per system.  Each face then
-    takes one relative_interior_point solve, of its first candidate's
-    system, for its sample.  P can have about 2^r vertices whatever its
-    forms, so a search whose vertex work would exceed MAX_VERTEX_WORK is
-    run by the mask walk instead (see _walk_candidates), which finds the
-    same faces with one solve per mask.
+    takes one relative_interior_point call, on its first candidate's system
+    with the face's vertices, for its sample: phase 1, and phase 2 only
+    where the vertices tie for a slack's maximum and leave out the phase 1
+    point.  A span's saturated basis depends only on the coefficients of
+    its equations, the same in every system, so it is computed once per
+    meet in a search, and beta is read off a vertex's integers.
+
+    The sample must stay the point that solve returns (the average of the
+    LP's witnesses), and not, say, the centroid of the vertices, even
+    though both lie in the relative interior: the labels and witnesses are
+    read at the sample, and a face can meet another germ's region in part
+    of its relative interior only, so another sample can give other
+    labels.
+
+    P can have about 2^r vertices whatever its forms, so a search whose
+    vertex work would exceed MAX_VERTEX_WORK is run by the mask walk
+    instead (see _walk_candidates), which finds the same faces with one
+    solve per mask.
     """
     r = data.r
     systems = _systems(data)
@@ -471,7 +498,7 @@ def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction
     for cand in found:
         sample = cand.sample
         if sample is None:
-            sample, _ = relative_interior_point(cand.ineqs, cand.tight_forms[:cand.own], r)
+            sample, _ = relative_interior_point(cand.ineqs, cand.tight_forms[:cand.own], r, cand.vertices)
         witnesses = _weight_witnesses(data, systems, sample)
         faces.append(
             FaceOfQuasiadjunction(

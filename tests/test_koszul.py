@@ -57,9 +57,13 @@ def test_truncated_koszul_shape():
 
 
 def test_koszul_build_work_is_bounded(monkeypatch, capsys):
-    # one character, but C(29, 14) degree-14 generators: refused before any basis is built
+    # one character, but C(29, 14) degree-14 generators: refused before any
+    # basis is built, by the build bound and, on the command line, first by
+    # the sweep bound, which counts the entries of d_14
+    with pytest.raises(ValueError, match="Koszul complex on 29 parameters truncated at 14 needs"):
+        truncated_koszul(29, 14)
     assert cli.main(["oracle", "--arrangement", "30", "--n", "14", "--order", "1"]) == 1
-    assert "error: Koszul complex on 29 parameters truncated at 14 needs" in capsys.readouterr().err
+    assert "error: oracle sweep of 1 characters" in capsys.readouterr().err
     # truncated_koszul(3, 2): 3 + 9 differential entries and 3 * 3 * 1 products
     truncated_koszul.cache_clear()
     monkeypatch.setattr(koszul, "MAX_KOSZUL_WORK", 20)
@@ -85,12 +89,13 @@ def test_oracle_sweep_work_is_bounded(monkeypatch, capsys):
     assert "error: oracle sweep of 1000000 characters of order dividing 1000 exceeds cap" in capsys.readouterr().err
     monkeypatch.undo()
     # every oracle sweep passes at its bound and is refused just over it:
-    # characters times phi of their common order
+    # characters times phi of their common order times the entries of d_n
     sweeps = [
-        (["oracle", "--arrangement", "3", "--n", "1", "--order", "3"], 27 * 2),
-        (["check", "--arrangement", "3", "--n", "1", "--order", "3"], 27 * 2),
-        (["betti", "--arrangement", "3", "--n", "1", "--m", "2,3,4"], 24 * 4),
-        (["milnor", "--arrangement", "3", "--n", "1", "--order", "5"], 4 * 4),
+        (["oracle", "--arrangement", "3", "--n", "1", "--order", "3"], 27 * 2 * 2 * 1),
+        (["oracle", "--arrangement", "4", "--n", "2", "--order", "2"], 16 * 1 * 3 * 3),
+        (["check", "--arrangement", "3", "--n", "1", "--order", "3"], 27 * 2 * 2 * 1),
+        (["betti", "--arrangement", "3", "--n", "1", "--m", "2,3,4"], 24 * 4 * 2 * 1),
+        (["milnor", "--arrangement", "3", "--n", "1", "--order", "5"], 4 * 4 * 2 * 1),
     ]
     for argv, work in sweeps:
         monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", work - 1)
@@ -98,13 +103,27 @@ def test_oracle_sweep_work_is_bounded(monkeypatch, capsys):
         assert "error: oracle sweep of" in capsys.readouterr().err
         monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", work)
         assert cli.main(argv) == 0, argv
-    monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", 54)
-    check_sweep(27, 3)
-    monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", 53)
-    with pytest.raises(ValueError, match="27 characters of order dividing 3 exceeds cap 53"):
-        check_sweep(27, 3)
+    monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", 108)
+    check_sweep(27, 3, 3, 1)
+    monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", 107)
+    with pytest.raises(ValueError, match="27 characters of order dividing 3 exceeds cap 107 .* the 2 x 1 entries of d_n"):
+        check_sweep(27, 3, 3, 1)
     assert [koszul._totient(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
     assert koszul._totient(1000) == 400
+
+
+def test_oracle_sweep_bound_sees_the_size_of_d_n(monkeypatch, capsys):
+    # 2^19 characters of order 2 (phi = 1), each a rank of the 153 x 18
+    # matrix d_2: about 1.4 * 10^9 units, refused before the first character
+    def no_oracle(*args):
+        raise AssertionError("oracle called")
+
+    monkeypatch.setattr(cli, "oracle_f", no_oracle)
+    assert cli.main(["oracle", "--arrangement", "19", "--n", "2", "--order", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: oracle sweep of 524288 characters of order dividing 2 exceeds cap")
+    assert "the 153 x 18 entries of d_n" in err
+    assert 2 ** 19 * 153 * 18 > koszul.MAX_SWEEP_WORK
 
 
 def test_first_differential_entries():

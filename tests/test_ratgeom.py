@@ -455,3 +455,70 @@ def test_relative_interior_sample_is_positive_iff_max_min_is():
 def test_relative_interior_point_raises_when_empty():
     with pytest.raises(Infeasible):
         relative_interior_point([AffineForm((1,), 1)], [], 1)
+
+
+def _count_phases(monkeypatch):
+    """Record the _phase1 and _phase2 runs of ratgeom."""
+    runs = {"phase1": 0, "phase2": 0}
+
+    def counted(name):
+        inner = getattr(ratgeom, "_" + name)
+
+        def call(*args):
+            runs[name] += 1
+            return inner(*args)
+        return call
+
+    for name in runs:
+        monkeypatch.setattr(ratgeom, "_" + name, counted(name))
+    return runs
+
+
+def test_one_vertex_set_is_its_own_sample(monkeypatch):
+    # x_1 + x_2 = 2 meets the square in the corner (1, 1) only; its two
+    # facets x_i - 1 <= 0 are implicit there
+    ineqs, eqs = cube_bounds(2), [AffineForm((1, 1), -2)]
+    expected = relative_interior_point(ineqs, eqs, 2)
+    runs = _count_phases(monkeypatch)
+    assert relative_interior_point(ineqs, eqs, 2, [(1, 1, 1)]) == expected == ((1, 1), (1, 3))
+    assert runs == {"phase1": 0, "phase2": 0}
+
+
+def test_edge_takes_no_phase_2(monkeypatch):
+    # the diagonal x_1 = x_2 of the square, from (0, 0) to (1, 1): every
+    # slack is greatest at one end, or at the phase 1 point when it is constant
+    ineqs, eqs = cube_bounds(2) + [AffineForm((1, -1), 0)], [AffineForm((2, -2), 0)]
+    expected = relative_interior_point(ineqs, eqs, 2)
+    runs = _count_phases(monkeypatch)
+    assert relative_interior_point(ineqs, eqs, 2, [(0, 0, 1), (2, 2, 2)]) == expected
+    # the origin, then the witnesses (1, 1), (0, 0), (1, 1), (0, 0) of the four facets
+    assert expected == ((F(2, 5), F(2, 5)), (4,))
+    assert runs == {"phase1": 1, "phase2": 0}
+
+
+def test_tie_without_the_phase_1_point_takes_one_phase_2(monkeypatch):
+    # the triangle x_1 <= x_2 in the square, vertices (0, 0), (0, 1), (1, 1);
+    # phase 1 stops at the origin.  The slack of -x_2 <= 0 is greatest at
+    # both (0, 1) and (1, 1), a tie that leaves the origin out; every other
+    # slack is greatest at one vertex or at the origin
+    ineqs = cube_bounds(2) + [AffineForm((1, -1), 0)]
+    expected = relative_interior_point(ineqs, [], 2)
+    runs = _count_phases(monkeypatch)
+    assert relative_interior_point(ineqs, [], 2, [(0, 0, 1), (0, 1, 1), (1, 1, 1)]) == expected
+    assert runs == {"phase1": 1, "phase2": 1}
+
+
+def test_relative_interior_point_refuses_vertices_off_the_set():
+    ineqs, eqs = cube_bounds(2), [AffineForm((1, -1), 0)]
+    with pytest.raises(ValueError, match="not all points of the set"):
+        relative_interior_point(ineqs, eqs, 2, [(0, 0, 1), (1, 0, 1)])  # off x_1 = x_2
+    with pytest.raises(ValueError, match="not all points of the set"):
+        relative_interior_point(ineqs, eqs, 2, [(0, 0, 1), (2, 2, 1)])  # outside the square
+    with pytest.raises(ValueError, match="not all points of the set"):
+        relative_interior_point([AffineForm((1, 1), -2)], [], 2, [(-1, 0, 1)])  # x_1 < 0
+    with pytest.raises(ValueError, match="with den > 0"):
+        relative_interior_point(ineqs, eqs, 2, [(1, 1, -1)])
+    with pytest.raises(ValueError, match="with den > 0"):
+        relative_interior_point(ineqs, eqs, 2, [(1, 1)])
+    with pytest.raises(TypeError, match="vertex entry"):
+        relative_interior_point(ineqs, eqs, 2, [(F(1, 2), F(1, 2), 1)])
