@@ -396,7 +396,7 @@ def lp_maximize(
 
 
 def _on_vertices(
-    ineqs: Sequence[AffineForm], eqs: Sequence[AffineForm], width: int, vertices
+    ineqs: Sequence[AffineForm], eqs: Sequence[AffineForm], width: int, vertices: Iterable[Sequence[int]]
 ) -> tuple[list[tuple[int, ...]], int, list[list[int]]]:
     """The vertices (n_1, ..., n_width, den) as numerators over their least
     common denominator, that denominator, and g.coeffs . x at each of them
@@ -418,7 +418,10 @@ def _on_vertices(
 
 
 def relative_interior_point(
-    ineqs: Sequence[AffineForm], eqs: Sequence[AffineForm], width: int, vertices=None
+    ineqs: Sequence[AffineForm],
+    eqs: Sequence[AffineForm],
+    width: int,
+    vertices: Sequence[Sequence[int]] | None = None,
 ) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
     """A point with every non-implicit inequality strict, plus the indices of
     the implicit equalities among ineqs.  Raises Infeasible on an empty set,
