@@ -11,8 +11,7 @@ arrangements an independent chain-level oracle provides the exact values.
 from quasiadj import (
     ORACLE,
     PRINCIPAL,
-    betti_branched,
-    betti_unbranched,
+    betti_tables,
     cone_over,
     generic_arrangement,
     milnor_fiber,
@@ -20,17 +19,18 @@ from quasiadj import (
 
 arr = generic_arrangement(4, 2)
 
-# the (3,3,3,3) unbranched cover of the arrangement complement
-table = betti_unbranched(arr, (3, 3, 3, 3), f_mode=ORACLE)
+# the (3,3,3,3) unbranched and branched covers of the arrangement
+# complement, from one sweep over the 81 characters
+table, branched = betti_tables(arr, (3, 3, 3, 3), f_mode=ORACLE)
 print("unbranched ranks:", table.ranks)
 print("  audit:", table.audit)
 
 # the same sum with component lower bounds differs only in the flagged
 # trivial-character term
-print("principal ranks:", betti_unbranched(arr, (3, 3, 3, 3), f_mode=PRINCIPAL).ranks)
+print("principal ranks:", betti_tables(arr, (3, 3, 3, 3), f_mode=PRINCIPAL)[0].ranks)
 
 # branched covers bucket characters by support and restrict to subunions
-print("branched ranks:", betti_branched(arr, (3, 3, 3, 3), f_mode=ORACLE).ranks)
+print("branched ranks:", branched.ranks)
 
 # Milnor fiber: ranks below the top are binomial, the top collects diagonal
 # monodromy eigenvalues into a characteristic divisor

@@ -27,8 +27,7 @@ from .covers import (
     PRINCIPAL,
     BettiTable,
     MilnorTable,
-    betti_branched,
-    betti_unbranched,
+    betti_tables,
     milnor_fiber,
 )
 from .cyclotomic import CyclotomicField, LaurentPoly, cyclotomic_polynomial, matrix_rank
@@ -86,8 +85,7 @@ __all__ = [
     "ResolutionData",
     "ResolutionError",
     "TranslatedSubtorus",
-    "betti_branched",
-    "betti_unbranched",
+    "betti_tables",
     "classify_essential",
     "composition_is_zero",
     "cone_over",

@@ -29,7 +29,7 @@ from .charvariety import (
     polynomial_invariant,
     torsion_characters,
 )
-from .covers import ORACLE, PRINCIPAL, betti_branched, betti_dict, betti_unbranched, milnor_dict, milnor_fiber, oracle_applies
+from .covers import ORACLE, PRINCIPAL, betti_dict, betti_tables, milnor_dict, milnor_fiber, oracle_applies
 from .koszul import check_sweep, cone_support, on_support, oracle_f
 from .quasiadjunction import faces_of_quasiadjunction, faces_stabilized, lct_face
 from .resolution import _dump_oracle_yaml, _dump_yaml, cone_over, generic_arrangement, load_resolution
@@ -204,14 +204,8 @@ def cmd_betti(args):
     if len(args.m) != data.r:
         raise CliInputError("--m needs %d entries" % data.r)
     mode = ORACLE if oracle_applies(data) else PRINCIPAL
-    # one face search serves both tables' full support
-    components = principal_components(data) if mode == PRINCIPAL else None
-    tables = [betti_unbranched(data, args.m, components, f_mode=mode)]
-    lines = []
-    if data.family is not None:
-        tables.append(betti_branched(data, args.m, components, f_mode=mode))
-    else:
-        lines.append("branched table skipped: needs builtin family provenance")
+    tables = [t for t in betti_tables(data, args.m, f_mode=mode) if t is not None]
+    lines = [] if len(tables) == 2 else ["branched table skipped: needs builtin family provenance"]
     report = {t.mode: betti_dict(t) for t in tables}
     for t in tables:
         lines.append("%s cover, m=(%s): ranks %s" % (

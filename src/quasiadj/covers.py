@@ -2,11 +2,13 @@
 
 Sub-top ranks are combinatorial (exterior powers of the deck lattice); the
 interesting degree n aggregates the eigenspace-dimension function f over
-torsion characters.  f comes from one of two sources and every table says
-which: "principal lower bound" (max jump label of a containing principal
-component) or "exact (oracle)" (twisted skeleton homology, generic
-arrangements only).  Values at the trivial character / monodromy eigenvalue
-t = 1 are structurally unresolved and stay flagged rather than corrected.
+torsion characters, and betti_tables reads the unbranched and the branched
+table off one sweep over them.  f comes from one of two sources and every
+table says which: "principal lower bound" (max jump label of a containing
+principal component) or "exact (oracle)" (twisted skeleton homology,
+generic arrangements only).  Values at the trivial character / monodromy
+eigenvalue t = 1 are structurally unresolved and stay flagged rather than
+corrected.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .charvariety import (
     torsion_characters,
 )
 from .koszul import check_sweep, oracle_f
-from .resolution import ResolutionData, _expect_int, delete_component, is_generic_arrangement
+from .resolution import ResolutionData, _expect_int, cone_over, is_generic_arrangement
 
 PRINCIPAL = "principal lower bound"
 ORACLE = "exact (oracle)"
@@ -45,18 +47,16 @@ def oracle_applies(data: ResolutionData) -> bool:
     return is_generic_arrangement(data) and 1 <= data.n <= data.r - 1
 
 
-def f_source(data: ResolutionData, mode: str, components=None):
+def f_source(data: ResolutionData, mode: str):
     """The f-function that `mode` names, as a callable on characters.
 
-    PRINCIPAL reads the principal components of data (computed unless
-    given).  ORACLE needs oracle_applies(data); its callable also serves a
-    character restricted to a support I, as the oracle of the arrangement
-    of the |I| hyperplanes in I, where |I| <= n gives an aspherical
-    complement and f = 0.
+    PRINCIPAL reads the principal components of data.  ORACLE needs
+    oracle_applies(data); its callable also serves a character restricted
+    to a support I, as the oracle of the arrangement of the |I| hyperplanes
+    in I, where |I| <= n gives an aspherical complement and f = 0.
     """
     if mode == PRINCIPAL:
-        if components is None:
-            components = principal_components(data)
+        components = principal_components(data)
         return lambda chi: principal_f(chi, components)
     if mode == ORACLE:
         if not oracle_applies(data):
@@ -65,14 +65,24 @@ def f_source(data: ResolutionData, mode: str, components=None):
     raise ValueError("unknown f mode %r" % mode)
 
 
-def betti_unbranched(
-    data: ResolutionData, m, components=None, f_mode: str = PRINCIPAL
-) -> BettiTable:
-    """Homology ranks of the unbranched cover of orders m in degrees 0..n.
+def betti_tables(data: ResolutionData, m, f_mode: str = PRINCIPAL) -> tuple[BettiTable, BettiTable | None]:
+    """Homology ranks of the unbranched and the branched cover of orders m
+    in degrees 0..n, from one sweep over the prod(m_i) torsion characters.
 
-    Below the top degree the rank is C(r, p), independent of m.  In degree n
-    the rank is the sum of f over all prod(m_i) torsion characters.  An
-    oracle sweep over koszul.MAX_SWEEP_WORK (see check_sweep) raises
+    Unbranched: below the top degree the rank is C(r, p), independent of
+    m; in degree n it is the sum of f over all characters.
+
+    Branched: degrees 1..n-1 vanish.  Characters are bucketed by their
+    support I (coordinates with nontrivial phase), and each contributes f of
+    the restricted character computed against the subunion with only the
+    branches in I: at the full support that is the unbranched value, and
+    the empty support contributes 0 (the cover of a sphere).  The oracle
+    serves every support as it is.  On the principal route the subunion is
+    the cone over the kept degrees, and its components are computed once
+    per degree tuple.  Subunions need the family provenance, so the
+    branched table is None for data without it.
+
+    An oracle sweep over koszul.MAX_SWEEP_WORK (see check_sweep) raises
     ValueError before any character is visited.
     """
     m = tuple(_expect_int(v, "m[%d]" % i) for i, v in enumerate(m))
@@ -80,22 +90,37 @@ def betti_unbranched(
         raise ValueError("m has length %d, expected r = %d" % (len(m), data.r))
     if f_mode == ORACLE:
         check_sweep(prod(m), lcm(*m), data.r, data.n)
-    f = f_source(data, f_mode, components)
+    f = f_source(data, f_mode)
+    family = data.family
+    f_by_degrees: dict = {}
     total = 0
     count = 0
     trivial_term = 0
+    buckets: dict[tuple[int, ...], int] = {}
     for chi in torsion_characters(m):
         val = f(chi)
         total += val
         count += 1
         if chi.is_trivial():
             trivial_term = val
+        if family is None:
+            continue
+        keep = chi.support()
+        if not keep:
+            val = 0
+        elif len(keep) < data.r and f_mode == ORACLE:
+            val = f(chi.restrict(keep))
+        elif len(keep) < data.r:
+            degrees = tuple(family[1][i] for i in keep)
+            if degrees not in f_by_degrees:
+                f_by_degrees[degrees] = f_source(cone_over(degrees, *family[2:]), PRINCIPAL)
+            val = f_by_degrees[degrees](chi.restrict(keep))
+        buckets[keep] = buckets.get(keep, 0) + val
     assert count == prod(m), "character audit failed: %d != %d" % (count, prod(m))
-    ranks = tuple(comb(data.r, p) for p in range(data.n)) + (total,)
-    return BettiTable(
+    unbranched = BettiTable(
         mode="unbranched",
         orders=m,
-        ranks=ranks,
+        ranks=tuple(comb(data.r, p) for p in range(data.n)) + (total,),
         f_source=f_mode,
         unresolved_trivial=True,
         audit={
@@ -105,68 +130,12 @@ def betti_unbranched(
             "trivial_note": "trivial-character term is %s output, not a proven cover rank" % f_mode,
         },
     )
-
-
-def _subunion(data: ResolutionData, keep: tuple[int, ...]) -> ResolutionData:
-    sub = data
-    for index in sorted(set(range(data.r)) - set(keep), reverse=True):
-        sub = delete_component(sub, index)
-    return sub
-
-
-def betti_branched(
-    data: ResolutionData, m, components=None, f_mode: str = PRINCIPAL
-) -> BettiTable:
-    """Homology ranks of the branched cover.
-
-    Characters are bucketed by their support I (coordinates with nontrivial
-    phase); each contributes f of the restricted character computed against
-    the subunion with only the branches in I.  Degrees 1..n-1 vanish.
-
-    On the principal route the full support reads components (the principal
-    components of data, computed unless given), and a subunion's components
-    are computed once per family tuple: supports whose branches have equal
-    degrees, in order, give the same subunion.  The oracle route is bounded
-    as in betti_unbranched.
-    """
-    m = tuple(_expect_int(v, "m[%d]" % i) for i, v in enumerate(m))
-    if len(m) != data.r:
-        raise ValueError("m has length %d, expected r = %d" % (len(m), data.r))
-    if f_mode == ORACLE:
-        check_sweep(prod(m), lcm(*m), data.r, data.n)
-    # the oracle serves every support as it is, so only the principal route
-    # builds subunion data
-    oracle = None if f_mode == PRINCIPAL else f_source(data, f_mode)
-    f_by_support: dict = {}
-    f_by_family: dict = {}
-    total = 0
-    count = 0
-    buckets: dict[tuple[int, ...], int] = {}
-    for chi in torsion_characters(m):
-        count += 1
-        keep = chi.support()
-        if not keep:
-            buckets[keep] = buckets.get(keep, 0)
-            continue
-        if keep not in f_by_support:
-            if oracle is not None:
-                f_by_support[keep] = oracle
-            elif len(keep) == data.r:
-                f_by_support[keep] = f_source(data, PRINCIPAL, components)
-            else:
-                sub = _subunion(data, keep)
-                if sub.family not in f_by_family:
-                    f_by_family[sub.family] = f_source(sub, PRINCIPAL)
-                f_by_support[keep] = f_by_family[sub.family]
-        val = f_by_support[keep](chi.restrict(keep))
-        total += val
-        buckets[keep] = buckets.get(keep, 0) + val
-    assert count == prod(m), "character audit failed: %d != %d" % (count, prod(m))
-    ranks = (1,) + (0,) * (data.n - 1) + (total,)
-    return BettiTable(
+    if family is None:
+        return unbranched, None
+    branched = BettiTable(
         mode="branched",
         orders=m,
-        ranks=ranks,
+        ranks=(1,) + (0,) * (data.n - 1) + (sum(buckets.values()),),
         f_source=f_mode,
         unresolved_trivial=True,
         audit={
@@ -175,6 +144,7 @@ def betti_branched(
             "trivial_note": "empty-support bucket contributes 0 (cover of a sphere)",
         },
     )
+    return unbranched, branched
 
 
 @dataclass(frozen=True)

@@ -198,8 +198,11 @@ class FaceOfQuasiadjunction:
 # systems
 MAX_VERTEX_WORK = 50_000
 
-# region solves (relative_interior_point and lp_maximize calls) the mask walk may make before it gives up
-MAX_REGION_SOLVES = 100_000
+# work the mask walk may charge for its region solves (relative_interior_point
+# and lp_maximize calls) before it gives up: each solve is charged its phase
+# runs times its tableau's entries, about 100,000 solves at r = 13 with one
+# exceptional component
+MAX_REGION_WORK = 1_000_000_000
 
 
 class _OverBudget(Exception):
@@ -388,23 +391,28 @@ def _walk_candidates(data: ResolutionData, systems) -> list[_Candidate]:
     empty has empty supersets.  A mask is a candidate when no loose form is
     an implicit equation of its region.  Candidates with one span are
     compared by _same_face.  The walk costs one solve per mask with no
-    empty one-bit-smaller mask, plus two per comparison; a walk that would
-    make more than MAX_REGION_SOLVES solves raises ValueError.
+    empty one-bit-smaller mask, plus two per comparison.  Every solve has
+    the |E| + 2r constraints of one system in r variables, and at most one
+    phase run per constraint besides phase 1, so each is charged
+    (|E| + 2r + 1)(|E| + 2r)(r + 1) before it runs; a walk that would
+    charge more than MAX_REGION_WORK raises ValueError, so a single solve
+    too large for the budget is refused without running.
     """
     r = data.r
     cube = cube_bounds(r)
     nexc = len(data.exceptional)
     buckets: dict[tuple, list[_Candidate]] = {}
     found: list[_Candidate] = []
-    solves = 0
+    size = (nexc + 2 * r + 1) * (nexc + 2 * r) * (r + 1)
+    work = 0
 
     def spend(count: int) -> None:
-        nonlocal solves
-        solves += count
-        if solves > MAX_REGION_SOLVES:
+        nonlocal work
+        work += count * size
+        if work > MAX_REGION_WORK:
             raise ValueError(
-                "face search needs more than %d region solves (%d exceptional components, %d constraint systems)"
-                % (MAX_REGION_SOLVES, nexc, len(systems)))
+                "face search needs more than %d units of region solve work (%d branches, %d exceptional "
+                "components, %d constraint systems)" % (MAX_REGION_WORK, r, nexc, len(systems)))
 
     for forms, labels in systems.items():
         feasible = {0}

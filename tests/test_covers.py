@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -11,9 +12,8 @@ import yaml
 from quasiadj.covers import (
     ORACLE,
     PRINCIPAL,
-    betti_branched,
     betti_dict,
-    betti_unbranched,
+    betti_tables,
     milnor_dict,
     milnor_fiber,
 )
@@ -21,48 +21,48 @@ import quasiadj.charvariety as charvariety
 import quasiadj.cli as cli
 import quasiadj.covers as covers
 from quasiadj.charvariety import torsion_characters
-from quasiadj.resolution import ResolutionError, cone_over, generic_arrangement
+from quasiadj.resolution import ResolutionError, cone_over, generic_arrangement, load_resolution, serialize_resolution
 
 F = Fraction
 
 
 def test_unbranched_arrangement_exact():
     a4 = generic_arrangement(4, 2)
-    table = betti_unbranched(a4, (3, 3, 3, 3), f_mode=ORACLE)
+    table = betti_tables(a4, (3, 3, 3, 3), f_mode=ORACLE)[0]
     assert table.ranks == (1, 4, 29)
     assert table.audit["characters"] == 81
     assert table.audit["top_from_nontrivial"] == 26
     assert table.audit["top_from_trivial"] == 3
     assert table.unresolved_trivial
-    lower = betti_unbranched(a4, (3, 3, 3, 3), f_mode=PRINCIPAL)
+    lower = betti_tables(a4, (3, 3, 3, 3), f_mode=PRINCIPAL)[0]
     assert lower.ranks == (1, 4, 27)
     assert lower.ranks[-1] <= table.ranks[-1]
 
 
 def test_unbranched_low_degrees_are_binomial():
-    table = betti_unbranched(generic_arrangement(5, 3), (2, 2, 2, 2, 2))
+    table = betti_tables(generic_arrangement(5, 3), (2, 2, 2, 2, 2))[0]
     assert table.ranks[:3] == (1, 5, 10)
 
 
 def test_unbranched_one_dimensional_cone():
-    table = betti_unbranched(cone_over((2, 3), 2, 3), (6, 6))
+    table = betti_tables(cone_over((2, 3), 2, 3), (6, 6))[0]
     assert table.ranks == (1, 2, 18)
 
 
 def test_branched_values():
     a4 = generic_arrangement(4, 2)
-    assert betti_branched(a4, (1, 1, 1, 1)).ranks == (1, 0, 0)
+    assert betti_tables(a4, (1, 1, 1, 1))[1].ranks == (1, 0, 0)
     for mode in (PRINCIPAL, ORACLE):
-        assert betti_branched(a4, (2, 2, 2, 2), f_mode=mode).ranks == (1, 0, 1)
-    t3 = betti_branched(a4, (3, 3, 3, 3), f_mode=ORACLE)
+        assert betti_tables(a4, (2, 2, 2, 2), f_mode=mode)[1].ranks == (1, 0, 1)
+    t3 = betti_tables(a4, (3, 3, 3, 3), f_mode=ORACLE)[1]
     assert t3.ranks == (1, 0, 6)
     assert t3.audit["buckets"]["1,2,3,4"] == 6
-    assert betti_branched(cone_over((2, 3), 2, 3), (2, 2)).ranks == (1, 0, 0)
+    assert betti_tables(cone_over((2, 3), 2, 3), (2, 2))[1].ranks == (1, 0, 0)
 
 
 def test_branched_r2_smooth_cover():
     # z^2 = x, w^2 = y: the cover is smooth, no reduced homology anywhere
-    table = betti_branched(generic_arrangement(2, 3), (2, 2))
+    table = betti_tables(generic_arrangement(2, 3), (2, 2))[1]
     assert table.ranks == (1, 0, 0, 0)
 
 
@@ -104,21 +104,21 @@ def test_lower_bound_mode_can_undercount():
 def test_mode_validation():
     a4 = generic_arrangement(4, 2)
     with pytest.raises(ValueError):
-        betti_unbranched(a4, (2, 2, 2, 2), f_mode="guess")
+        betti_tables(a4, (2, 2, 2, 2), f_mode="guess")
     with pytest.raises(ValueError):
-        betti_unbranched(a4, (2, 2), f_mode=PRINCIPAL)  # m arity
+        betti_tables(a4, (2, 2), f_mode=PRINCIPAL)  # m arity
     with pytest.raises(ValueError, match="generic arrangements"):
-        betti_unbranched(cone_over((2, 3), 2, 3), (2, 2), f_mode=ORACLE)
+        betti_tables(cone_over((2, 3), 2, 3), (2, 2), f_mode=ORACLE)
 
 
 def test_cover_orders_must_be_integers():
     # floats were truncated and bools taken as 1; nothing may be rounded
     with pytest.raises(ResolutionError, match=r"m\[0\]"):
-        betti_unbranched(generic_arrangement(3, 1), (2.9, 2, 2))
+        betti_tables(generic_arrangement(3, 1), (2.9, 2, 2))
     with pytest.raises(ResolutionError, match=r"order\[0\]"):
         list(torsion_characters((2.5, 3)))
     with pytest.raises(ResolutionError, match=r"m\[0\]"):
-        betti_branched(cone_over((1, 2), 1, 0), (True, 2))
+        betti_tables(cone_over((1, 2), 1, 0), (True, 2))
     with pytest.raises(ResolutionError, match="order bound"):
         milnor_fiber(generic_arrangement(4, 2), 3.5)
 
@@ -137,7 +137,7 @@ def test_milnor_sweep_work_is_bounded(monkeypatch, capsys):
 
 def test_tables_serialize():
     a4 = generic_arrangement(4, 2)
-    doc = yaml.safe_dump(betti_dict(betti_unbranched(a4, (2, 2, 2, 2))))
+    doc = yaml.safe_dump(betti_dict(betti_tables(a4, (2, 2, 2, 2))[0]))
     assert yaml.safe_load(doc)["ranks"] == [1, 4, 8]
     mdoc = yaml.safe_dump(milnor_dict(milnor_fiber(a4, 2)))
     assert yaml.safe_load(mdoc)["unresolved_at_1"] is True
@@ -151,7 +151,7 @@ def test_cover_rank_properties_randomized():
         degrees = tuple(rng.randint(1, 3) for _ in range(r))
         data = cone_over(degrees, n, rng.randint(0, 1))
         m = tuple(rng.randint(1, 3) for _ in range(r))
-        table = betti_unbranched(data, m)
+        table, branched = betti_tables(data, m)
         assert len(table.ranks) == n + 1
         assert table.ranks[:n] == tuple(comb(r, p) for p in range(n))
         assert table.ranks[n] >= 0
@@ -159,7 +159,6 @@ def test_cover_rank_properties_randomized():
         for v in m:
             expected *= v
         assert table.audit["characters"] == expected
-        branched = betti_branched(data, m)
         assert branched.ranks[0] == 1
         assert all(v == 0 for v in branched.ranks[1:n])
         assert branched.ranks[n] >= 0
@@ -187,6 +186,46 @@ def test_betti_shares_face_searches_within_one_call(monkeypatch, tmp_path):
         "ae61d46413230cd7fcfde34f3c7630ccc4ee9e39a5b02e0d38d55bc0b6ff3b79")
 
 
+def test_betti_sweeps_the_characters_once(monkeypatch, capsys):
+    # both tables come from one torsion_characters pass, and the branched
+    # table reuses f at each of the 2^4 full-support characters of
+    # (3, 3, 3, 3) instead of evaluating the oracle there a second time
+    passes = []
+    full_support = []
+    sweep, oracle = covers.torsion_characters, covers.oracle_f
+
+    def counted_sweep(orders):
+        passes.append(tuple(orders))
+        return sweep(orders)
+
+    def counted_oracle(r, n, order, exponents):
+        if r == 4 and all(exponents):
+            full_support.append(exponents)
+        return oracle(r, n, order, exponents)
+
+    monkeypatch.setattr(covers, "torsion_characters", counted_sweep)
+    monkeypatch.setattr(covers, "oracle_f", counted_oracle)
+    assert cli.main(["betti", "--arrangement", "4", "--n", "2", "--m", "3,3,3,3"]) == 0
+    assert "branched cover, m=(3,3,3,3): ranks [1, 0, 6]" in capsys.readouterr().out
+    assert passes == [(3, 3, 3, 3)]
+    assert len(full_support) == len(set(full_support)) == 16
+
+
+def test_betti_without_family_has_no_branched_table(capsys, tmp_path):
+    # subunions need the family provenance; the unbranched table does not
+    data = cone_over((2, 3), 2, 3)
+    bare = load_resolution(serialize_resolution(replace(data, family=None)))
+    table, branched = betti_tables(bare, (6, 6))
+    assert branched is None
+    assert betti_dict(table) == betti_dict(betti_tables(data, (6, 6))[0])
+    chart = tmp_path / "chart.yaml"
+    chart.write_text(serialize_resolution(bare))
+    assert cli.main(["betti", "--input", str(chart), "--m", "6,6"]) == 0
+    out = capsys.readouterr().out
+    assert "branched table skipped: needs builtin family provenance" in out
+    assert "unbranched cover, m=(6,6): ranks [1, 2, 18]" in out
+
+
 def test_oracle_dominates_principal_property():
     rng = random.Random(888)
     for _ in range(1000):
@@ -194,7 +233,7 @@ def test_oracle_dominates_principal_property():
         n = rng.randint(1, r - 1)
         data = generic_arrangement(r, n)
         m = tuple(rng.randint(1, 3) for _ in range(r))
-        upper = betti_unbranched(data, m, f_mode=ORACLE)
-        lower = betti_unbranched(data, m, f_mode=PRINCIPAL)
+        upper = betti_tables(data, m, f_mode=ORACLE)[0]
+        lower = betti_tables(data, m, f_mode=PRINCIPAL)[0]
         assert lower.ranks[-1] <= upper.ranks[-1]
         assert lower.ranks[:-1] == upper.ranks[:-1]

@@ -533,7 +533,8 @@ def _vertex_work(data):
 def test_face_search_work_is_bounded(monkeypatch, capsys, tmp_path):
     # the chart's vertex route charges 412 work units: at 412 it runs, at
     # 411 the mask walk finds the same faces; the walk makes 44 region
-    # solves: 20 are too few, 44 enough
+    # solves, each charged (4 + 2*3 + 1) * (4 + 2*3) * (3 + 1) = 440 units:
+    # 20 solves are too few, 44 enough
     chart = tmp_path / "chart.yaml"
     chart.write_text(FOUR_COMPONENTS)
     data = load_resolution(FOUR_COMPONENTS)
@@ -548,13 +549,21 @@ def test_face_search_work_is_bounded(monkeypatch, capsys, tmp_path):
         del walks[:]
         assert [_face_tuple(f) for f in faces_of_quasiadjunction(data)] == expected
         assert len(walks) == walked
-    monkeypatch.setattr(quasiadjunction, "MAX_REGION_SOLVES", 20)
-    with pytest.raises(ValueError, match="more than 20 region solves"):
+    monkeypatch.setattr(quasiadjunction, "MAX_REGION_WORK", 20 * 440)
+    with pytest.raises(ValueError, match="more than 8800 units of region solve work"):
         faces_of_quasiadjunction(data)
     assert cli.main(["faces", "--input", str(chart)]) == 1
-    assert "error: face search needs more than 20 region solves" in capsys.readouterr().err
-    monkeypatch.setattr(quasiadjunction, "MAX_REGION_SOLVES", 44)
+    assert "error: face search needs more than 8800 units of region solve work" in capsys.readouterr().err
+    monkeypatch.setattr(quasiadjunction, "MAX_REGION_WORK", 44 * 440)
     assert cli.main(["faces", "--input", str(chart)]) == 0
+
+
+def test_mask_walk_refuses_a_solve_too_large_for_its_budget(capsys):
+    # 1600 branches: the walk's one solve would be charged
+    # 3201 * 3200 * 1601 units, over MAX_REGION_WORK, so it is refused
+    # before it runs (it would take minutes)
+    assert cli.main(["faces", "--arrangement", "1600", "--n", "1"]) == 1
+    assert "error: face search needs more than" in capsys.readouterr().err
 
 
 def _contains_with_span_test(face, x):
