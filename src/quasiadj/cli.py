@@ -7,11 +7,15 @@
     quasiadj oracle      --arrangement 4 --n 2 --order 3
     quasiadj check       --arrangement 4 --n 2 --order 4
 
-Input is --input PATH (a resolution document), or a builtin family via
---cone d1,d2,... / --arrangement R with --n and optional --bound.  Output is
+Every command takes exactly one of --input PATH (a resolution document),
+--cone d1,d2,... or --arrangement R; builtin families take --n and an
+optional --bound.  oracle refuses data the Koszul oracle does not model: it
+needs a generic arrangement (a cone of degrees all 1) with 1 <= n <= r - 1.
+oracle and check read f per character through covers.f_source.  Output is
 human text by default; --format structured emits the same nested key/value
-document format the loader reads, and --out writes to a file.  Exit codes:
-0 success, 1 input error, 2 cross-validation mismatch.
+document format the loader reads (oracle's from its own fixed-shape writer),
+and --out writes to a file.  Exit codes: 0 success, 1 input error, 2
+cross-validation mismatch.
 """
 
 from __future__ import annotations
@@ -25,12 +29,12 @@ from .charvariety import (
     classify_essential,
     component_dict,
     principal_components,
-    principal_f,
     polynomial_invariant,
     torsion_characters,
 )
-from .covers import ORACLE, PRINCIPAL, betti_dict, betti_tables, milnor_dict, milnor_fiber, oracle_applies
-from .koszul import check_sweep, cone_support, on_support, oracle_f
+from .covers import ORACLE, PRINCIPAL, betti_dict, betti_tables, f_source, milnor_dict, milnor_fiber, oracle_applies
+from .cyclotomic import LaurentPoly
+from .koszul import check_sweep, cone_support, on_support
 from .quasiadjunction import faces_of_quasiadjunction, faces_stabilized, lct_face
 from .resolution import _dump_oracle_yaml, _dump_yaml, cone_over, generic_arrangement, load_resolution
 
@@ -61,13 +65,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="quasiadj", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_data=True):
-        if with_data:
-            p.add_argument("--input", help="resolution document path")
-            p.add_argument("--cone", type=_int_list, metavar="d1,d2,...", help="builtin cone family degrees")
-            p.add_argument("--arrangement", type=int, metavar="R", help="builtin generic arrangement size")
-            p.add_argument("--n", type=int, help="ambient dimension parameter n (builtin families)")
-            p.add_argument("--bound", type=int, default=0, help="germ degree bound (builtin families)")
+    def add_common(p):
+        p.add_argument("--input", help="resolution document path")
+        p.add_argument("--cone", type=_int_list, metavar="d1,d2,...", help="builtin cone family degrees")
+        p.add_argument("--arrangement", type=int, metavar="R", help="builtin generic arrangement size")
+        p.add_argument("--n", type=int, help="ambient dimension parameter n (builtin families)")
+        p.add_argument("--bound", type=int, default=0, help="germ degree bound (builtin families)")
         p.add_argument("--format", choices=("human", "structured"), default="human")
         p.add_argument("--out", help="write output to this path")
 
@@ -80,9 +83,7 @@ def build_parser() -> _Parser:
     add_common(p_milnor)
     p_milnor.add_argument("--order", type=int, required=True, metavar="M", help="eigenvalue order bound")
     p_oracle = sub.add_parser("oracle", help="skeleton homology sweep (generic arrangements)")
-    add_common(p_oracle, with_data=False)
-    p_oracle.add_argument("--arrangement", type=int, required=True, metavar="R")
-    p_oracle.add_argument("--n", type=int, required=True)
+    add_common(p_oracle)
     p_oracle.add_argument("--order", type=int, required=True, metavar="M")
     p_check = sub.add_parser("check", help="cross-validate principal components against the oracle")
     add_common(p_check)
@@ -118,15 +119,7 @@ def _phase_str(beta: Fraction) -> str:
 
 
 def _torus_str(torus) -> str:
-    parts = []
-    for v, beta in torus.equations:
-        mono = "*".join(
-            "t%d" % (i + 1) if c == 1 else "t%d^%d" % (i + 1, c)
-            for i, c in enumerate(v)
-            if c
-        )
-        parts.append("%s = %s" % (mono or "1", _phase_str(beta)))
-    return ", ".join(parts)
+    return ", ".join("%s = %s" % (LaurentPoly.monomial(v), _phase_str(beta)) for v, beta in torus.equations)
 
 
 def _face_str(face) -> str:
@@ -233,19 +226,21 @@ def cmd_milnor(args):
 
 
 def cmd_oracle(args):
-    if args.arrangement < 2 or not 1 <= args.n <= args.arrangement - 1:
-        raise CliInputError("oracle needs R >= 2 and 1 <= n <= R-1")
+    data = _load_data(args)
+    if not oracle_applies(data):
+        raise CliInputError("oracle needs a generic arrangement with 1 <= n <= r - 1")
     if args.order < 1:
         raise CliInputError("--order must be positive")
-    check_sweep(args.order ** args.arrangement, args.order, args.arrangement, args.n)
+    check_sweep(args.order ** data.r, args.order, data.r, data.n)
+    oracle = f_source(data, ORACLE)
     rows = [
-        ([str(p) for p in chi.phases], oracle_f(args.arrangement, args.n, chi.order, chi.exponents))
-        for chi in torsion_characters((args.order,) * args.arrangement)
+        ([str(p) for p in chi.phases], oracle(chi))
+        for chi in torsion_characters((args.order,) * data.r)
     ]
     if args.format == "structured":  # thousands of rows: skip PyYAML's representer
-        return _dump_oracle_yaml(args.arrangement, args.n, args.order, rows), None, 0
+        return _dump_oracle_yaml(data.r, data.n, args.order, rows), None, 0
     lines = ["oracle sweep: r=%d n=%d, %d characters of order dividing %d" % (
-        args.arrangement, args.n, len(rows), args.order)]
+        data.r, data.n, len(rows), args.order)]
     for phases, f in rows:
         lines.append("  (%s) -> %d" % (", ".join(phases), f))
     return None, lines, 0
@@ -255,17 +250,15 @@ def cmd_check(args):
     data = _load_data(args)
     if args.order < 1:
         raise CliInputError("--order must be positive")
-    oracle = oracle_applies(data)
-    if oracle:
+    if oracle_applies(data):
         check_sweep(args.order ** data.r, args.order, data.r, data.n)
-    comps = principal_components(data)
-    if oracle:
+        principal, oracle = f_source(data, PRINCIPAL), f_source(data, ORACLE)
         off_ok = on_ok = on_total = off_total = 0
         trivial_line = ""
         mismatches = []
         for chi in torsion_characters((args.order,) * data.r):
-            pf = principal_f(chi, comps)
-            of = oracle_f(data.r, data.n, chi.order, chi.exponents)
+            pf = principal(chi)
+            of = oracle(chi)
             if chi.is_trivial():
                 trivial_line = "trivial character: principal %d (lower bound) vs oracle %d (elimination output); excluded" % (pf, of)
                 continue
@@ -303,10 +296,11 @@ def cmd_check(args):
     if data.family is None:
         raise CliInputError("check needs a builtin family")
     degrees = data.family[1]
+    principal = f_source(data, PRINCIPAL)
     sound = unsound = covered = on_total = 0
     bad = []
     for chi in torsion_characters((args.order,) * data.r):
-        member = principal_f(chi, comps) > 0
+        member = principal(chi) > 0
         supp = cone_support(degrees, chi.order, chi.exponents)
         if member and not supp:
             unsound += 1

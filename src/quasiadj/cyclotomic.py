@@ -159,7 +159,7 @@ def matrix_rank(field: CyclotomicField, rows: Sequence[Sequence]) -> int:
     ncols = len(mat[0])
     mul, sub = field.mul, field.sub
     rank = 0
-    divide = None  # the first step divides by the empty minor, 1
+    prev = None  # the previous pivot; the first step divides by the empty minor, 1
     for col in range(ncols):
         piv = next((i for i in range(rank, len(mat)) if any(mat[i][col])), None)
         if piv is None:
@@ -167,7 +167,9 @@ def matrix_rank(field: CyclotomicField, rows: Sequence[Sequence]) -> int:
         mat[rank], mat[piv] = mat[piv], mat[rank]
         prow = mat[rank]
         p = prow[col]
-        for row in mat[rank + 1 :]:
+        below = mat[rank + 1 :] if col + 1 < ncols else []  # the rows this step updates
+        divide = _exact_divider(field, prev) if below and prev is not None else None
+        for row in below:
             f = row[col]
             for j in range(col + 1, ncols):
                 v = sub(mul(p, row[j]), mul(f, prow[j]))
@@ -175,7 +177,7 @@ def matrix_rank(field: CyclotomicField, rows: Sequence[Sequence]) -> int:
         rank += 1
         if rank == len(mat):
             break
-        divide = _exact_divider(field, p)
+        prev = p
     return rank
 
 

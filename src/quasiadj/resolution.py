@@ -205,7 +205,7 @@ def _expect_mapping(node, path, allowed):
 
 
 def _expect_int(node, path):
-    if not isinstance(node, int) or isinstance(node, bool):
+    if type(node) is not int:  # a bool or another int subclass is refused, as in ratgeom
         raise ResolutionError("%s: expected an integer" % path)
     return node
 

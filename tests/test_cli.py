@@ -6,7 +6,8 @@ import pytest
 import yaml
 
 import quasiadj.cli as cli
-from quasiadj.resolution import cone_over, serialize_resolution
+import quasiadj.covers as covers
+from quasiadj.resolution import cone_over, generic_arrangement, serialize_resolution
 
 
 def run(argv, capsys):
@@ -71,6 +72,18 @@ def test_oracle_sweep(capsys):
     assert "(0, 0, 0) -> 1" in out
 
 
+def test_oracle_takes_every_data_option(tmp_path, capsys):
+    # a cone whose degrees are all 1, and its document, are the arrangement
+    doc = tmp_path / "arrangement.yaml"
+    doc.write_text(serialize_resolution(generic_arrangement(4, 2)))
+    for fmt in ("human", "structured"):
+        tail = ["--order", "3", "--format", fmt]
+        code, out, err = run(["oracle", "--arrangement", "4", "--n", "2"] + tail, capsys)
+        assert code == 0 and not err
+        assert run(["oracle", "--cone", "1,1,1,1", "--n", "2"] + tail, capsys) == (0, out, "")
+        assert run(["oracle", "--input", str(doc)] + tail, capsys) == (0, out, "")
+
+
 def test_check_arrangement_agrees(capsys):
     code, out, _ = run(["check", "--arrangement", "4", "--n", "2", "--order", "3"], capsys)
     assert code == 0
@@ -86,7 +99,7 @@ def test_check_cone_support(capsys):
 
 
 def test_check_exit_two_on_mismatch(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "oracle_f", lambda r, n, order, exponents: 99)
+    monkeypatch.setattr(covers, "oracle_f", lambda r, n, order, exponents: 99)
     code, out, _ = run(["check", "--arrangement", "4", "--n", "2", "--order", "2"], capsys)
     assert code == 2
     assert "MISMATCH" in out
@@ -118,6 +131,8 @@ def test_input_errors_exit_one(capsys):
         ["faces", "--cone", "two,3", "--n", "2"],
         ["faces", "--badflag"],
         ["oracle", "--arrangement", "4", "--n", "9", "--order", "2"],
+        ["oracle", "--cone", "2,3", "--n", "1", "--order", "3"],      # not an arrangement
+        ["oracle", "--arrangement", "4", "--order", "3"],             # missing --n
         ["milnor", "--arrangement", "4", "--n", "2", "--order", "0"],
         ["betti", "--cone", "2,3", "--n", "2", "--m", "2000,2000"],   # character cap
         ["betti", "--cone", "2,3", "--n", "2", "--m", "0,3"],

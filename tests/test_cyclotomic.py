@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from quasiadj import cyclotomic
 from quasiadj.cyclotomic import (
     CyclotomicField,
     LaurentPoly,
@@ -79,6 +80,29 @@ def test_matrix_rank_known():
     i = gauss.zeta(1)
     # rows (1, i) and (i, -1) are proportional over Q(i)
     assert matrix_rank(gauss, [[gauss.one, i], [i, gauss.zeta(2)]]) == 1
+
+
+def test_matrix_rank_builds_a_divider_only_for_a_step_that_uses_it(monkeypatch):
+    calls = []
+    real = cyclotomic._exact_divider
+
+    def counting(field, b):
+        calls.append(b)
+        return real(field, b)
+
+    monkeypatch.setattr(cyclotomic, "_exact_divider", counting)
+    field = CyclotomicField(401)
+    one, zeta = field.one, field.zeta(1)
+    # a d_1 column: one pivot and no later column to divide
+    assert matrix_rank(field, [[field.sub(zeta, one)], [field.sub(field.zeta(2), one)]]) == 1
+    assert matrix_rank(field, [[zeta], [one], [zeta]]) == 1
+    assert calls == []
+    # identity: only the middle pivot's step updates an entry (the last row's
+    # last column), and it divides by the first pivot
+    q = CyclotomicField(1)
+    eye = [[q.one if i == j else q.zero for j in range(3)] for i in range(3)]
+    assert matrix_rank(q, eye) == 3
+    assert calls == [q.one]
 
 
 def test_matrix_rank_property_randomized():

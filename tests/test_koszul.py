@@ -84,7 +84,6 @@ def test_oracle_sweep_work_is_bounded(monkeypatch, capsys):
         raise AssertionError("oracle called")
 
     monkeypatch.setattr(covers, "oracle_f", no_oracle)
-    monkeypatch.setattr(cli, "oracle_f", no_oracle)
     assert cli.main(["betti", "--arrangement", "3", "--n", "2", "--m", "1000,1000,1"]) == 1
     assert "error: oracle sweep of 1000000 characters of order dividing 1000 exceeds cap" in capsys.readouterr().err
     monkeypatch.undo()
@@ -118,7 +117,7 @@ def test_oracle_sweep_bound_sees_the_size_of_d_n(monkeypatch, capsys):
     def no_oracle(*args):
         raise AssertionError("oracle called")
 
-    monkeypatch.setattr(cli, "oracle_f", no_oracle)
+    monkeypatch.setattr(covers, "oracle_f", no_oracle)
     assert cli.main(["oracle", "--arrangement", "19", "--n", "2", "--order", "2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: oracle sweep of 524288 characters of order dividing 2 exceeds cap")

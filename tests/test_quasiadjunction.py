@@ -114,6 +114,44 @@ def test_quotient_dims_on_face():
     assert len(weight_witnesses(data, (F(1, 4), F(1, 6)))[1]) == 3   # on 2x1+3x2 = 1
 
 
+# exceptional components Efk, Efr, Eni and germs 1, ghn, gle, gpf: germ gpf's
+# face 2*x2 + 3*x3 = 2 is crossed inside by another germ's hyperplane
+CROSSED_CHART = """\
+r: 3
+n: 1
+exceptional:
+- {id: Efk, a: [3, 1, 2], c: 3}
+- {id: Efr, a: [0, 2, 3], c: 2}
+- {id: Eni, a: [2, 0, 3], c: 2}
+incidence:
+- {members: [Efk, Efr], fold: 2}
+- {members: [Efr, Eni], fold: 2}
+germs:
+- {label: '1', degree: 0, e: {}}
+- {label: 'ghn', degree: 2, e: {Efk: 2, Efr: 2}}
+- {label: 'gle', degree: 2, e: {Efk: 1, Efr: 2, Eni: 1}}
+- {label: 'gpf', degree: 2, e: {Efk: 1, Eni: 2}}
+"""
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_face_witnesses_hold_on_the_whole_relative_interior():
+    # a face's witnesses are read at its one sample; at (9/10, 1/2, 1/3),
+    # in the relative interior of both faces on 2*x2 + 3*x3 = 2, the face
+    # sampled at (1/3, 5/9, 8/27) reports {1: ('gpf',)} against {1: ('1', 'gpf')}
+    data = load_resolution(CROSSED_CHART)
+    x = (F(9, 10), F(1, 2), F(1, 3))
+    cells = [
+        f for f in faces_of_quasiadjunction(data)
+        if all(g.value(x) == 0 for g in f.tight)
+        # a form zero at the sample is an implicit equality of the face
+        and all(g.value(x) < 0 for g in f.ambient if g.value(f.sample) != 0)
+    ]
+    assert cells
+    for face in cells:
+        assert face.witnesses == weight_witnesses(data, x), face.sample
+
+
 def test_lct_values():
     assert lct_face(cone_over((2, 3), 2)).gamma == F(3, 5)
     lct = lct_face(generic_arrangement(4, 2))

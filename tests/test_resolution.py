@@ -4,6 +4,7 @@ import io
 import random
 import re
 from dataclasses import replace
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ import quasiadj.charvariety as cv
 import quasiadj.cli as cli
 import quasiadj.resolution as resolution
 from quasiadj.charvariety import PrincipalComponent, classify_essential, make_subtorus
+from quasiadj.covers import betti_tables
 from quasiadj.resolution import (
     ExceptionalComponent,
     GermBasisElement,
@@ -93,6 +95,17 @@ def test_data_model_refuses_floats_and_bools():
         with pytest.raises(ResolutionError, match="expected an integer|expected a string"):
             make()
     assert GermBasisElement("g", 1, {"E0": 2}).e == (("E0", 2),)
+
+
+def test_principal_side_refuses_int_subclasses():
+    # PyYAML's safe dumper cannot represent an int subclass, so none may enter
+    D = IntEnum("D", {"TWO": 2, "THREE": 3})
+    with pytest.raises(ResolutionError, match=r"cone family: degrees\[0\]: expected an integer"):
+        cone_over((D.TWO, D.THREE), 2, 1)
+    with pytest.raises(ResolutionError, match=r"order\[0\]: expected an integer"):
+        next(cv.torsion_characters((D.TWO, 2)))
+    with pytest.raises(ResolutionError, match=r"m\[0\]: expected an integer"):
+        betti_tables(cone_over((2, 3), 2, 1), (D.TWO, 2))
 
 
 def test_cone_germ_basis_is_bounded(monkeypatch, capsys):
