@@ -16,7 +16,7 @@ from math import gcd, lcm
 
 from .cyclotomic import LaurentPoly, cyclotomic_in_monomial
 from .quasiadjunction import FaceOfQuasiadjunction, faces_of_quasiadjunction
-from .ratgeom import _integers, hermite, rat, saturation_basis
+from .ratgeom import _integers, hermite, is_saturation_basis, rat
 from .resolution import ResolutionData, _expect_int, cone_over
 
 
@@ -115,8 +115,7 @@ class TranslatedSubtorus:
     def __post_init__(self):
         eqs = tuple((_exponent_vector(v, self.nvars), rat(b) % 1) for v, b in self.equations)
         object.__setattr__(self, "equations", eqs)
-        vectors = [v for v, _ in eqs]
-        if saturation_basis(vectors, self.nvars) != vectors:
+        if not is_saturation_basis([v for v, _ in eqs], self.nvars):
             raise ValueError("equations are not the Hermite basis of a saturated lattice; "
                              "build with make_subtorus")
 

@@ -14,8 +14,8 @@ needs a generic arrangement (a cone of degrees all 1) with 1 <= n <= r - 1.
 oracle and check read f per character through covers.f_source.  Output is
 human text by default; --format structured emits the same nested key/value
 document format the loader reads (oracle's from its own fixed-shape writer),
-and --out writes to a file.  Exit codes: 0 success, 1 input error, 2
-cross-validation mismatch.
+and --out writes to a file.  A command builds only the format asked for.
+Exit codes: 0 success, 1 input error, 2 cross-validation mismatch.
 """
 
 from __future__ import annotations
@@ -134,62 +134,72 @@ def _face_str(face) -> str:
     return ", ".join(eqs)
 
 
+def _text(lines) -> str:
+    return "\n".join(lines) + "\n"
+
+
 def cmd_faces(args):
     data = _load_data(args)
     faces = faces_of_quasiadjunction(data)
     lct = lct_face(data, faces)
-    report = {
-        "faces": [
-            {
-                "equations": _face_str(f),
-                "dim": f.dim,
-                "labels": {str(l): k for l, k in sorted(f.labels.items())},
-                "witnesses": {str(l): list(w) for l, w in sorted(f.witnesses.items())},
-                "sample": [str(v) for v in f.sample],
-            }
-            for f in faces
-        ],
-        "lct": {"gamma": str(lct.gamma), "face": _face_str(lct.face) if lct.face else None},
-    }
+    stable = faces_stabilized(data) if data.family is not None else None
+    if args.format == "structured":
+        report = {
+            "faces": [
+                {
+                    "equations": _face_str(f),
+                    "dim": f.dim,
+                    "labels": {str(l): k for l, k in sorted(f.labels.items())},
+                    "witnesses": {str(l): list(w) for l, w in sorted(f.witnesses.items())},
+                    "sample": [str(v) for v in f.sample],
+                }
+                for f in faces
+            ],
+            "lct": {"gamma": str(lct.gamma), "face": _face_str(lct.face) if lct.face else None},
+        }
+        if stable is not None:
+            report["stable_under_bound_increase"] = stable
+        return _dump_yaml(report), 0
     lines = ["faces of quasiadjunction: %d" % len(faces)]
     for f in faces:
         labels = ", ".join("l=%d -> k=%d" % (l, k) for l, k in sorted(f.labels.items()))
         lines.append("  %s   (dim %d; %s)" % (_face_str(f), f.dim, labels))
     lines.append("log canonical threshold: gamma = %s%s" % (
         lct.gamma, "" if lct.face is None else " on face " + _face_str(lct.face)))
-    if data.family is not None:
-        stable = faces_stabilized(data)
-        report["stable_under_bound_increase"] = stable
+    if stable is not None:
         lines.append("degree bound %d %s under bound+1" % (
             data.family[3], "is stable" if stable else "CHANGES"))
-    return report, lines, 0
+    return _text(lines), 0
 
 
 def cmd_components(args):
     data = _load_data(args)
     comps = principal_components(data)
-    report = {"components": [component_dict(c) for c in comps]}
+    rep = classify_essential(data, comps) if data.family is not None and data.r > 1 else None
+    try:
+        poly, note = polynomial_invariant(comps, data.r), None
+    except ValueError as exc:
+        poly, note = None, str(exc)
+    if args.format == "structured":
+        report = {"components": [component_dict(c) for c in comps]}
+        if rep is not None:
+            report["essential"] = len(rep.essential)
+            report["nonessential"] = [
+                {"torus": _torus_str(c.torus), "coordinate": i + 1} for c, i, _ in rep.nonessential
+            ]
+        report["polynomial"] = None if poly is None else str(poly)
+        if note is not None:
+            report["polynomial_note"] = note
+        return _dump_yaml(report), 0
     lines = ["principal components: %d" % len(comps)]
     for c in comps:
         lines.append("  {%s}   k=%d l=%d contributions=%s" % (
             _torus_str(c.torus), c.k, c.l, list(c.contributions)))
-    if data.family is not None and data.r > 1:
-        rep = classify_essential(data, comps)
-        report["essential"] = len(rep.essential)
-        report["nonessential"] = [
-            {"torus": _torus_str(c.torus), "coordinate": i + 1} for c, i, _ in rep.nonessential
-        ]
+    if rep is not None:
         lines.append("essential: %d, nonessential: %d" % (len(rep.essential), len(rep.nonessential)))
-    try:
-        poly = polynomial_invariant(comps, data.r)
-        report["polynomial"] = str(poly)
-        lines.append("torus polynomial: %s" % poly)
-    except ValueError as exc:
-        report["polynomial"] = None
-        report["polynomial_note"] = str(exc)
-        lines.append("torus polynomial: undefined (%s)" % exc)
+    lines.append("torus polynomial: %s" % poly if note is None else "torus polynomial: undefined (%s)" % note)
     lines.append("f-values derived from these components are principal lower bounds")
-    return report, lines, 0
+    return _text(lines), 0
 
 
 def cmd_betti(args):
@@ -198,15 +208,16 @@ def cmd_betti(args):
         raise CliInputError("--m needs %d entries" % data.r)
     mode = ORACLE if oracle_applies(data) else PRINCIPAL
     tables = [t for t in betti_tables(data, args.m, f_mode=mode) if t is not None]
+    if args.format == "structured":
+        return _dump_yaml({t.mode: betti_dict(t) for t in tables}), 0
     lines = [] if len(tables) == 2 else ["branched table skipped: needs builtin family provenance"]
-    report = {t.mode: betti_dict(t) for t in tables}
     for t in tables:
         lines.append("%s cover, m=(%s): ranks %s" % (
             t.mode, ",".join(map(str, t.orders)), list(t.ranks)))
         trivial = t.audit.get("top_from_trivial", 0)
         lines.append("  f source: %s; trivial-character term: %s (flagged unresolved)" % (t.f_source, trivial))
         lines.append("  character audit: %d characters summed" % t.audit["characters"])
-    return report, lines, 0
+    return _text(lines), 0
 
 
 def cmd_milnor(args):
@@ -214,7 +225,8 @@ def cmd_milnor(args):
     if args.order < 1:
         raise CliInputError("--order must be positive")
     table = milnor_fiber(data, args.order, f_mode=ORACLE if oracle_applies(data) else PRINCIPAL)
-    report = milnor_dict(table)
+    if args.format == "structured":
+        return _dump_yaml(milnor_dict(table)), 0
     lines = ["milnor fiber ranks (degrees 0..n, t=1 part excluded at top): %s" % list(table.ranks)]
     for phase, mult in sorted(table.multiplicities.items()):
         lines.append("  eigenvalue exp(2*pi*i*%s): multiplicity %s %d" % (
@@ -222,7 +234,7 @@ def cmd_milnor(args):
     lines.append("characteristic divisor in degree n: %s" % table.polynomial_string())
     lines.append("multiplicity at t = 1: unresolved (flagged)")
     lines.append("f source: %s" % table.f_source)
-    return report, lines, 0
+    return _text(lines), 0
 
 
 def cmd_oracle(args):
@@ -237,13 +249,13 @@ def cmd_oracle(args):
         ([str(p) for p in chi.phases], oracle(chi))
         for chi in torsion_characters((args.order,) * data.r)
     ]
-    if args.format == "structured":  # thousands of rows: skip PyYAML's representer
-        return _dump_oracle_yaml(data.r, data.n, args.order, rows), None, 0
+    if args.format == "structured":  # thousands of rows: a writer of this one shape
+        return _dump_oracle_yaml(data.r, data.n, args.order, rows), 0
     lines = ["oracle sweep: r=%d n=%d, %d characters of order dividing %d" % (
         data.r, data.n, len(rows), args.order)]
     for phases, f in rows:
         lines.append("  (%s) -> %d" % (", ".join(phases), f))
-    return None, lines, 0
+    return _text(lines), 0
 
 
 def cmd_check(args):
@@ -274,25 +286,26 @@ def cmd_check(args):
                     off_ok += 1
                 else:
                     mismatches.append((chi, pf, of))
-        report = {
-            "mode": "arrangement",
-            "on_support_agree": [on_ok, on_total],
-            "off_support_agree": [off_ok, off_total],
-            "mismatches": [
-                {"phases": [str(p) for p in chi.phases], "principal": pf, "oracle": of}
-                for chi, pf, of in mismatches
-            ],
-        }
+        code = 0 if not mismatches else 2
+        if args.format == "structured":
+            return _dump_yaml({
+                "mode": "arrangement",
+                "on_support_agree": [on_ok, on_total],
+                "off_support_agree": [off_ok, off_total],
+                "mismatches": [
+                    {"phases": [str(p) for p in chi.phases], "principal": pf, "oracle": of}
+                    for chi, pf, of in mismatches
+                ],
+            }), code
         lines = [
             "principal vs oracle, order %d sweep:" % args.order,
             "  on-support nontrivial: %d/%d agree" % (on_ok, on_total),
             "  off-support: %d/%d both zero" % (off_ok, off_total),
             "  " + trivial_line,
         ]
-        code = 0 if not mismatches else 2
         if mismatches:
             lines.append("MISMATCH at %d characters" % len(mismatches))
-        return report, lines, code
+        return _text(lines), code
     if data.family is None:
         raise CliInputError("check needs a builtin family")
     degrees = data.family[1]
@@ -311,12 +324,14 @@ def cmd_check(args):
             on_total += 1
             if member:
                 covered += 1
-    report = {
-        "mode": "cone-support",
-        "component_members_on_support": [sound, sound + unsound],
-        "support_covered_by_components": [covered, on_total],
-        "violations": [[str(p) for p in chi.phases] for chi in bad],
-    }
+    code = 2 if unsound else 0
+    if args.format == "structured":
+        return _dump_yaml({
+            "mode": "cone-support",
+            "component_members_on_support": [sound, sound + unsound],
+            "support_covered_by_components": [covered, on_total],
+            "violations": [[str(p) for p in chi.phases] for chi in bad],
+        }), code
     lines = [
         "cone support certification, order %d sweep:" % args.order,
         "  all %d component members lie on the weighted-degree support" % sound
@@ -324,7 +339,7 @@ def cmd_check(args):
         else "  VIOLATION: %d component members off support" % unsound,
         "  support coverage by components at this bound: %d/%d" % (covered, on_total),
     ]
-    return report, lines, 2 if unsound else 0
+    return _text(lines), code
 
 
 COMMANDS = {
@@ -341,14 +356,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        report, lines, code = COMMANDS[args.command](args)
+        text, code = COMMANDS[args.command](args)
     except (CliInputError, ValueError) as exc:  # library input checks raise ValueError
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    if args.format == "structured":  # a command may return its report already written
-        text = report if isinstance(report, str) else _dump_yaml(report)
-    else:
-        text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -163,25 +163,39 @@ def _totient(n: int) -> int:
     return out - out // n if n > 1 else out
 
 
-# characters times the degree phi(N) of Z[zeta_N], N their common order,
-# times the entries of d_n, that one oracle sweep may visit before it gives up
+# work one oracle sweep may charge before it gives up (see check_sweep)
 MAX_SWEEP_WORK = 1_000_000
+
+
+def _work(characters: int, ranks: int, phi: int, rows: int, cols: int) -> int:
+    """characters evaluations of the rows x cols matrix d_n, whose entries
+    hold phi integers each, and ranks ranks of it, each building at most
+    min(rows, cols) - 1 Bareiss dividers of phi - 1 products of degree phi
+    (see cyclotomic._exact_divider)."""
+    return characters * phi * rows * cols + ranks * (min(rows, cols) - 1) * (phi - 1) * phi * phi
+
+
+def _check_work(characters: int, ranks: int, order: int, rows: int, cols: int) -> None:
+    if characters > MAX_SWEEP_WORK or _work(characters, ranks, _totient(order), rows, cols) > MAX_SWEEP_WORK:
+        raise ValueError("oracle sweep of %d characters of order dividing %d exceeds cap %d on characters"
+                         " times phi(order) times the %d x %d entries of d_n, plus phi(order)^3 per"
+                         " Bareiss divider of a rank" % (characters, order, MAX_SWEEP_WORK, rows, cols))
 
 
 def check_sweep(characters: int, order: int, r: int, n: int) -> None:
     """Refuse an oracle sweep over `characters` characters whose orders
     divide `order`, for the r-hyperplane arrangement in degree n, before it
-    starts: each on-support character costs one rank of d_n, a dim C_n x
-    dim C_(n-1) matrix over Z[zeta_N] whose entries hold phi(N) <=
-    phi(order) integers.  Raises ValueError when characters * phi(order) *
-    dim C_n * dim C_(n-1) exceeds MAX_SWEEP_WORK.  A sweep's order is at
-    most its character count plus one, so phi is only computed for orders
-    up to MAX_SWEEP_WORK + 1."""
-    rows, cols = comb(r - 1, n), comb(r - 1, n - 1)
-    if characters > MAX_SWEEP_WORK or characters * _totient(order) * max(1, rows * cols) > MAX_SWEEP_WORK:
-        raise ValueError("oracle sweep of %d characters of order dividing %d exceeds cap %d on characters"
-                         " times phi(order) times the %d x %d entries of d_n"
-                         % (characters, order, MAX_SWEEP_WORK, rows, cols))
+    starts.  Each character is charged the dim C_n x dim C_(n-1) entries of
+    d_n, which hold phi(N) <= phi(order) integers each in Z[zeta_N].  Each
+    character on the support takes one rank of d_n, and is charged that
+    rank's Bareiss dividers as well (see _work): a sweep over every
+    character of orders m has prod(m) / lcm(m) = characters // order of
+    them, since k -> sum_i k_i lcm(m) / m_i maps onto Z/lcm(m).  A Milnor
+    sweep's diagonal characters on the support have orders dividing r, and
+    oracle_f checks each call itself.  Raises ValueError when the work
+    exceeds MAX_SWEEP_WORK.  A sweep's order is at most its character count
+    plus one, so phi is only computed for orders up to MAX_SWEEP_WORK + 1."""
+    _check_work(characters, characters // max(order, 1), order, comb(r - 1, n), comb(r - 1, n - 1))
 
 
 def on_support(order: int, exponents) -> bool:
@@ -201,6 +215,14 @@ def oracle_f(r: int, n: int, order: int, exponents) -> int:
     C(r-1, n) at the trivial one (elimination output, not a cover rank;
     callers keep it labeled).  There k_r = -(k_1 + ... + k_(r-1)) mod N, so
     d_n is evaluated at the first r-1 exponents in the same Z[zeta_N].
+
+    A call whose rank would take more than MAX_SWEEP_WORK, charged as one
+    character of a sweep on the support (see check_sweep), raises
+    ValueError before the rank.  phi(N) < N, so the work with N in place of
+    phi bounds it, and phi is computed only when that bound passes the cap.
+    A character of an oracle, check or betti sweep that check_sweep passed
+    is never refused here: the sweep charged at least one rank at phi of
+    the sweep's order, which phi of the character's order divides.
     """
     order, exponents = _character(order, exponents)
     if len(exponents) != r:
@@ -209,10 +231,12 @@ def oracle_f(r: int, n: int, order: int, exponents) -> int:
         raise ValueError("degree n = %d outside [1, %d] for the skeleton model" % (n, r - 1))
     if sum(exponents) % order:
         return 0
-    spec = truncated_koszul(r - 1, n)
+    matrix = truncated_koszul(r - 1, n).differential(n)
+    rows, cols = len(matrix), len(matrix[0])  # dim C_n x dim C_(n-1)
+    if order * (rows * cols + min(rows, cols) * order * order) > MAX_SWEEP_WORK:  # _work with N for phi(N)
+        _check_work(1, 1, order, rows, cols)
     field = CyclotomicField(order)
-    d_n = _evaluated(field, exponents[: r - 1], spec.differential(n))
-    return spec.dims[n] - matrix_rank(field, d_n)
+    return rows - matrix_rank(field, _evaluated(field, exponents[: r - 1], matrix))
 
 
 def cone_support(degrees, order: int, exponents) -> bool:

@@ -143,13 +143,25 @@ def _systems(data: ResolutionData) -> dict[tuple[AffineForm, ...], list[str]]:
 
 
 def _weight_witnesses(data: ResolutionData, systems, x) -> dict[int, tuple[str, ...]]:
-    """weight_witnesses with the systems already built: one verdict per
-    system.  Systems differ only in their constants, so each exceptional
+    """weight_witnesses with the systems already built: one weight per
+    system, _verdict_at's, read off the signs of its forms' values.
+    Systems differ only in their constants, so each exceptional
     component's a_E . x is computed once."""
     dots, den = _dots(next(iter(systems), ()), x)
+    ids = [exc.id for exc in data.exceptional]
     weights = {}
     for forms, labels in systems.items():
-        weights.update(dict.fromkeys(labels, _verdict_at(data, forms, x, dots, den).weight))
+        tight, weight = set(), 0
+        for d, f, eid in zip(dots, forms, ids):
+            value = d + f.const * den
+            if value > 0:
+                break  # outside the log ideal
+            if value == 0:
+                tight.add(eid)
+        else:
+            if tight:  # in the log ideal, not in the ideal
+                weight = max(rec.fold for rec in data.incidence if rec.members <= tight)
+        weights.update(dict.fromkeys(labels, weight))
     out: dict[int, list[str]] = {}
     for germ in data.germs:
         w = weights[germ.label]

@@ -165,6 +165,32 @@ def saturation_basis(rows: Sequence[Sequence[int]], width: int) -> list[tuple[in
     return hnf_rows(integer_kernel(ker, width))
 
 
+def is_saturation_basis(rows: Sequence[Sequence[int]], width: int) -> bool:
+    """Whether saturation_basis(rows, width) == rows, with one reduction.
+
+    The rows must be in Hermite form, each with its first nonzero entry
+    positive and right of the one above, and every entry above it in
+    [0, pivot): then they are the canonical basis of the lattice L they
+    span.  And L must be saturated, which is when the gcd of the maximal
+    minors of the rows is 1: a unimodular reduction of the transpose to its
+    Hermite form H keeps that gcd, which is then the product of H's pivots,
+    so every pivot of H must be 1 (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4).
+    """
+    last = -1
+    for k, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError("row width %d != %d" % (len(row), width))
+        pivot = next((j for j, v in enumerate(row) if v), width)
+        if pivot <= last or pivot == width or row[pivot] < 0:
+            return False
+        if any(not 0 <= above[pivot] < row[pivot] for above in rows[:k]):
+            return False
+        last = pivot
+    mat, _ = hermite(list(zip(*rows)), len(rows))
+    return all(mat[i][i] == 1 for i in range(len(rows)))
+
+
 def span_equations(
     equalities: Sequence[AffineForm], point: Sequence[Fraction]
 ) -> list[tuple[tuple[int, ...], Fraction]]:
@@ -271,6 +297,17 @@ def _phase1(ineqs, eqs, r):
     a row that cannot drive its artificial out is redundant.  The result
     holds neither the artificial columns nor the redundant rows, so phase 2
     never pivots an artificial back in.
+
+    An inequality -x_i <= 0 (a cube facet) gets no row, and its slack,
+    which equals x_i, keeps its number: every pivot, here and in phase 2,
+    is the one the full tableau makes (Bland, "New finite pivoting rules
+    for the simplex method", 1977).  The slack starts basic, with rhs 0,
+    and never leaves the basis.  While x_i is basic, the slack's row
+    equals x_i's row, so the two tie in every ratio test, and the tie goes
+    to x_i, the smaller index.  While x_i is nonbasic, the row's only
+    nonzero entry is -den, in x_i's column, so it is never a candidate.
+    A basic variable never enters, so the row changes no entering choice,
+    no cost row and no denominator.
     """
     real = r + len(ineqs)
     flipped = [k for k, f in enumerate(ineqs) if f.const > 0]  # slacks that start nonbasic
@@ -278,6 +315,8 @@ def _phase1(ineqs, eqs, r):
     rows, basis = [], []
     artificial = real
     for k, f in enumerate((*ineqs, *eqs)):
+        if k < len(ineqs) and not f.const and -1 in f.coeffs and f.coeffs.count(0) == r - 1:
+            continue  # the facet -x_i <= 0: its slack is x_i and never leaves the basis
         row = [*f.coeffs, *(int(k == s) for s in flipped), -f.const]
         if k < len(ineqs) and f.const <= 0:
             basis.append(r + k)

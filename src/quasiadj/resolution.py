@@ -280,8 +280,224 @@ else:
 
 
 def _dump_yaml(doc) -> str:
-    """The one YAML emitter: keys in insertion order, leaf lists in flow style."""
-    return yaml.dump(doc, Dumper=_SafeDumper, sort_keys=False, default_flow_style=None)
+    """The bytes of yaml.dump(doc, sort_keys=False, default_flow_style=None):
+    keys in insertion order, leaf collections in flow style.
+
+    _Emitter writes them directly for the shapes reports take: a dict or
+    list at the root, holding dicts, lists, str, int, bool and None, with
+    no collection held twice.  A collection of scalars only (empty ones
+    too) is a flow collection, any other a block one, a block sequence in
+    a mapping is indentless, and a flow entry or a plain or single-quoted
+    space past column 80 starts a new line.  A scalar is plain or
+    single-quoted as PyYAML's resolver and Emitter.analyze_scalar decide.
+    PyYAML writes the document instead, through the configured dumper, when
+    it holds a scalar PyYAML would double-quote (a control or non-ASCII
+    character, a space next to a line break) or a key that is not a simple
+    key to PyYAML: empty, multi-line, or of 123 characters or more (its
+    128-character limit counts the 5-character '!!str' tag and libyaml's
+    does not, so the two dumpers lay out keys of 123 to 128 characters
+    differently).  Anything else outside the shapes above goes to PyYAML
+    too, which writes it or raises.
+    """
+    try:
+        return _Emitter().dump(doc)
+    except _NeedsPyYAML:
+        return yaml.dump(doc, Dumper=_SafeDumper, sort_keys=False, default_flow_style=None)
+
+
+class _NeedsPyYAML(Exception):
+    """The document holds something _Emitter leaves to PyYAML."""
+
+
+_WIDTH = 80  # PyYAML's best_width: past this column a flow entry or a space breaks the line
+_STR_TAG = "tag:yaml.org,2002:str"
+_RESOLVER = yaml.resolver.Resolver()
+_ANALYZER = yaml.emitter.Emitter(None)  # analyze_scalar reads allow_unicode only: off, as in yaml.dump
+# text analyze_scalar allows plain in both contexts: no indicator, quote, break,
+# control or non-ASCII character, no leading '-', '.' or '*', no outer space
+_SAFE_TEXT = re.compile(r"[A-Za-z0-9_(/=+^~][A-Za-z0-9_()/*+=^.~-]*(?: +[A-Za-z0-9_()/*+=^.~-]+)*")
+_SCALARS = frozenset((str, int, bool, type(None)))
+_RUNS = re.compile(r" +|\n+|[^ \n]+")
+
+
+def _str_forms(text: str) -> tuple:
+    """The str scalar text as PyYAML writes it outside a key, in block and in
+    flow context: plain, single-quoted, or None where it double-quotes."""
+    # the resolver reads text as another type only by a rule for its first character
+    implicit = (text[:1] not in _RESOLVER.yaml_implicit_resolvers
+                or _RESOLVER.resolve(yaml.ScalarNode, text, (True, False)) == _STR_TAG)
+    quoted = "'%s'" % text.replace("'", "''")
+    if _SAFE_TEXT.fullmatch(text):
+        return (text, text) if implicit else (quoted, quoted)
+    a = _ANALYZER.analyze_scalar(text)
+    if not a.allow_single_quoted:
+        quoted = None
+    return text if implicit and a.allow_block_plain else quoted, text if implicit and a.allow_flow_plain else quoted
+
+
+class _Emitter:
+    """One document, written as PyYAML's Emitter writes the events its
+    Serializer makes of the nodes SafeRepresenter builds (see _dump_yaml).
+
+    The methods follow the Emitter's states, with its column and its
+    whitespace and indention flags, and an indent of None above the root.
+    forms holds each str's written forms for this dump only."""
+
+    __slots__ = ("out", "col", "ws", "ind", "forms", "seen")
+
+    def __init__(self):
+        self.out = []
+        self.col = 0
+        self.ws = self.ind = True
+        self.forms = {}
+        self.seen = set()
+
+    def dump(self, doc) -> str:
+        if type(doc) is not dict and type(doc) is not list:
+            raise _NeedsPyYAML
+        self.node(doc, None, False)
+        self.out.append("\n")  # the document end's write_indent: the column is past 0
+        return "".join(self.out)
+
+    def put(self, text):
+        self.out.append(text)
+        self.col += len(text)
+
+    def write_indent(self, indent):
+        if not self.ind or self.col > indent or (self.col == indent and not self.ws):
+            self.out.append("\n")
+            self.col = 0
+        if self.col < indent:
+            self.out.append(" " * (indent - self.col))
+            self.col = indent
+        self.ws = self.ind = True
+
+    def form(self, value, flow):
+        """The scalar value as written in block or flow context."""
+        kind = type(value)
+        if kind is str:
+            forms = self.forms.get(value)
+            if forms is None:
+                forms = self.forms[value] = _str_forms(value)
+            if forms[flow] is None:
+                raise _NeedsPyYAML
+            return forms[flow]
+        if kind is int:
+            return str(value)
+        if kind is bool:
+            return "true" if value else "false"
+        if value is None:
+            return "null"
+        raise _NeedsPyYAML
+
+    def key(self, key, flow):
+        """The key as written with its ':', if PyYAML takes it as a simple
+        key: not empty, one line, and under 128 characters with its tag,
+        '!!str' or '!!int' (a bool or None key is short)."""
+        text = self.form(key, flow)
+        raw = key if type(key) is str else text
+        if not raw or "\n" in raw or len(raw) > 122:
+            raise _NeedsPyYAML
+        return text + ":"
+
+    def node(self, value, indent, in_mapping):
+        """A node below a collection whose indent is indent; in a mapping
+        a sequence is indentless, and a collection of scalars is in flow."""
+        kind = type(value)
+        if kind is dict:
+            flow = _SCALARS.issuperset(map(type, value)) and _SCALARS.issuperset(map(type, value.values()))
+        elif kind is list:
+            flow = _SCALARS.issuperset(map(type, value))
+        else:
+            return self.scalar(value, 2 if indent is None else indent + 2, False)
+        if id(value) in self.seen:
+            raise _NeedsPyYAML  # PyYAML writes an anchor and an alias
+        self.seen.add(id(value))
+        if flow:
+            return self.flow(value, 2 if indent is None else indent + 2)
+        if indent is None:
+            indent = 0
+        elif kind is dict or not in_mapping or self.ind:
+            indent += 2
+        # every entry after the first starts past the indent, so on a new line
+        newline = "\n" + " " * indent
+        out = self.out
+        for i, item in enumerate(value.items() if kind is dict else value):
+            if i:
+                out.append(newline)
+                self.col, self.ind = indent, True
+            else:
+                self.write_indent(indent)
+            if kind is dict:
+                text = self.key(item[0], False)
+                item = item[1]
+                self.ind = False  # the ':' indicator clears it; '-' keeps it
+            else:
+                text = "-"
+            out.append(text)
+            self.col += len(text)
+            self.ws = False
+            self.node(item, indent, kind is dict)
+
+    def flow(self, value, indent):
+        mapping = type(value) is dict
+        out = self.out
+        text = "{" if mapping else "["
+        if not self.ws:
+            text = " " + text
+        out.append(text)
+        self.col += len(text)
+        lead = ""
+        for i, item in enumerate(value.items() if mapping else value):
+            if i:
+                out.append(",")
+                self.col += 1
+                lead = " "
+            if self.col > _WIDTH:
+                out.append("\n" + " " * indent)
+                self.col, lead = indent, ""
+            if mapping:
+                text = lead + self.key(item[0], True)
+                out.append(text)
+                self.col += len(text)
+                lead, item = " ", item[1]
+            self.ws = not lead
+            self.scalar(item, indent + 2, True)
+        out.append("}" if mapping else "]")
+        self.col += 1
+        self.ws = self.ind = False
+
+    def scalar(self, value, indent, flow):
+        """Write a scalar whose own indent is indent, as Emitter.write_plain
+        and write_single_quoted do: a lone inner space past the width breaks
+        the line, and a run of line breaks is written with one more ahead of
+        it, then the indent."""
+        text = self.form(value, flow)
+        lead = "" if self.ws else " "
+        self.ws = self.ind = False
+        if "\n" not in text and (" " not in text or self.col + len(lead) + len(text) <= _WIDTH + 1):
+            text = lead + text
+            self.out.append(text)
+            self.col += len(text)
+            return
+        quoted = text[0] == "'"
+        self.put(lead + "'" if quoted else lead)
+        body = value if quoted else text
+        for run in _RUNS.finditer(body):
+            chunk = run.group()
+            if chunk[0] == "\n":
+                self.out.append("\n" * (len(chunk) + 1))
+                self.col, self.ws, self.ind = 0, True, True
+                self.write_indent(indent)
+            elif chunk == " " and self.col > _WIDTH and 0 < run.start() and run.end() < len(body):
+                self.write_indent(indent)
+                if not quoted:
+                    self.ws = self.ind = False
+            else:
+                self.put(chunk.replace("'", "''") if quoted else chunk)
+        if quoted:
+            self.put("'")
+            self.ws = self.ind = False
 
 
 # a nonzero phase in [0, 1) as str(Fraction) writes it; the resolver reads it as a string
@@ -291,11 +507,12 @@ _PLAIN_PHASE = re.compile(r"[1-9][0-9]*/[1-9][0-9]*")
 def _dump_oracle_yaml(r: int, n: int, order: int, rows) -> str:
     """The bytes _dump_yaml writes for the `oracle` report {r, n, order,
     characters: [{phases: [...], f}, ...]}, one row per (phases, f) pair,
-    without building PyYAML nodes.  Phase '0' is quoted, since the resolver
+    without building a dict of it.  Phase '0' is quoted, since the resolver
     would read a plain 0 as an int, and every p/q is plain.  A phase list
-    wraps as the emitter wraps a flow sequence: after each ',' it writes a
-    newline and the four-space indent if the column is past 80, else a
-    space.  Anything outside this shape raises ValueError."""
+    wraps as _Emitter.flow wraps a flow sequence: after each ',' it writes a
+    newline and the four-space indent if the column is past _WIDTH, else a
+    space.  Anything outside this shape raises ValueError.  It writes an
+    oracle sweep's thousands of rows several times faster than _Emitter."""
     for value in (r, n, order):
         if type(value) is not int:
             raise ValueError("oracle report field %r is not an int" % (value,))
@@ -313,7 +530,7 @@ def _dump_oracle_yaml(r: int, n: int, order: int, rows) -> str:
                 raise ValueError("oracle phase %r outside the report shape" % (p,))
             line += sep + p
             column = len(line) - line.rfind("\n") - 1
-            sep = ",\n    " if column + 1 > 80 else ", "  # the column just after the ','
+            sep = ",\n    " if column + 1 > _WIDTH else ", "  # the column just after the ','
         out.append("%s]\n  f: %d\n" % (line, f))
     return "".join(out)
 

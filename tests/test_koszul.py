@@ -2,6 +2,7 @@
 
 import ast
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 from math import comb
@@ -109,6 +110,35 @@ def test_oracle_sweep_work_is_bounded(monkeypatch, capsys):
         check_sweep(27, 3, 3, 1)
     assert [koszul._totient(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
     assert koszul._totient(1000) == 400
+
+
+def test_oracle_f_refuses_a_rank_whose_dividers_pass_the_cap():
+    # phi(401) = 400: each of the two Bareiss dividers of a 3 x 3 rank is a
+    # product of 399 conjugates of degree 400, together about 1.3 * 10^8
+    # units: refused before the field is built, where the rank took seconds
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="1 characters of order dividing 401 exceeds cap .* Bareiss divider"):
+        oracle_f(4, 2, 401, (1, 2, 3, 395))
+    assert time.perf_counter() - start < 0.1
+    assert oracle_f(4, 2, 401, (1, 2, 3, 394)) == 0  # off the support: no rank, no charge
+    assert oracle_f(4, 2, 7, (1, 2, 3, 1)) == 1      # a small order passes the bound unchecked
+
+
+def test_oracle_sweep_charges_dividers_per_rank(monkeypatch, capsys):
+    # r = 4, n = 2: d_2 is 3 x 3, so a rank builds 2 dividers.  An order-3
+    # sweep has 81 characters, 27 of them on the support, with phi = 2:
+    # 81 * 2 * 9 for the entries and 27 * 2 * (2 - 1) * 2^2 for the dividers
+    work = 81 * 2 * 9 + 27 * 2 * 1 * 4
+    argv = ["oracle", "--arrangement", "4", "--n", "2", "--order", "3"]
+    monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", work - 1)
+    assert cli.main(argv) == 1
+    assert "81 characters of order dividing 3 exceeds cap %d" % (work - 1) in capsys.readouterr().err
+    monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", work)
+    assert cli.main(argv) == 0
+    # a Milnor sweep's diagonal characters at order 41 are all off the
+    # support of 5 hyperplanes: its 40 characters are charged no divider
+    monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", 40 * 40 * 6 * 4)
+    assert cli.main(["milnor", "--arrangement", "5", "--n", "2", "--order", "41"]) == 0
 
 
 def test_oracle_sweep_bound_sees_the_size_of_d_n(monkeypatch, capsys):

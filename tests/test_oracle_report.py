@@ -1,7 +1,7 @@
 """The structured `oracle` report: a fixed-shape writer checked against PyYAML.
 
 `cmd_oracle` writes its structured report with `_dump_oracle_yaml` instead of
-`_dump_yaml`.  Every document it accepts must be the bytes `_dump_yaml`
+`_dump_yaml`.  Every document it accepts must be the bytes `yaml.dump`
 writes for the same report as a dict, under libyaml's dumper and under the
 pure-Python one, and anything outside the shape must raise.
 """
@@ -9,7 +9,6 @@ pure-Python one, and anything outside the shape must raise.
 import io
 from contextlib import redirect_stdout
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 import yaml
@@ -19,7 +18,7 @@ import quasiadj.cli as cli
 import quasiadj.resolution as resolution
 from quasiadj.charvariety import torsion_characters
 from quasiadj.koszul import oracle_f
-from quasiadj.resolution import _dump_oracle_yaml, _dump_yaml
+from quasiadj.resolution import _dump_oracle_yaml
 
 DUMPERS = [
     pytest.param(getattr(yaml, "CSafeDumper", None), id="libyaml",
@@ -29,9 +28,14 @@ DUMPERS = [
 
 
 def as_dict(r, n, order, rows):
-    """The report as the dict `_dump_yaml` takes."""
+    """The report as a dict."""
     return {"r": r, "n": n, "order": order,
             "characters": [{"phases": list(phases), "f": f} for phases, f in rows]}
+
+
+def pyyaml(doc, dumper=resolution._SafeDumper):
+    """The reference bytes: PyYAML's, with the library's dump options."""
+    return yaml.dump(doc, Dumper=dumper, sort_keys=False, default_flow_style=None)
 
 
 phases = st.integers(1, 10**6).flatmap(lambda N: st.integers(0, N - 1).map(lambda k: str(Fraction(k, N))))
@@ -57,8 +61,7 @@ HALVES = {r: (r, 1, 2, [(["1/2"] * r, 1)]) for r in (15, 16)}
 @example(HALVES[16])
 @example((40, 3, 999999, [(["0"] * 20 + ["999998/999999"] * 20, 10**7)] * 3))
 def test_writer_matches_dump_yaml(dumper, report):
-    with mock.patch.object(resolution, "_SafeDumper", dumper):
-        assert _dump_oracle_yaml(*report) == _dump_yaml(as_dict(*report))
+    assert _dump_oracle_yaml(*report) == pyyaml(as_dict(*report), dumper)
 
 
 def test_writer_wraps_past_column_80():
@@ -103,7 +106,7 @@ def test_oracle_cli_reports_match_dict_reports():
         rows = [([str(p) for p in chi.phases], oracle_f(r, n, chi.order, chi.exponents))
                 for chi in torsion_characters((order,) * r)]
         argv = ["oracle", "--arrangement", str(r), "--n", str(n), "--order", str(order), "--format"]
-        assert _cli(argv + ["structured"]) == _dump_yaml(as_dict(r, n, order, rows))
+        assert _cli(argv + ["structured"]) == pyyaml(as_dict(r, n, order, rows))
         human = ["oracle sweep: r=%d n=%d, %d characters of order dividing %d" % (r, n, len(rows), order)]
         human += ["  (%s) -> %d" % (", ".join(phases), f) for phases, f in rows]
         assert _cli(argv + ["human"]) == "\n".join(human) + "\n"

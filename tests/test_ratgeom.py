@@ -15,6 +15,7 @@ from quasiadj.ratgeom import (
     cube_bounds,
     hnf_rows,
     integer_kernel,
+    is_saturation_basis,
     lp_maximize,
     rat,
     relative_interior_point,
@@ -335,6 +336,91 @@ def test_integer_simplex_matches_rational_reference_property(monkeypatch):
         if outcome in (Infeasible, Unbounded):
             seen[outcome] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_facet_rows_change_no_pivot_property(monkeypatch):
+    # _phase1 gives a facet -x_i <= 0 no row; the reference keeps every row,
+    # and both make the same exchanges, entering and leaving variable by
+    # variable, with facets anywhere among the inequalities, some twice, and
+    # a facet form among the equations (which keeps its row)
+    logs = {ratgeom: [], rational_reference: []}
+    for mod in logs:
+        inner, log = mod._pivot, logs[mod]
+
+        def logged(*args, inner=inner, log=log, mod=mod):
+            basis, pr, pc = args[2], args[-2], args[-1]
+            entering = args[3][pc] if mod is ratgeom else pc
+            log.append((entering, basis[pr]))
+            return inner(*args)
+
+        monkeypatch.setattr(mod, "_pivot", logged)
+    rng = random.Random(3141)
+    seen = {"pivots": 0, "facet equations": 0, Infeasible: 0, Unbounded: 0}
+    for _ in range(1500):
+        objectives, ineqs, eqs, width, _ = _random_lp(rng)
+        facets = cube_bounds(width)[::2]
+        ineqs = list(ineqs) + [rng.choice(facets) for _ in range(rng.randint(0, 2))]
+        if not any(f in facets for f in ineqs):
+            ineqs += facets
+        rng.shuffle(ineqs)
+        if rng.random() < 0.1:
+            eqs = list(eqs) + [rng.choice(facets)]
+            seen["facet equations"] += 1
+        outcomes = []
+        for mod in logs:
+            logs[mod].clear()
+            try:
+                outcome = mod.lp_maximize(objectives, ineqs, eqs)
+            except (Infeasible, Unbounded) as exc:
+                outcome = type(exc)
+            outcomes.append((outcome, logs[mod][:]))
+        assert outcomes[0] == outcomes[1], (objectives, ineqs, eqs)
+        seen["pivots"] += len(outcomes[0][1])
+        if outcomes[0][0] in (Infeasible, Unbounded):
+            seen[outcomes[0][0]] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def _random_lattice_rows(rng):
+    """Integer rows of every kind is_saturation_basis must sort: saturation
+    bases, Hermite bases of unsaturated lattices, and those with a row
+    scaled, two rows added, rows swapped or a zero or dependent row put in,
+    besides plain random full-rank and rank-deficient matrices."""
+    width = rng.randint(1, 5)
+    rows = [tuple(rng.randint(-4, 4) for _ in range(width)) for _ in range(rng.randint(0, 4))]
+    if rows and rng.random() < 0.3:
+        rows.append(tuple(a + b for a, b in zip(rows[0], rows[-1])))  # rank-deficient
+    kind = rng.randrange(6)
+    if kind == 0:
+        rows = saturation_basis(rows, width)
+    elif kind == 1:
+        rows = hnf_rows(rows) if rows else []
+    elif kind >= 2 and rows:
+        rows = saturation_basis(rows, width) or rows
+        k = rng.randrange(len(rows))
+        if kind == 2:
+            rows[k] = tuple(rng.choice((-1, 2, 3)) * v for v in rows[k])
+        elif kind == 3 and len(rows) > 1:
+            rows[k] = tuple(a + b for a, b in zip(rows[k], rows[k - 1]))
+        elif kind == 4 and len(rows) > 1:
+            rows[k], rows[k - 1] = rows[k - 1], rows[k]
+        else:
+            rows.insert(k, rng.choice(((0,) * width, rows[k])))
+    return [tuple(row) for row in rows], width
+
+
+def test_is_saturation_basis_matches_saturation_basis_property():
+    rng = random.Random(2024)
+    seen = {True: 0, False: 0}
+    for _ in range(4000):
+        rows, width = _random_lattice_rows(rng)
+        expected = saturation_basis(rows, width) == rows
+        assert is_saturation_basis(rows, width) == expected, (rows, width)
+        seen[expected] += 1
+    assert min(seen.values()) >= 1000, seen
+    assert is_saturation_basis([], 3) and not is_saturation_basis([(2, 0)], 2) and is_saturation_basis([(2, 1)], 2)
+    with pytest.raises(ValueError, match="row width"):
+        is_saturation_basis([(1, 0)], 3)
 
 
 def test_simplex_tableau_never_names_fraction():
