@@ -24,7 +24,7 @@ from .charvariety import (
     principal_f,
     torsion_characters,
 )
-from .koszul import check_sweep, oracle_f
+from .koszul import check_milnor_sweep, check_sweep, oracle_f
 from .resolution import ResolutionData, _expect_int, cone_over, is_generic_arrangement
 
 PRINCIPAL = "principal lower bound"
@@ -179,8 +179,8 @@ def milnor_fiber(data: ResolutionData, order_bound: int, f_mode: str = PRINCIPAL
     seen (each per-eigenvalue value is a lower bound for the orbit-constant
     true multiplicity).  The multiplicity at t = 1 is left unresolved.
     A sweep of more than MAX_CHARACTERS diagonal characters, or an oracle
-    sweep over koszul.MAX_SWEEP_WORK (see check_sweep), raises ValueError
-    before any is visited.
+    sweep over koszul.MAX_SWEEP_WORK (see koszul.check_milnor_sweep),
+    raises ValueError before any is visited.
     """
     if _expect_int(order_bound, "order bound") < 1:
         raise ValueError("order bound %d < 1" % order_bound)
@@ -188,7 +188,7 @@ def milnor_fiber(data: ResolutionData, order_bound: int, f_mode: str = PRINCIPAL
         raise ValueError("Milnor fiber sweep of %d diagonal characters exceeds cap %d"
                          % (order_bound - 1, charvariety.MAX_CHARACTERS))
     if f_mode == ORACLE:
-        check_sweep(order_bound - 1, order_bound, data.r, data.n)
+        check_milnor_sweep(order_bound, data.r, data.n)
     f = f_source(data, f_mode)
     mults: dict[Fraction, int] = {}
     for k in range(1, order_bound):

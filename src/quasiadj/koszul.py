@@ -167,19 +167,24 @@ def _totient(n: int) -> int:
 MAX_SWEEP_WORK = 1_000_000
 
 
-def _work(characters: int, ranks: int, phi: int, rows: int, cols: int) -> int:
+def _work(characters: int, ranks: int, order: int, rows: int, cols: int) -> int:
     """characters evaluations of the rows x cols matrix d_n, whose entries
-    hold phi integers each, and ranks ranks of it, each building at most
-    min(rows, cols) - 1 Bareiss dividers of phi - 1 products of degree phi
-    (see cyclotomic._exact_divider)."""
-    return characters * phi * rows * cols + ranks * (min(rows, cols) - 1) * (phi - 1) * phi * phi
+    hold phi = phi(order) integers each, and ranks ranks of it, each
+    building the field table of order powers of zeta, phi integers each
+    (see cyclotomic.CyclotomicField), and at most min(rows, cols) - 1
+    Bareiss dividers of phi - 1 products of degree phi (see
+    cyclotomic._exact_divider)."""
+    phi = _totient(order)
+    return (characters * phi * rows * cols
+            + ranks * (order * phi + (min(rows, cols) - 1) * (phi - 1) * phi * phi))
 
 
 def _check_work(characters: int, ranks: int, order: int, rows: int, cols: int) -> None:
-    if characters > MAX_SWEEP_WORK or _work(characters, ranks, _totient(order), rows, cols) > MAX_SWEEP_WORK:
+    if characters > MAX_SWEEP_WORK or _work(characters, ranks, order, rows, cols) > MAX_SWEEP_WORK:
         raise ValueError("oracle sweep of %d characters of order dividing %d exceeds cap %d on characters"
-                         " times phi(order) times the %d x %d entries of d_n, plus phi(order)^3 per"
-                         " Bareiss divider of a rank" % (characters, order, MAX_SWEEP_WORK, rows, cols))
+                         " times phi(order) times the %d x %d entries of d_n, plus order times phi(order)"
+                         " per field table and phi(order)^3 per Bareiss divider of a rank"
+                         % (characters, order, MAX_SWEEP_WORK, rows, cols))
 
 
 def check_sweep(characters: int, order: int, r: int, n: int) -> None:
@@ -188,14 +193,26 @@ def check_sweep(characters: int, order: int, r: int, n: int) -> None:
     starts.  Each character is charged the dim C_n x dim C_(n-1) entries of
     d_n, which hold phi(N) <= phi(order) integers each in Z[zeta_N].  Each
     character on the support takes one rank of d_n, and is charged that
-    rank's Bareiss dividers as well (see _work): a sweep over every
-    character of orders m has prod(m) / lcm(m) = characters // order of
-    them, since k -> sum_i k_i lcm(m) / m_i maps onto Z/lcm(m).  A Milnor
-    sweep's diagonal characters on the support have orders dividing r, and
-    oracle_f checks each call itself.  Raises ValueError when the work
-    exceeds MAX_SWEEP_WORK.  A sweep's order is at most its character count
-    plus one, so phi is only computed for orders up to MAX_SWEEP_WORK + 1."""
+    rank's field table and Bareiss dividers as well (see _work): a sweep
+    over every character of orders m has prod(m) / lcm(m) = characters //
+    order of them, since k -> sum_i k_i lcm(m) / m_i maps onto Z/lcm(m).
+    Raises ValueError when the work exceeds MAX_SWEEP_WORK.  A sweep's
+    order is at most its character count plus one, so phi is only computed
+    for orders up to MAX_SWEEP_WORK + 1."""
     _check_work(characters, characters // max(order, 1), order, comb(r - 1, n), comb(r - 1, n - 1))
+
+
+def check_milnor_sweep(order: int, r: int, n: int) -> None:
+    """Refuse a Milnor oracle sweep over the diagonal characters (k, ..., k),
+    0 < k < order, for the r-hyperplane arrangement in degree n, before it
+    starts.  oracle_f returns 0 off the support before it evaluates
+    anything, and (k, ..., k) is on it iff r k = 0 mod order: for the
+    gcd(r, order) - 1 multiples k of order / gcd(r, order).  Only those are
+    charged, each as check_sweep charges a character on the support, at
+    their common order gcd(r, order).  Raises ValueError when the work
+    exceeds MAX_SWEEP_WORK."""
+    g = gcd(r, order)
+    _check_work(g - 1, g - 1, g, comb(r - 1, n), comb(r - 1, n - 1))
 
 
 def on_support(order: int, exponents) -> bool:
@@ -218,11 +235,12 @@ def oracle_f(r: int, n: int, order: int, exponents) -> int:
 
     A call whose rank would take more than MAX_SWEEP_WORK, charged as one
     character of a sweep on the support (see check_sweep), raises
-    ValueError before the rank.  phi(N) < N, so the work with N in place of
-    phi bounds it, and phi is computed only when that bound passes the cap.
-    A character of an oracle, check or betti sweep that check_sweep passed
-    is never refused here: the sweep charged at least one rank at phi of
-    the sweep's order, which phi of the character's order divides.
+    ValueError before the field is built.  phi(N) < N, so the work with N
+    in place of phi bounds it, and phi is computed only when that bound
+    passes the cap.  A character of a sweep that check_sweep or
+    check_milnor_sweep passed is never refused here: the sweep charged at
+    least one rank at the sweep's order, which the character's order
+    divides, and phi of a divisor divides phi.
     """
     order, exponents = _character(order, exponents)
     if len(exponents) != r:
@@ -233,7 +251,7 @@ def oracle_f(r: int, n: int, order: int, exponents) -> int:
         return 0
     matrix = truncated_koszul(r - 1, n).differential(n)
     rows, cols = len(matrix), len(matrix[0])  # dim C_n x dim C_(n-1)
-    if order * (rows * cols + min(rows, cols) * order * order) > MAX_SWEEP_WORK:  # _work with N for phi(N)
+    if order * (rows * cols + order + min(rows, cols) * order * order) > MAX_SWEEP_WORK:  # _work with N for phi(N)
         _check_work(1, 1, order, rows, cols)
     field = CyclotomicField(order)
     return rows - matrix_rank(field, _evaluated(field, exponents[: r - 1], matrix))

@@ -16,12 +16,10 @@ Thrall, "The double description method", 1953; Fukuda and Prodon, "Double
 description method revisited", 1996) gives every vertex in integer
 homogeneous coordinates with the set of constraints tight there, and which
 masks cut a face, its equations and whether it meets the open positive
-orthant all follow from those sets.  Each face's sample point takes one
-phase 1 of the exact simplex, and a phase 2 only for a slack whose maximum
-its vertices leave undecided: a linear objective is greatest at a vertex,
-and a pivot of Bland's rule keeps the point or improves the objective
-(Bland, "New finite pivoting rules for the simplex method", 1977), so only
-a tie between vertices that leaves out the phase 1 point needs one (see
+orthant all follow from those sets.  A face that no constraint hyperplane
+crosses is sampled at the centroid of its vertices, with no solve; a
+crossed face takes one phase 1 of the exact simplex, and a phase 2 only
+for a slack whose maximum its vertices leave undecided (see
 ratgeom.relative_interior_point).  P can have about 2^r vertices whatever
 its forms, so a chart with many branches is searched by a walk over the
 masks of tight components instead, with one exact solve per mask.
@@ -33,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .ratgeom import (
@@ -340,6 +338,7 @@ def _vertex_candidates(data: ResolutionData, systems, cube, work: _Work) -> list
     nforms = len(data.exceptional)
     at_zero = sum(1 << (nforms + 2 * i) for i in range(r))  # the facets -x_i <= 0
     found: dict[frozenset, _Candidate] = {}
+    consts = [{forms[i].const for forms in systems} for i in range(nforms)]
     # saturation basis of each meet's equations: a form's coefficients are
     # -a_E in every system, so the meet's bits fix the coefficient rows
     bases: dict[int, list[tuple[int, ...]]] = {}
@@ -373,8 +372,26 @@ def _vertex_candidates(data: ResolutionData, systems, cube, work: _Work) -> list
             h = vertices[0]
             span = tuple((v, Fraction(sum(map(mul, v, h)), h[-1])) for v in basis)
             ineqs = [forms[i] for i in range(nforms) if not mask >> i & 1] + cube
-            found[key] = _Candidate(span, eqs, ineqs, labels, vertices=vertices)
+            sample = _centroid_if_uncrossed(forms, consts, vertices)
+            found[key] = _Candidate(span, eqs, ineqs, labels, sample, vertices)
     return list(found.values())
+
+
+def _centroid_if_uncrossed(forms, consts, vertices) -> tuple[Fraction, ...] | None:
+    """The centroid of a face's vertices, or None when some form of some
+    system is negative at one vertex and positive at another.  forms are
+    any system's (the coefficients of component E are -a_E in every
+    system) and consts[i] holds every system's constant for component i,
+    so forms[i].coeffs . x is computed once per vertex and compared with
+    each constant, in integers over the vertices' common denominator."""
+    common = lcm(*(h[-1] for h in vertices))
+    points = [[v * (common // h[-1]) for v in h[:-1]] for h in vertices]
+    for f, cs in zip(forms, consts):
+        dots = [sum(map(mul, f.coeffs, x)) for x in points]
+        low, high = min(dots), max(dots)
+        if any(low < -c * common < high for c in cs):
+            return None
+    return tuple(Fraction(sum(col), len(points) * common) for col in zip(*points))
 
 
 def _same_face(a: _Candidate, b: _Candidate) -> bool:
@@ -475,31 +492,35 @@ def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction
     - two candidates, from two systems, are the same set iff they have the
       same vertices; the second one merges into the first.
 
-    Candidates come in increasing mask order per system.  Each face then
-    takes one relative_interior_point call, on its first candidate's system
-    with the face's vertices, for its sample: phase 1, and phase 2 only
-    where the vertices tie for a slack's maximum and leave out the phase 1
-    point.  A span's saturated basis depends only on the coefficients of
-    its equations, the same in every system, so it is computed once per
-    meet in a search, and beta is read off a vertex's integers.
+    Candidates come in increasing mask order per system.  A span's
+    saturated basis depends only on the coefficients of its equations, the
+    same in every system, so it is computed once per meet in a search, and
+    beta is read off a vertex's integers.
 
-    The sample must stay the point that solve returns (the average of the
-    LP's witnesses), and not, say, the centroid of the vertices, even
-    though both lie in the relative interior: the labels and witnesses are
-    read at the sample, and a face can meet another germ's region in part
-    of its relative interior only, so another sample can give other
-    labels.
+    The labels and witnesses are read at the sample.  A face is crossed
+    when some form of some system is negative at one of its vertices and
+    positive at another.  An uncrossed face's sample is the centroid of
+    its vertices, with no solve: every point of the relative interior is a
+    strictly positive combination of all the vertices, so each form has
+    one sign on it, and the labels and witnesses are the same at every
+    such point.  On a crossed face another germ's region can cover part of
+    the relative interior only, so labels read at two points can differ;
+    such a face keeps the point one relative_interior_point call returns,
+    on its first candidate's system with the face's vertices: phase 1, and
+    phase 2 only where the vertices tie for a slack's maximum and leave out
+    the phase 1 point.
 
     P can have about 2^r vertices whatever its forms, so a search whose
     vertex work would exceed MAX_VERTEX_WORK is run by the mask walk
     instead (see _walk_candidates), which finds the same faces with one
-    solve per mask.  Every walk solve has the |E| + 2r constraints of one
-    system in r variables, and at most one phase run per constraint besides
-    phase 1, so each is charged (|E| + 2r + 1)(|E| + 2r)(r + 1); a walk
-    that would charge more than MAX_REGION_WORK raises ValueError.  Both
-    routes share one cube, built only once the route that runs first can
-    afford its first step: the r * 2^r corners of the vertex route's first
-    pass (see _vertices), or else the walk's first solve.
+    solve per mask and samples each at its solve's point.  Every walk
+    solve has the |E| + 2r constraints of one system in r variables, and
+    at most one phase run per constraint besides phase 1, so each is
+    charged (|E| + 2r + 1)(|E| + 2r)(r + 1); a walk that would charge
+    more than MAX_REGION_WORK raises ValueError.  Both routes share one
+    cube, built only once the route that runs first can afford its first
+    step: the r * 2^r corners of the vertex route's first pass (see
+    _vertices), or else the walk's first solve.
     """
     r, nexc = data.r, len(data.exceptional)
     systems = _systems(data)

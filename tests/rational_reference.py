@@ -63,6 +63,13 @@ def solve_row_combination(rows, target):
     return coeffs
 
 
+def solve_square(rows, rhs):
+    """The unique x with rows . x = rhs for square rows, or None when the
+    rows are singular."""
+    mat, pivots = _rref([[*row, b] for row, b in zip(rows, rhs)], len(rows))
+    return tuple(row[-1] for row in mat) if len(pivots) == len(rows) else None
+
+
 def subtorus_contains(outer, inner):
     """inner subset of outer, by writing each outer exponent vector in the
     basis of inner's (saturated) lattice over Q and matching phases."""

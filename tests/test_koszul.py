@@ -8,6 +8,7 @@ from pathlib import Path
 from math import comb
 
 import pytest
+import yaml
 
 import quasiadj.cli as cli
 import quasiadj.covers as covers
@@ -89,13 +90,17 @@ def test_oracle_sweep_work_is_bounded(monkeypatch, capsys):
     assert "error: oracle sweep of 1000000 characters of order dividing 1000 exceeds cap" in capsys.readouterr().err
     monkeypatch.undo()
     # every oracle sweep passes at its bound and is refused just over it:
-    # characters times phi of their common order times the entries of d_n
+    # characters times phi of their common order times the entries of d_n,
+    # plus the order times phi per field table of a rank on the support (a
+    # 2 x 1 or 3 x 3 d_n with phi = 1 builds no Bareiss divider); a Milnor
+    # sweep at order 6 on 3 hyperplanes has 2 characters on the support,
+    # of order 3
     sweeps = [
-        (["oracle", "--arrangement", "3", "--n", "1", "--order", "3"], 27 * 2 * 2 * 1),
-        (["oracle", "--arrangement", "4", "--n", "2", "--order", "2"], 16 * 1 * 3 * 3),
-        (["check", "--arrangement", "3", "--n", "1", "--order", "3"], 27 * 2 * 2 * 1),
-        (["betti", "--arrangement", "3", "--n", "1", "--m", "2,3,4"], 24 * 4 * 2 * 1),
-        (["milnor", "--arrangement", "3", "--n", "1", "--order", "5"], 4 * 4 * 2 * 1),
+        (["oracle", "--arrangement", "3", "--n", "1", "--order", "3"], 27 * 2 * 2 * 1 + 9 * 3 * 2),
+        (["oracle", "--arrangement", "4", "--n", "2", "--order", "2"], 16 * 1 * 3 * 3 + 8 * 2 * 1),
+        (["check", "--arrangement", "3", "--n", "1", "--order", "3"], 27 * 2 * 2 * 1 + 9 * 3 * 2),
+        (["betti", "--arrangement", "3", "--n", "1", "--m", "2,3,4"], 24 * 4 * 2 * 1 + 2 * 12 * 4),
+        (["milnor", "--arrangement", "3", "--n", "1", "--order", "6"], 2 * 2 * 2 * 1 + 2 * 3 * 2),
     ]
     for argv, work in sweeps:
         monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", work - 1)
@@ -103,10 +108,10 @@ def test_oracle_sweep_work_is_bounded(monkeypatch, capsys):
         assert "error: oracle sweep of" in capsys.readouterr().err
         monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", work)
         assert cli.main(argv) == 0, argv
-    monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", 108)
+    monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", 162)
     check_sweep(27, 3, 3, 1)
-    monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", 107)
-    with pytest.raises(ValueError, match="27 characters of order dividing 3 exceeds cap 107 .* the 2 x 1 entries of d_n"):
+    monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", 161)
+    with pytest.raises(ValueError, match="27 characters of order dividing 3 exceeds cap 161 .* the 2 x 1 entries of d_n"):
         check_sweep(27, 3, 3, 1)
     assert [koszul._totient(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
     assert koszul._totient(1000) == 400
@@ -127,8 +132,9 @@ def test_oracle_f_refuses_a_rank_whose_dividers_pass_the_cap():
 def test_oracle_sweep_charges_dividers_per_rank(monkeypatch, capsys):
     # r = 4, n = 2: d_2 is 3 x 3, so a rank builds 2 dividers.  An order-3
     # sweep has 81 characters, 27 of them on the support, with phi = 2:
-    # 81 * 2 * 9 for the entries and 27 * 2 * (2 - 1) * 2^2 for the dividers
-    work = 81 * 2 * 9 + 27 * 2 * 1 * 4
+    # 81 * 2 * 9 for the entries, 27 * 3 * 2 for the field tables and
+    # 27 * 2 * (2 - 1) * 2^2 for the dividers
+    work = 81 * 2 * 9 + 27 * 3 * 2 + 27 * 2 * 1 * 4
     argv = ["oracle", "--arrangement", "4", "--n", "2", "--order", "3"]
     monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", work - 1)
     assert cli.main(argv) == 1
@@ -136,9 +142,32 @@ def test_oracle_sweep_charges_dividers_per_rank(monkeypatch, capsys):
     monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", work)
     assert cli.main(argv) == 0
     # a Milnor sweep's diagonal characters at order 41 are all off the
-    # support of 5 hyperplanes: its 40 characters are charged no divider
-    monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", 40 * 40 * 6 * 4)
+    # support of 5 hyperplanes: its 40 characters are charged nothing
+    monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", 0)
     assert cli.main(["milnor", "--arrangement", "5", "--n", "2", "--order", "41"]) == 0
+
+
+def test_milnor_sweep_charges_only_characters_on_the_support(tmp_path):
+    # 999 diagonal characters of order dividing 1000 on 5 hyperplanes: the
+    # 4 with 5k = 0 mod 1000 are on the support and take a rank, of order
+    # dividing 5, and have multiplicity C(3, 2); the other 995 are 0
+    out = tmp_path / "milnor.yaml"
+    argv = ["milnor", "--arrangement", "5", "--n", "2", "--order", "1000", "--format", "structured", "--out", str(out)]
+    assert cli.main(argv) == 0
+    mults = {Fraction(phase): v for phase, v in yaml.safe_load(out.read_text())["multiplicities"].items()}
+    assert mults == {Fraction(k, 1000): comb(3, 2) if 5 * k % 1000 == 0 else 0 for k in range(1, 1000)}
+
+
+def test_oracle_f_charges_its_field_table(monkeypatch):
+    # Z[zeta_10007] has degree 10006, so the table of 10007 powers of zeta
+    # would hold about 10^8 integers: refused before the field is built,
+    # though the 1 x 1 d_1 builds no Bareiss divider
+    def no_field(order):
+        raise AssertionError("field of order %d built" % order)
+
+    monkeypatch.setattr(koszul, "CyclotomicField", no_field)
+    with pytest.raises(ValueError, match="1 characters of order dividing 10007 exceeds cap .* per field table"):
+        oracle_f(2, 1, 10007, (1, 10006))
 
 
 def test_oracle_sweep_bound_sees_the_size_of_d_n(monkeypatch, capsys):

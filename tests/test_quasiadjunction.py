@@ -186,18 +186,20 @@ def test_faces_stabilized():
 
 
 def test_germs_with_equal_valuations_share_one_search(monkeypatch):
-    # one relative_interior_point solve per face, none for the twin's system
-    calls = _count_solves(monkeypatch)
+    # one double description pass per constraint system, none for the twin's
+    passes = []
+    inner = quasiadjunction._vertices
+    monkeypatch.setattr(quasiadjunction, "_vertices", lambda forms, *args: passes.append(forms) or inner(forms, *args))
     data = cone_over((2, 3, 4), 2, 1)
     faces = faces_of_quasiadjunction(data)
-    before = len(calls)
+    before = passes[:]
     # y repeats the valuation vector of the degree-one monomials
     twin = GermBasisElement("y", 1, (("E0", 1),))
     more = ResolutionData(data.r, data.n, data.component_names, data.exceptional,
                           data.incidence, data.germs + (twin,), None)
-    del calls[:]
+    del passes[:]
     again = faces_of_quasiadjunction(more)
-    assert len(calls) == before == len(faces) > 0
+    assert passes == before == list(_systems(data)) and len(faces) > 0
     assert [(f.span, f.sample, f.dim) for f in again] == [(f.span, f.sample, f.dim) for f in faces]
     for old, new in zip(faces, again):
         extra = ("y",) if "x0" in old.germ_labels else ()
@@ -223,16 +225,24 @@ def _same_set(a, b):
     return True
 
 
-def _all_mask_faces(data):
+def _reference_faces(data):
     """The faces with every mask of every system solved, in the library's
-    order: (span, sample, tight forms, ambient forms, labels, witnesses,
-    germ labels) per face.  A mask is kept when its region is nonempty, no
-    loose form vanishes on all of it, and it has a point with every
-    coordinate positive; a mask whose region equals one kept before, by
-    _same_set, merges into it."""
+    order, each a dict: the span, the "eqs" and "ineqs" of the mask that
+    found it first, its "tight" forms and "germs", the "lp_sample"
+    relative_interior_point gives on that region without vertices, its
+    "vertices", and whether it is "crossed": some form of some system is
+    negative at one vertex and positive at another, by AffineForm.value.
+    A mask is kept when its region is nonempty, no loose form vanishes on
+    all of it, and it has a point with every coordinate positive; a mask
+    whose region equals one kept before, by _same_set, merges into it.  A
+    face's vertices are those of its system's polytope, found by brute
+    force over every r of the system's constraints (_brute_vertices), at
+    which the mask's forms vanish."""
     r, nexc = data.r, len(data.exceptional)
+    systems = _systems(data)
     buckets, order = {}, []
-    for forms, labels in _systems(data).items():
+    for forms, labels in systems.items():
+        verts = None
         for mask in range(1, 1 << nexc):
             eqs = [forms[i] for i in range(nexc) if mask >> i & 1]
             loose = [forms[i] for i in range(nexc) if not mask >> i & 1]
@@ -245,7 +255,8 @@ def _all_mask_faces(data):
                 continue
             cube_eqs = [ineqs[k] for k in implicit]
             span = tuple(span_equations(eqs + cube_eqs, sample))
-            cand = {"eqs": eqs + cube_eqs, "ineqs": ineqs, "sample": sample, "tight": list(eqs), "germs": set(labels)}
+            cand = {"span": span, "eqs": eqs, "ineqs": ineqs, "lp_sample": sample, "tight": list(eqs),
+                    "germs": set(labels)}
             if span not in buckets:
                 order.append(span)
             for known in buckets.setdefault(span, []):
@@ -258,15 +269,43 @@ def _all_mask_faces(data):
                             known["tight"].append(f)
                     break
             else:
+                if verts is None:
+                    verts = _brute_vertices(forms, r)
+                cand["vertices"] = [x for x, tight in verts if tight & mask == mask]
                 buckets[span].append(cand)
+    every_form = [f for forms in systems for f in forms]
     faces = []
     for span in order:
         for c in buckets[span]:
-            witnesses = weight_witnesses(data, c["sample"])
-            faces.append((span, c["sample"], tuple(c["tight"]), tuple(dict.fromkeys(c["ineqs"])),
-                          {l: len(w) for l, w in witnesses.items()}, witnesses,
-                          tuple(g.label for g in data.germs if g.label in c["germs"])))
-    return sorted(faces, key=lambda f: (len(f[0]), f[0]))  # the library's (-dim, span) order
+            c["crossed"] = any(min(values) < 0 < max(values)
+                               for values in ([f.value(x) for x in c["vertices"]] for f in every_form))
+            faces.append(c)
+    return sorted(faces, key=lambda c: (len(c["span"]), c["span"]))  # the library's (-dim, span) order
+
+
+def _centroid(points):
+    return tuple(sum(col) / len(points) for col in zip(*points))
+
+
+def _face_tuples(data, reference, walk=False):
+    """(span, sample, tight forms, ambient forms, labels, witnesses, germ
+    labels) of each reference face, with the sample of the vertex route: the
+    vertex centroid on a face no form crosses, the relative_interior_point
+    sample on a crossed one; with walk, the walk's, that sample on every
+    face."""
+    faces = []
+    for c in reference:
+        sample = c["lp_sample"] if walk or c["crossed"] else _centroid(c["vertices"])
+        witnesses = weight_witnesses(data, sample)
+        faces.append((c["span"], sample, tuple(c["tight"]), tuple(dict.fromkeys(c["ineqs"])),
+                      {l: len(w) for l, w in witnesses.items()}, witnesses,
+                      tuple(g.label for g in data.germs if g.label in c["germs"])))
+    return faces
+
+
+def _all_mask_faces(data, walk=False):
+    """The faces of the loop over all masks, as _face_tuples."""
+    return _face_tuples(data, _reference_faces(data), walk)
 
 
 def _face_tuple(face):
@@ -348,21 +387,24 @@ germs:
 
 
 def test_face_search_solves_each_region_once(monkeypatch):
-    # one solve per face returned: a candidate merged into an earlier one
-    # (a face of both germs) takes none
+    # one solve per crossed face returned: a face no form crosses takes its
+    # vertex centroid, and a candidate merged into an earlier one (a face of
+    # both germs) takes none
     data = load_resolution(FOUR_COMPONENTS)
-    expected = _all_mask_faces(data)
+    reference = _reference_faces(data)
+    expected = _face_tuples(data, reference)
     calls = _count_solves(monkeypatch)
     faces = faces_of_quasiadjunction(data)
     assert [_face_tuple(f) for f in faces] == expected
-    assert len(calls) == len(faces) > 0
+    assert len(calls) == sum(c["crossed"] for c in reference)
+    assert 0 < len(calls) < len(faces)
     assert any(len(f.germ_labels) == 2 for f in faces)
 
 
 def test_mask_walk_solves_each_region_once(monkeypatch):
     # one region solve per mask the walk solves, two per candidate comparison
     data = load_resolution(FOUR_COMPONENTS)
-    expected = _all_mask_faces(data)
+    expected = _all_mask_faces(data, walk=True)
     calls, comparisons = _count_walk_solves(monkeypatch)
     faces = faces_of_quasiadjunction(data)
     walked = _walk_count(data)
@@ -372,15 +414,15 @@ def test_mask_walk_solves_each_region_once(monkeypatch):
     assert len(calls) == walked + 2 * len(comparisons)
 
 
-def _random_chart(rng, nexc, germs, c_min=1):
-    """A random r = 3 chart: components with a_E in [0, 3]^3 (sum >= 2) and
-    c_E in [c_min, 3], a tree of incidences, distinct germ valuations in [0, 2]."""
+def _random_chart(rng, nexc, germs, c_min=1, r=3):
+    """A random chart: components with a_E in [0, 3]^r (sum >= 2) and c_E in
+    [c_min, 3], a tree of incidences, distinct germ valuations in [0, 2]."""
     ids = ["E%d" % (k + 1) for k in range(nexc)]
-    lines = ["r: 3", "n: 2", "exceptional:"]
+    lines = ["r: %d" % r, "n: 2", "exceptional:"]
     for eid in ids:
-        a = [0, 0, 0]
+        a = [0] * r
         while sum(a) < 2:
-            a = [rng.randint(0, 3) for _ in range(3)]
+            a = [rng.randint(0, 3) for _ in range(r)]
         lines.append("- {id: %s, a: %s, c: %d}" % (eid, a, rng.randint(c_min, 3)))
     lines.append("incidence:")
     lines += ["- {members: [%s, %s], fold: 2}" % (ids[rng.randrange(k)], ids[k]) for k in range(1, nexc)]
@@ -397,20 +439,21 @@ def _random_chart(rng, nexc, germs, c_min=1):
 
 def test_face_search_on_ten_components(monkeypatch):
     # |E| = 10: the faces of the loop over all 1023 masks of each system,
-    # with one solve per face
+    # with one solve per crossed face
     data = _random_chart(random.Random(1010), 10, 3)
-    expected = _all_mask_faces(data)
+    reference = _reference_faces(data)
+    expected = _face_tuples(data, reference)
     calls = _count_solves(monkeypatch)
     faces = faces_of_quasiadjunction(data)
     assert expected and [_face_tuple(f) for f in faces] == expected
-    assert len(calls) == len(faces)
+    assert len(calls) == sum(c["crossed"] for c in reference)
 
 
 def test_mask_walk_on_ten_components(monkeypatch):
     # |E| = 10: the walk solves the masks with no empty one-bit-smaller mask,
     # and finds the faces of the loop over all 1023 masks of each system
     data = _random_chart(random.Random(1010), 10, 3)
-    expected = _all_mask_faces(data)
+    expected = _all_mask_faces(data, walk=True)
     calls, comparisons = _count_walk_solves(monkeypatch)
     faces = faces_of_quasiadjunction(data)
     walked = _walk_count(data)
@@ -420,12 +463,15 @@ def test_mask_walk_on_ten_components(monkeypatch):
 
 
 def test_face_search_counts_on_ten_components(monkeypatch):
-    # |E| = 10, nine faces with 2 to 4 vertices each: one phase 1 per face,
-    # and 33 phase 2 runs where the vertices tie for a slack's maximum and
-    # leave out the phase 1 point (132 without the vertices, one per
-    # inequality of each face); equal meets share one saturation basis, 7
-    # for the 9 spans
+    # |E| = 10, nine faces with 2 to 4 vertices each, six of them crossed by
+    # a form: one phase 1 per crossed face, and 26 phase 2 runs where the
+    # vertices tie for a slack's maximum and leave out the phase 1 point (88
+    # without the vertices, one per inequality of each crossed face); the
+    # three faces no form crosses take their vertex centroids with no solve;
+    # equal meets share one saturation basis, 7 for the 9 spans
     data = _random_chart(random.Random(1010), 10, 3)
+    crossed = [c for c in _reference_faces(data) if c["crossed"]]
+    assert len(crossed) == 6 and sum(len(c["ineqs"]) for c in crossed) == 88
     runs = {"_phase1": 0, "_phase2": 0, "saturation_basis": 0}
 
     def counted(module, name):
@@ -441,7 +487,7 @@ def test_face_search_counts_on_ten_components(monkeypatch):
     counted(quasiadjunction, "saturation_basis")
     faces = faces_of_quasiadjunction(data)
     assert len(faces) == 9
-    assert runs == {"_phase1": 9, "_phase2": 33, "saturation_basis": 7}
+    assert runs == {"_phase1": 6, "_phase2": 26, "saturation_basis": 7}
 
 
 def test_vertices_decide_the_sample_property(monkeypatch):
@@ -494,6 +540,40 @@ def test_face_search_matches_all_masks_property():
     assert faces >= 100 and merged >= 5, (faces, merged)  # 169 and 11 with this seed
 
 
+def test_vertex_route_sample_rule_property(monkeypatch):
+    # every face of random charts (r 2-4, |E| 2-6, c_E from 0) and cones:
+    # only a face crossed by a form, which takes both signs at the face's
+    # vertices, takes a relative_interior_point solve, and its sample is the
+    # one without vertices; a face no form crosses has its witnesses at
+    # every strictly positive combination of its vertices, and its sample
+    # is their centroid
+    rng = random.Random(2626)
+    calls = _count_solves(monkeypatch)
+    charts = [_random_chart(rng, rng.randint(2, 6), rng.randint(2, 4), c_min=0, r=rng.randint(2, 4))
+              for _ in range(16)]
+    cones = [cone_over(tuple(rng.randint(1, 4) for _ in range(rng.randint(2, 4))), rng.randint(1, 3),
+                       rng.randint(0, 2)) for _ in range(40)]
+    crossed = uncrossed = 0
+    for data in charts + cones:
+        reference = _reference_faces(data)
+        del calls[:]
+        faces = faces_of_quasiadjunction(data)
+        assert len(calls) == sum(c["crossed"] for c in reference)
+        assert [f.span for f in faces] == [c["span"] for c in reference]
+        for face, c in zip(faces, reference):
+            if c["crossed"]:
+                assert face.sample == c["lp_sample"]  # relative_interior_point(ineqs, eqs, r)
+                crossed += 1
+                continue
+            assert face.sample == _centroid(c["vertices"])
+            for _ in range(3):
+                weights = [rng.randint(1, 9) for _ in c["vertices"]]
+                x = tuple(sum(w * v[i] for w, v in zip(weights, c["vertices"])) / sum(weights) for i in range(data.r))
+                assert weight_witnesses(data, x) == face.witnesses, (face.span, x)
+            uncrossed += 1
+    assert crossed >= 40 and uncrossed >= 100, (crossed, uncrossed)  # 62 and 154 with this seed
+
+
 def _brute_vertices(forms, r):
     """The vertices of {x in [0,1]^r : every form <= 0} with their tight
     sets (bit i for forms[i], bit len(forms) + k for cube_bounds(r)[k]):
@@ -502,13 +582,10 @@ def _brute_vertices(forms, r):
     cons = list(forms) + cube_bounds(r)
     found = set()
     for subset in combinations(cons, r):
-        cols = [[F(f.coeffs[i]) for f in subset] for i in range(r)]
-        if rational_rank(cols) < r:
+        x = rational_reference.solve_square([f.coeffs for f in subset], [-f.const for f in subset])
+        if x is None or any(f.value(x) > 0 for f in cons):
             continue
-        x = tuple(rational_reference.solve_row_combination(cols, [-F(f.const) for f in subset]))
-        values = [f.value(x) for f in cons]
-        if all(v <= 0 for v in values):
-            found.add((x, sum(1 << k for k, v in enumerate(values) if v == 0)))
+        found.add((x, sum(1 << k for k, f in enumerate(cons) if f.value(x) == 0)))
     return found
 
 
@@ -570,13 +647,14 @@ def _vertex_work(data):
 
 def test_face_search_work_is_bounded(monkeypatch, capsys, tmp_path):
     # the chart's vertex route charges 412 work units: at 412 it runs, at
-    # 411 the mask walk finds the same faces; the walk makes 44 region
+    # 411 the mask walk finds the same faces, each sampled at its solve's
+    # point; the walk makes 44 region
     # solves, each charged (4 + 2*3 + 1) * (4 + 2*3) * (3 + 1) = 440 units:
     # 20 solves are too few, 44 enough
     chart = tmp_path / "chart.yaml"
     chart.write_text(FOUR_COMPONENTS)
     data = load_resolution(FOUR_COMPONENTS)
-    expected = _all_mask_faces(data)
+    reference = _reference_faces(data)
     work = _vertex_work(data)
     assert work == 412 < quasiadjunction.MAX_VERTEX_WORK
     walks = []
@@ -585,7 +663,8 @@ def test_face_search_work_is_bounded(monkeypatch, capsys, tmp_path):
     for limit, walked in ((work, 0), (work - 1, 1)):
         monkeypatch.setattr(quasiadjunction, "MAX_VERTEX_WORK", limit)
         del walks[:]
-        assert [_face_tuple(f) for f in faces_of_quasiadjunction(data)] == expected
+        got = [_face_tuple(f) for f in faces_of_quasiadjunction(data)]
+        assert got == _face_tuples(data, reference, walk=bool(walked))
         assert len(walks) == walked
     monkeypatch.setattr(quasiadjunction, "MAX_REGION_WORK", 20 * 440)
     with pytest.raises(ValueError, match="more than 8800 units of region solve work"):
@@ -671,7 +750,7 @@ def test_face_contains_needs_no_span_test():
                 outside += not got
                 off_span += (all(f.value(x) == 0 for f in face.tight)
                              and any(sum(c * p for c, p in zip(v, x)) != beta for v, beta in face.span))
-    assert inside >= 1000 and outside >= 1000 and off_span >= 20  # 3484, 5161 and 80 with this seed
+    assert inside >= 1000 and outside >= 1000 and off_span >= 20  # 3532, 5113 and 80 with this seed
 
 
 def _fraction_verdict(data, germ, x):
