@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import product
 from math import gcd, lcm
 
-from .cyclotomic import LaurentPoly, cyclotomic_in_monomial
+from .cyclotomic import LaurentPoly, cyclotomic_product
 from .quasiadjunction import FaceOfQuasiadjunction, faces_of_quasiadjunction
 from .ratgeom import _integers, hermite, is_saturation_basis, rat
 from .resolution import ResolutionData, _expect_int, cone_over
@@ -80,7 +80,9 @@ MAX_CHARACTERS = 1_000_000
 
 
 def torsion_characters(orders):
-    """All characters with phases k_i / orders[i]; plain product order."""
+    """An iterator over all characters with phases k_i / orders[i], in plain
+    product order.  Orders below 1 and a sweep over MAX_CHARACTERS raise
+    ValueError at the call, before the first character."""
     orders = [_expect_int(m, "order[%d]" % i) for i, m in enumerate(orders)]
     total = 1
     for m in orders:
@@ -90,8 +92,7 @@ def torsion_characters(orders):
     if total > MAX_CHARACTERS:
         raise ValueError("character sweep of size %d exceeds cap %d" % (total, MAX_CHARACTERS))
     n = lcm(*orders)
-    for exponents in product(*(range(0, n, n // m) for m in orders)):
-        yield CharacterPoint(n, exponents)
+    return map(partial(CharacterPoint, n), product(*(range(0, n, n // m) for m in orders)))
 
 
 def _exponent_vector(v, nvars: int) -> tuple[int, ...]:
@@ -216,18 +217,12 @@ def exp_face(face: FaceOfQuasiadjunction, nvars: int) -> TranslatedSubtorus:
 
 def principal_components(data: ResolutionData) -> list[PrincipalComponent]:
     faces = faces_of_quasiadjunction(data)
-    by_torus: dict[TranslatedSubtorus, list[tuple[int, int]]] = {}
-    order: list[TranslatedSubtorus] = []
+    by_torus: dict[TranslatedSubtorus, list[tuple[int, int]]] = {}  # in first-appearance order
     for face in faces:
-        torus = exp_face(face, data.r)
-        if torus not in by_torus:
-            by_torus[torus] = []
-            order.append(torus)
-        for l, k in sorted(face.labels.items()):
-            by_torus[torus].append((l, k))
+        by_torus.setdefault(exp_face(face, data.r), []).extend(sorted(face.labels.items()))
     out = []
-    for torus in order:
-        contributions = tuple(sorted(set(by_torus[torus])))
+    for torus, labels in by_torus.items():
+        contributions = tuple(sorted(set(labels)))
         k = max(c[1] for c in contributions)
         l = min(c[0] for c in contributions if c[1] == k)
         out.append(PrincipalComponent(torus, k, l, contributions))
@@ -316,10 +311,7 @@ def polynomial_invariant(components, nvars: int) -> LaurentPoly:
         order = beta.denominator  # beta = b/N reduced: exp(2 pi i beta) is a primitive N-th root
         key = (v, order)
         factors[key] = max(factors.get(key, 0), comp.k)
-    out = LaurentPoly.constant(nvars, 1)
-    for (v, order), power in sorted(factors.items()):
-        out = out * (cyclotomic_in_monomial(order, v) ** power)
-    return out.normalized()
+    return cyclotomic_product(nvars, ((order, v, power) for (v, order), power in sorted(factors.items())))
 
 
 # ---------------------------------------------------------------------------

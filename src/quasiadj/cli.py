@@ -11,7 +11,7 @@ Every command takes exactly one of --input PATH (a resolution document),
 --cone d1,d2,... or --arrangement R; builtin families take --n and an
 optional --bound.  oracle refuses data the Koszul oracle does not model: it
 needs a generic arrangement (a cone of degrees all 1) with 1 <= n <= r - 1.
-oracle and check read f per character through covers.f_source.  Output is
+oracle and check read f per character from covers.sweep.  Output is
 human text by default; --format structured emits the same nested key/value
 document format the loader reads (oracle's from its own fixed-shape writer),
 and --out writes to a file.  A command builds only the format asked for.
@@ -25,16 +25,10 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .charvariety import (
-    classify_essential,
-    component_dict,
-    principal_components,
-    polynomial_invariant,
-    torsion_characters,
-)
-from .covers import ORACLE, PRINCIPAL, betti_dict, betti_tables, f_source, milnor_dict, milnor_fiber, oracle_applies
+from .charvariety import classify_essential, component_dict, polynomial_invariant, principal_components
+from .covers import ORACLE, PRINCIPAL, betti_dict, betti_tables, milnor_dict, milnor_fiber, oracle_applies, sweep
 from .cyclotomic import LaurentPoly
-from .koszul import check_sweep, cone_support, on_support
+from .koszul import cone_support, on_support
 from .quasiadjunction import faces_of_quasiadjunction, faces_stabilized, lct_face
 from .resolution import _dump_oracle_yaml, _dump_yaml, cone_over, generic_arrangement, load_resolution
 
@@ -50,12 +44,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(v) for v in text.split(","))
+        return tuple(int(v) for v in text.split(","))
     except ValueError:
         raise CliInputError("expected a comma-separated integer list, got %r" % text)
-    if not values:
-        raise CliInputError("empty integer list")
-    return values
 
 
 @cache
@@ -215,7 +206,7 @@ def cmd_betti(args):
         lines.append("%s cover, m=(%s): ranks %s" % (
             t.mode, ",".join(map(str, t.orders)), list(t.ranks)))
         trivial = t.audit.get("top_from_trivial", 0)
-        lines.append("  f source: %s; trivial-character term: %s (flagged unresolved)" % (t.f_source, trivial))
+        lines.append("  f source: %s; trivial-character term: %s (flagged unresolved)" % (mode, trivial))
         lines.append("  character audit: %d characters summed" % t.audit["characters"])
     return _text(lines), 0
 
@@ -224,16 +215,17 @@ def cmd_milnor(args):
     data = _load_data(args)
     if args.order < 1:
         raise CliInputError("--order must be positive")
-    table = milnor_fiber(data, args.order, f_mode=ORACLE if oracle_applies(data) else PRINCIPAL)
+    mode = ORACLE if oracle_applies(data) else PRINCIPAL
+    table = milnor_fiber(data, args.order, f_mode=mode)
     if args.format == "structured":
         return _dump_yaml(milnor_dict(table)), 0
     lines = ["milnor fiber ranks (degrees 0..n, t=1 part excluded at top): %s" % list(table.ranks)]
     for phase, mult in sorted(table.multiplicities.items()):
         lines.append("  eigenvalue exp(2*pi*i*%s): multiplicity %s %d" % (
-            phase, ">=" if table.f_source == PRINCIPAL else "=", mult))
+            phase, ">=" if mode == PRINCIPAL else "=", mult))
     lines.append("characteristic divisor in degree n: %s" % table.polynomial_string())
     lines.append("multiplicity at t = 1: unresolved (flagged)")
-    lines.append("f source: %s" % table.f_source)
+    lines.append("f source: %s" % mode)
     return _text(lines), 0
 
 
@@ -243,12 +235,7 @@ def cmd_oracle(args):
         raise CliInputError("oracle needs a generic arrangement with 1 <= n <= r - 1")
     if args.order < 1:
         raise CliInputError("--order must be positive")
-    check_sweep(args.order ** data.r, args.order, data.r, data.n)
-    oracle = f_source(data, ORACLE)
-    rows = [
-        ([str(p) for p in chi.phases], oracle(chi))
-        for chi in torsion_characters((args.order,) * data.r)
-    ]
+    rows = [([str(p) for p in chi.phases], f) for chi, f in sweep(data, (args.order,) * data.r, ORACLE)]
     if args.format == "structured":  # thousands of rows: a writer of this one shape
         return _dump_oracle_yaml(data.r, data.n, args.order, rows), 0
     lines = ["oracle sweep: r=%d n=%d, %d characters of order dividing %d" % (
@@ -262,15 +249,12 @@ def cmd_check(args):
     data = _load_data(args)
     if args.order < 1:
         raise CliInputError("--order must be positive")
+    orders = (args.order,) * data.r
     if oracle_applies(data):
-        check_sweep(args.order ** data.r, args.order, data.r, data.n)
-        principal, oracle = f_source(data, PRINCIPAL), f_source(data, ORACLE)
         off_ok = on_ok = on_total = off_total = 0
         trivial_line = ""
         mismatches = []
-        for chi in torsion_characters((args.order,) * data.r):
-            pf = principal(chi)
-            of = oracle(chi)
+        for chi, pf, of in sweep(data, orders, PRINCIPAL, ORACLE):
             if chi.is_trivial():
                 trivial_line = "trivial character: principal %d (lower bound) vs oracle %d (elimination output); excluded" % (pf, of)
                 continue
@@ -309,11 +293,10 @@ def cmd_check(args):
     if data.family is None:
         raise CliInputError("check needs a builtin family")
     degrees = data.family[1]
-    principal = f_source(data, PRINCIPAL)
     sound = unsound = covered = on_total = 0
     bad = []
-    for chi in torsion_characters((args.order,) * data.r):
-        member = principal(chi) > 0
+    for chi, pf in sweep(data, orders, PRINCIPAL):
+        member = pf > 0
         supp = cone_support(degrees, chi.order, chi.exponents)
         if member and not supp:
             unsound += 1

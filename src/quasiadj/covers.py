@@ -2,28 +2,27 @@
 
 Sub-top ranks are combinatorial (exterior powers of the deck lattice); the
 interesting degree n aggregates the eigenspace-dimension function f over
-torsion characters, and betti_tables reads the unbranched and the branched
-table off one sweep over them.  f comes from one of two sources and every
-table says which: "principal lower bound" (max jump label of a containing
-principal component) or "exact (oracle)" (twisted skeleton homology,
-generic arrangements only).  Values at the trivial character / monodromy
-eigenvalue t = 1 are structurally unresolved and stay flagged rather than
-corrected.
+torsion characters.  Every sweep over the characters of given orders is
+`sweep`, which bounds it before the first character; betti_tables reads the
+unbranched and the branched table off one sweep.  f comes from one of two
+sources and every table says which: "principal lower bound" (max jump label
+of a containing principal component) or "exact (oracle)" (twisted skeleton
+homology, generic arrangements only).  Values at the trivial character /
+monodromy eigenvalue t = 1 are structurally unresolved and stay flagged
+rather than corrected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import tee
 from math import comb, gcd, lcm, prod
 
 from . import charvariety
-from .charvariety import (
-    CharacterPoint,
-    principal_components,
-    principal_f,
-    torsion_characters,
-)
+from .charvariety import CharacterPoint, principal_components, principal_f, torsion_characters
+from .cyclotomic import cyclotomic_product
 from .koszul import check_milnor_sweep, check_sweep, oracle_f
 from .resolution import ResolutionData, _expect_int, cone_over, is_generic_arrangement
 
@@ -47,13 +46,19 @@ def oracle_applies(data: ResolutionData) -> bool:
     return is_generic_arrangement(data) and 1 <= data.n <= data.r - 1
 
 
+def _oracle_at(n: int, chi: CharacterPoint) -> int:
+    """The oracle's f at chi on chi.r hyperplanes in degree n.  A character
+    restricted to a support I is served as the arrangement of the |I|
+    hyperplanes in I, where |I| <= n gives an aspherical complement and
+    f = 0."""
+    return oracle_f(chi.r, n, chi.order, chi.exponents) if chi.r > n else 0
+
+
 def f_source(data: ResolutionData, mode: str):
     """The f-function that `mode` names, as a callable on characters.
 
     PRINCIPAL reads the principal components of data.  ORACLE needs
-    oracle_applies(data); its callable also serves a character restricted
-    to a support I, as the oracle of the arrangement of the |I| hyperplanes
-    in I, where |I| <= n gives an aspherical complement and f = 0.
+    oracle_applies(data), and its callable is _oracle_at.
     """
     if mode == PRINCIPAL:
         components = principal_components(data)
@@ -61,8 +66,25 @@ def f_source(data: ResolutionData, mode: str):
     if mode == ORACLE:
         if not oracle_applies(data):
             raise ValueError("oracle f-values are only available for generic arrangements with 1 <= n <= r - 1")
-        return lambda chi: oracle_f(chi.r, data.n, chi.order, chi.exponents) if chi.r > data.n else 0
+        return partial(_oracle_at, data.n)
     raise ValueError("unknown f mode %r" % mode)
+
+
+def sweep(data: ResolutionData, orders, *modes):
+    """The one character sweep: an iterator of (chi, f(chi) under each mode
+    in turn) over the torsion characters chi of the r orders, in
+    torsion_characters' order.  At the call, before any f source is built,
+    it refuses orders that are not r ints, then (with ORACLE among the
+    modes) work over koszul.MAX_SWEEP_WORK (see check_sweep), then orders
+    below 1 and more than charvariety.MAX_CHARACTERS characters."""
+    orders = tuple(_expect_int(v, "m[%d]" % i) for i, v in enumerate(orders))
+    if len(orders) != data.r:
+        raise ValueError("m has length %d, expected r = %d" % (len(orders), data.r))
+    if ORACLE in modes:
+        check_sweep(prod(orders), lcm(*orders), data.r, data.n)
+    characters, *copies = tee(torsion_characters(orders), 1 + len(modes))
+    fs = [f_source(data, mode) for mode in modes]
+    return zip(characters, *map(map, fs, copies))  # each f maps over its own copy, in step
 
 
 def betti_tables(data: ResolutionData, m, f_mode: str = PRINCIPAL) -> tuple[BettiTable, BettiTable | None]:
@@ -82,23 +104,16 @@ def betti_tables(data: ResolutionData, m, f_mode: str = PRINCIPAL) -> tuple[Bett
     per degree tuple.  Subunions need the family provenance, so the
     branched table is None for data without it.
 
-    An oracle sweep over koszul.MAX_SWEEP_WORK (see check_sweep) raises
-    ValueError before any character is visited.
+    The sweep's refusals (see sweep) come before any character is visited.
     """
-    m = tuple(_expect_int(v, "m[%d]" % i) for i, v in enumerate(m))
-    if len(m) != data.r:
-        raise ValueError("m has length %d, expected r = %d" % (len(m), data.r))
-    if f_mode == ORACLE:
-        check_sweep(prod(m), lcm(*m), data.r, data.n)
-    f = f_source(data, f_mode)
+    m = tuple(m)
     family = data.family
     f_by_degrees: dict = {}
     total = 0
     count = 0
     trivial_term = 0
     buckets: dict[tuple[int, ...], int] = {}
-    for chi in torsion_characters(m):
-        val = f(chi)
+    for chi, val in sweep(data, m, f_mode):
         total += val
         count += 1
         if chi.is_trivial():
@@ -109,7 +124,7 @@ def betti_tables(data: ResolutionData, m, f_mode: str = PRINCIPAL) -> tuple[Bett
         if not keep:
             val = 0
         elif len(keep) < data.r and f_mode == ORACLE:
-            val = f(chi.restrict(keep))
+            val = _oracle_at(data.n, chi.restrict(keep))
         elif len(keep) < data.r:
             degrees = tuple(family[1][i] for i in keep)
             if degrees not in f_by_degrees:
@@ -161,12 +176,7 @@ class MilnorTable:
     f_source: str
 
     def polynomial_string(self) -> str:
-        from .cyclotomic import LaurentPoly, cyclotomic_in_monomial
-
-        out = LaurentPoly.constant(1, 1)
-        for order, power in self.factors:
-            out = out * (cyclotomic_in_monomial(order, (1,)) ** power)
-        return str(out.normalized()).replace("t1", "t")
+        return str(cyclotomic_product(1, ((d, (1,), power) for d, power in self.factors))).replace("t1", "t")
 
 
 def milnor_fiber(data: ResolutionData, order_bound: int, f_mode: str = PRINCIPAL) -> MilnorTable:

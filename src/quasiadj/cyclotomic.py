@@ -47,8 +47,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, low degree first: Phi_1 = (-1, 1)."""
     if n < 1:
         raise ValueError("order %d < 1" % n)
-    if n == 1:
-        return (-1, 1)
     poly: tuple[int, ...] = tuple([-1] + [0] * (n - 1) + [1])  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
@@ -316,3 +314,11 @@ def cyclotomic_in_monomial(order: int, exps: Sequence[int]) -> LaurentPoly:
         if coeff:
             out = out + LaurentPoly.monomial(tuple(k * e for e in exps), coeff)
     return out
+
+
+def cyclotomic_product(nvars: int, factors) -> LaurentPoly:
+    """prod Phi_order(t^exps) ** power over (order, exps, power) in factors, normalized."""
+    out = LaurentPoly.constant(nvars, 1)
+    for order, exps, power in factors:
+        out = out * (cyclotomic_in_monomial(order, exps) ** power)
+    return out.normalized()

@@ -198,8 +198,13 @@ class FaceOfQuasiadjunction:
     germ_labels: tuple[str, ...]
 
     def contains(self, x) -> bool:
-        # tight and ambient cut out the face's region, which lies on the span
-        return all(f.value(x) == 0 for f in self.tight) and all(f.value(x) <= 0 for f in self.ambient)
+        # tight and ambient cut out the face's region, which lies on the span;
+        # a form's value at x is (coeffs . nums + const * den) / den
+        nums, den = _over_lcm(x)
+        if len(nums) != len(self.sample):
+            raise ValueError("point arity %d != form arity %d" % (len(nums), len(self.sample)))
+        return (all(sum(map(mul, f.coeffs, nums)) == -f.const * den for f in self.tight)
+                and all(sum(map(mul, f.coeffs, nums)) <= -f.const * den for f in self.ambient))
 
 
 # work the vertex route of one face search may spend before it hands the

@@ -201,11 +201,13 @@ def span_equations(
     on the span is a Z-combination of these.
     """
     width = len(point)
+    nums, den = _over_lcm(point)
     for f in equalities:
-        if f.value(point) != 0:
+        if f.arity != width:
+            raise ValueError("point arity %d != form arity %d" % (width, f.arity))
+        if sum(map(mul, f.coeffs, nums)) + f.const * den:
             raise ValueError("point is not on the span")
     basis = saturation_basis([f.coeffs for f in equalities], width)
-    nums, den = _over_lcm(point)
     return [(v, Fraction(sum(c * p for c, p in zip(v, nums)), den)) for v in basis]
 
 

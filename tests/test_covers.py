@@ -16,11 +16,14 @@ from quasiadj.covers import (
     betti_tables,
     milnor_dict,
     milnor_fiber,
+    sweep,
 )
 import quasiadj.charvariety as charvariety
 import quasiadj.cli as cli
 import quasiadj.covers as covers
-from quasiadj.charvariety import torsion_characters
+import quasiadj.koszul as koszul
+from quasiadj.charvariety import principal_components, principal_f, torsion_characters
+from quasiadj.koszul import oracle_f
 from quasiadj.resolution import ResolutionError, cone_over, generic_arrangement, load_resolution, serialize_resolution
 
 F = Fraction
@@ -209,6 +212,46 @@ def test_betti_sweeps_the_characters_once(monkeypatch, capsys):
     assert "branched cover, m=(3,3,3,3): ranks [1, 0, 6]" in capsys.readouterr().out
     assert passes == [(3, 3, 3, 3)]
     assert len(full_support) == len(set(full_support)) == 16
+
+
+def test_sweep_pairs_each_character_with_its_f_values():
+    # torsion_characters' order, f under each mode in the order given
+    data = generic_arrangement(4, 2)
+    components = principal_components(data)
+    rows = list(sweep(data, (2, 3, 3, 2), PRINCIPAL, ORACLE))
+    assert [chi for chi, _, _ in rows] == list(torsion_characters((2, 3, 3, 2)))
+    for chi, pf, of in rows:
+        assert pf == principal_f(chi, components)
+        assert of == oracle_f(4, 2, chi.order, chi.exponents)
+    assert list(sweep(data, (2, 3, 3, 2), ORACLE)) == [(chi, of) for chi, _, of in rows]
+    assert any(pf != of for _, pf, of in rows)  # so the order of the modes shows
+
+
+def test_sweep_refuses_before_any_f_source(monkeypatch, capsys):
+    # the character cap, an order below 1 and, for the oracle, check_sweep
+    # come before the principal components are built, so a refused betti or
+    # check query runs no face search; check_sweep comes first
+    def no_components(data):
+        raise AssertionError("principal components built")
+
+    monkeypatch.setattr(covers, "principal_components", no_components)
+    cone = cone_over((2, 3), 2, 3)
+    with pytest.raises(ValueError, match="^character sweep of size 1002001 exceeds cap 1000000$"):
+        sweep(cone, (1001, 1001), PRINCIPAL)
+    with pytest.raises(ValueError, match="^order 0 < 1$"):
+        sweep(cone, (0, 3), PRINCIPAL)
+    with pytest.raises(ValueError, match=r"^m has length 1, expected r = 2$"):
+        sweep(cone, (3,), PRINCIPAL)
+    assert cli.main(["check", "--cone", "2,3", "--n", "2", "--bound", "3", "--order", "1001"]) == 1
+    assert capsys.readouterr().err == "error: character sweep of size 1002001 exceeds cap 1000000\n"
+    assert cli.main(["betti", "--cone", "2,3", "--n", "2", "--bound", "3", "--m", "1001,1001"]) == 1
+    assert capsys.readouterr().err == "error: character sweep of size 1002001 exceeds cap 1000000\n"
+    monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", 10)
+    monkeypatch.setattr(charvariety, "MAX_CHARACTERS", 10)
+    with pytest.raises(ValueError, match="^oracle sweep of 81 characters of order dividing 3 exceeds cap 10 "):
+        sweep(generic_arrangement(4, 2), (3,) * 4, PRINCIPAL, ORACLE)
+    assert cli.main(["check", "--arrangement", "4", "--n", "2", "--order", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error: oracle sweep of 81 characters")
 
 
 def test_betti_without_family_has_no_branched_table(capsys, tmp_path):

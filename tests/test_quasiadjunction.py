@@ -753,6 +753,46 @@ def test_face_contains_needs_no_span_test():
     assert inside >= 1000 and outside >= 1000 and off_span >= 20  # 3532, 5113 and 80 with this seed
 
 
+def test_face_contains_matches_form_values_property():
+    # contains compares integer numerators over the point's one denominator;
+    # the reference takes each tight and ambient form's value as a Fraction.
+    # Points: every face's sample (inside), midpoints with the other faces'
+    # samples, and each face's sample moved along the zero set of its tight
+    # forms, by a random step and exactly onto an ambient form's hyperplane
+    # (on the face's relative boundary, or outside it)
+    rng = random.Random(2727)
+    inside = outside = on_boundary = 0
+    for _ in range(30):
+        data = _random_chart(rng, rng.randint(2, 6), rng.randint(2, 4), c_min=0, r=rng.randint(2, 4))
+        faces = faces_of_quasiadjunction(data)
+        for face in faces:
+            kernel = integer_kernel([f.coeffs for f in face.tight], data.r)
+            points = [other.sample for other in faces]
+            points += [tuple((s + t) / 2 for s, t in zip(face.sample, other.sample)) for other in faces]
+            for _ in range(6 if kernel else 0):
+                w = [sum(c * v[i] for c, v in zip((rng.randint(-2, 2) for _ in kernel), kernel))
+                     for i in range(data.r)]
+                points.append(tuple(s + F(rng.randint(-6, 6), rng.choice((2, 5, 60))) * d
+                                    for s, d in zip(face.sample, w)))
+                for f in face.ambient:
+                    slope = sum(c * d for c, d in zip(f.coeffs, w))
+                    if slope:
+                        step = -f.value(face.sample) / slope
+                        points.append(tuple(s + step * d for s, d in zip(face.sample, w)))
+            for x in points:
+                got = face.contains(x)
+                assert got == (all(f.value(x) == 0 for f in face.tight)
+                               and all(f.value(x) <= 0 for f in face.ambient)), (face.span, x)
+                inside += got
+                outside += not got
+                on_boundary += got and any(f.value(x) == 0 for f in face.ambient)
+            with pytest.raises(TypeError, match="floating point"):
+                face.contains((0.5,) * data.r)
+            with pytest.raises(ValueError, match="arity"):
+                face.contains(face.sample + (F(1, 2),))
+    assert inside >= 500 and outside >= 500 and on_boundary >= 100  # 876, 7723 and 362 with this seed
+
+
 def _fraction_verdict(data, germ, x):
     """(in_ideal, in_log_ideal, weight, tight ids) at x from Fraction values
     through AffineForm.value."""

@@ -155,6 +155,81 @@ def test_validate_rejects_bad_data():
         validate_resolution(ghost)
 
 
+def _two_branch_data():
+    """Valid data: two branches, two exceptional components that meet
+    with fold 2, the unit germ and one germ of degree 1."""
+    e1, e2 = ExceptionalComponent("E1", (1, 2), 1), ExceptionalComponent("E2", (2, 1), 0)
+    return ResolutionData(
+        r=2, n=1, component_names=("D1", "D2"), exceptional=(e1, e2),
+        incidence=(IncidenceRecord(frozenset({"E1"}), 1), IncidenceRecord(frozenset({"E2"}), 1),
+                   IncidenceRecord(frozenset({"E1", "E2"}), 2)),
+        germs=(GermBasisElement("1", 0, ()), GermBasisElement("g", 1, (("E1", 1),))),
+    )
+
+
+def test_resolution_refusals_pin_their_messages():
+    # one row per refusal of the data model, the loader and the builtin
+    # families, each reached from otherwise valid input
+    base = _two_branch_data()
+    e1, e2 = base.exceptional
+    single1, single2, pair = base.incidence
+    unit, g = base.germs
+
+    def validate(**changes):
+        return lambda: validate_resolution(replace(base, **changes))
+
+    doc = serialize_resolution(cone_over((1, 2), 1, 1))
+    exceptional = "exceptional:\n- id: E0\n  a: [1, 2]\n  c: 1\n"
+    germ = "- label: x1\n  degree: 1\n  e: {E0: 1}\n"
+    incidence = "incidence:\n- members: [E0]\n  fold: 1\n"
+    family = "family:\n- cone\n- [1, 2]\n- 1\n- 1\n"
+    assert all(part in doc for part in (exceptional, germ, incidence, family))
+
+    def load(old, new):
+        return lambda: load_resolution(io.StringIO(doc.replace(old, new)))
+
+    rows = [
+        (validate(r=0), "r = 0 < 1"),
+        (validate(n=0), "n = 0 < 1"),
+        (validate(component_names=("D1",)), "components: 1 names for r = 2"),
+        (validate(exceptional=()), "exceptional: empty"),
+        (validate(exceptional=(e1, replace(e2, id="E1"))), "exceptional: duplicate ids"),
+        (validate(exceptional=(e1, replace(e2, a=(2,)))), r"exceptional\[1\]: a has length 1, expected r = 2"),
+        (validate(exceptional=(e1, replace(e2, a=(3, -1)))), r"exceptional\[1\]: negative multiplicity"),
+        (validate(exceptional=(e1, replace(e2, c=-1))), r"exceptional\[1\]: c = -1 < 0"),
+        (validate(incidence=(IncidenceRecord(frozenset(), 1),) + base.incidence),
+         r"incidence\[0\]: empty member set"),
+        (validate(incidence=(single1, single2, replace(pair, fold=0))), r"incidence\[2\]: fold 0 < 1"),
+        (validate(incidence=(replace(single1, fold=2), single2, pair)), r"incidence\[0\]: singleton fold must be 1"),
+        (validate(incidence=base.incidence + (pair,)), r"incidence\[3\]: duplicate member set"),
+        (validate(incidence=(single1, pair)), r"incidence: missing singleton \{E2\}"),
+        (validate(exceptional=(e1, e2, replace(e2, id="E3")),
+                  incidence=base.incidence + (IncidenceRecord(frozenset({"E3"}), 1),
+                                              IncidenceRecord(frozenset({"E1", "E2", "E3"}), 3))),
+         r"incidence: not subset-closed, missing \{E1, E3\}"),
+        (validate(germs=(unit, g, replace(g, degree=2))), "germs: duplicate labels"),
+        (validate(germs=(unit, replace(g, degree=-1))), r"germs\[1\]: negative degree"),
+        (validate(germs=(unit, GermBasisElement("g", 1, (("E2", -1),)))), r"germs\[1\]: negative valuation for 'E2'"),
+        (validate(germs=(g,)), "no unit germ present"),
+        (lambda: replace(base, germs=(g,)).unit_germ, "no unit germ present"),
+        (load(exceptional, exceptional.replace("  c: 1\n", "")), r"exceptional\[0\]: missing field 'c'"),
+        (load(germ, germ.replace("  degree: 1\n", "")), r"germs\[1\]: missing field 'degree'"),
+        (load(incidence, "incidence:\n- {fold: 1}\n"), r"incidence\[0\]: missing field 'members'"),
+        (load(exceptional, "exceptional: 3\n"), "exceptional: expected a list"),
+        (load(germ, germ.replace("{E0: 1}", "[1]")), r"germs\[1\]\.e: expected a mapping"),
+        (load(family, "family:\n- sphere\n"), r"family: only \['cone', \[degrees\], n, bound\] is understood"),
+        (load(family, "family:\n- cone\n- [1, 2]\n- 1\n"), r"family: expected \['cone', \[degrees\], n, bound\]"),
+        (lambda: QuasiArray((0, 1), (2,)), "quasi array: j and m have different lengths"),
+        (lambda: cone_over((1, 2), 0), "cone family: n = 0 < 1"),
+        (lambda: cone_over((1, 2), 1, -1), "cone family: degree bound -1 < 0"),
+        (lambda: generic_arrangement(0, 1), "arrangement: r = 0 < 1"),
+    ]
+    validate_resolution(base)
+    for refuse, message in rows:
+        with pytest.raises(ResolutionError, match="^%s$" % message):
+            refuse()
+
+
 def test_serialize_round_trip():
     for data in (cone_over((2, 3), 2, 3), generic_arrangement(5, 3, 1), cone_over((6,), 1, 2)):
         text = serialize_resolution(data)
