@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
-from itertools import product
+from functools import cached_property, lru_cache
+from itertools import product, repeat
 from math import gcd, lcm
 
+from . import work
 from .cyclotomic import LaurentPoly, cyclotomic_product
 from .quasiadjunction import FaceOfQuasiadjunction, faces_of_quasiadjunction
 from .ratgeom import _integers, hermite, is_saturation_basis, rat
@@ -75,24 +76,24 @@ class CharacterPoint:
         return tuple(i for i, k in enumerate(self.exponents) if k)
 
 
-# characters one torsion_characters sweep may yield before it gives up
-MAX_CHARACTERS = 1_000_000
+def _charged_character(order: int, exponents) -> CharacterPoint:
+    work.charge("MAX_CHARACTERS", 1)
+    return CharacterPoint(order, exponents)
 
 
 def torsion_characters(orders):
     """An iterator over all characters with phases k_i / orders[i], in plain
-    product order.  Orders below 1 and a sweep over MAX_CHARACTERS raise
-    ValueError at the call, before the first character."""
+    product order, each charged as it is made.  Orders below 1 and a sweep
+    past MAX_CHARACTERS are refused at the call."""
     orders = [_expect_int(m, "order[%d]" % i) for i, m in enumerate(orders)]
     total = 1
     for m in orders:
         if m < 1:
             raise ValueError("order %d < 1" % m)
         total *= m
-    if total > MAX_CHARACTERS:
-        raise ValueError("character sweep of size %d exceeds cap %d" % (total, MAX_CHARACTERS))
+    work.check("MAX_CHARACTERS", total, "character sweep of size {units} exceeds cap {cap}")
     n = lcm(*orders)
-    return map(partial(CharacterPoint, n), product(*(range(0, n, n // m) for m in orders)))
+    return map(_charged_character, repeat(n), product(*(range(0, n, n // m) for m in orders)))
 
 
 def _exponent_vector(v, nvars: int) -> tuple[int, ...]:

@@ -25,6 +25,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
+from . import work
 from .charvariety import classify_essential, component_dict, polynomial_invariant, principal_components
 from .covers import ORACLE, PRINCIPAL, betti_dict, betti_tables, milnor_dict, milnor_fiber, oracle_applies, sweep
 from .cyclotomic import LaurentPoly
@@ -335,6 +336,7 @@ COMMANDS = {
 }
 
 
+@work.metered
 def main(argv=None) -> int:
     parser = build_parser()
     try:

@@ -20,8 +20,8 @@ from functools import partial
 from itertools import tee
 from math import comb, gcd, lcm, prod
 
-from . import charvariety
-from .charvariety import CharacterPoint, principal_components, principal_f, torsion_characters
+from . import work
+from .charvariety import CharacterPoint, _charged_character, principal_components, principal_f, torsion_characters
 from .cyclotomic import cyclotomic_product
 from .koszul import check_milnor_sweep, check_sweep, oracle_f
 from .resolution import ResolutionData, _expect_int, cone_over, is_generic_arrangement
@@ -75,8 +75,7 @@ def sweep(data: ResolutionData, orders, *modes):
     in turn) over the torsion characters chi of the r orders, in
     torsion_characters' order.  At the call, before any f source is built,
     it refuses orders that are not r ints, then (with ORACLE among the
-    modes) work over koszul.MAX_SWEEP_WORK (see check_sweep), then orders
-    below 1 and more than charvariety.MAX_CHARACTERS characters."""
+    modes) the oracle's estimate, then torsion_characters' refusals."""
     orders = tuple(_expect_int(v, "m[%d]" % i) for i, v in enumerate(orders))
     if len(orders) != data.r:
         raise ValueError("m has length %d, expected r = %d" % (len(orders), data.r))
@@ -87,6 +86,7 @@ def sweep(data: ResolutionData, orders, *modes):
     return zip(characters, *map(map, fs, copies))  # each f maps over its own copy, in step
 
 
+@work.metered
 def betti_tables(data: ResolutionData, m, f_mode: str = PRINCIPAL) -> tuple[BettiTable, BettiTable | None]:
     """Homology ranks of the unbranched and the branched cover of orders m
     in degrees 0..n, from one sweep over the prod(m_i) torsion characters.
@@ -179,6 +179,7 @@ class MilnorTable:
         return str(cyclotomic_product(1, ((d, (1,), power) for d, power in self.factors))).replace("t1", "t")
 
 
+@work.metered
 def milnor_fiber(data: ResolutionData, order_bound: int, f_mode: str = PRINCIPAL) -> MilnorTable:
     """Monodromy data of the Milnor fiber of the defining germ.
 
@@ -188,21 +189,17 @@ def milnor_fiber(data: ResolutionData, order_bound: int, f_mode: str = PRINCIPAL
     polynomial divisor takes, per cyclotomic orbit, the largest multiplicity
     seen (each per-eigenvalue value is a lower bound for the orbit-constant
     true multiplicity).  The multiplicity at t = 1 is left unresolved.
-    A sweep of more than MAX_CHARACTERS diagonal characters, or an oracle
-    sweep over koszul.MAX_SWEEP_WORK (see koszul.check_milnor_sweep),
-    raises ValueError before any is visited.
+    The sweep's refusals come before any character is visited.
     """
     if _expect_int(order_bound, "order bound") < 1:
         raise ValueError("order bound %d < 1" % order_bound)
-    if order_bound - 1 > charvariety.MAX_CHARACTERS:
-        raise ValueError("Milnor fiber sweep of %d diagonal characters exceeds cap %d"
-                         % (order_bound - 1, charvariety.MAX_CHARACTERS))
+    work.check("MAX_CHARACTERS", order_bound - 1, "Milnor fiber sweep of {units} diagonal characters exceeds cap {cap}")
     if f_mode == ORACLE:
         check_milnor_sweep(order_bound, data.r, data.n)
     f = f_source(data, f_mode)
     mults: dict[Fraction, int] = {}
     for k in range(1, order_bound):
-        mults[Fraction(k, order_bound)] = f(CharacterPoint(order_bound, (k,) * data.r))
+        mults[Fraction(k, order_bound)] = f(_charged_character(order_bound, (k,) * data.r))
     factors = []
     for d in range(2, order_bound + 1):
         if order_bound % d:

@@ -16,6 +16,8 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
 
+from . import work
+
 
 def _integers(values: Iterable, what: str) -> tuple[int, ...]:
     """The values as a tuple of ints, refusing a Fraction, float or bool: the
@@ -117,8 +119,10 @@ def _exact_divider(field: CyclotomicField, b):
 
     With c the product of the conjugates sigma_j(b) (zeta -> zeta^j, 1 < j < N,
     gcd(j, N) = 1), b * c is the norm of b, a nonzero integer, so x / b is
-    x * c divided coefficientwise by the norm, exactly.
+    x * c divided coefficientwise by the norm, exactly.  Its phi - 1
+    products of degree phi are charged to MAX_SWEEP_WORK first.
     """
+    work.charge("MAX_SWEEP_WORK", (field.degree - 1) * field.degree ** 2)
     n = field.order
     c = field.one
     for j in range(2, n):

@@ -22,6 +22,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd
 
+from . import work
 from .cyclotomic import CyclotomicField, LaurentPoly, _integers, matrix_rank
 
 
@@ -59,33 +60,26 @@ def _character(order: int, exponents) -> tuple[int, tuple[int, ...]]:
     return order, tuple(k // g % order for k in ks)
 
 
-# entries of the dense differentials plus entry products of the composition
-# check that one truncated_koszul build may make before it gives up
-MAX_KOSZUL_WORK = 1_000_000
-
-
 @lru_cache(maxsize=None)
+@work.metered
 def truncated_koszul(params: int, top: int) -> ComplexSpec:
     """The contraction complex of Z[Z^params] truncated at degree top.
 
     d(e_S) = sum over a in S of sign * (t_a - 1) * e_(S minus a), the sign
     alternating with the position of a in S.  The composite of consecutive
-    differentials is asserted to vanish identically.  The build costs
-    dim C_p * dim C_(p-1) entries for each d_p and dim C_p * dim C_(p-1) *
-    dim C_(p-2) products for each composite; one that would cost more than
-    MAX_KOSZUL_WORK raises ValueError before any basis is built.
+    differentials is asserted to vanish identically.  The build is charged
+    its entries and composite products before any basis is built.
     """
     if params < 0:
         raise ValueError("params %d < 0" % params)
     if not 0 <= top <= params:
         raise ValueError("truncation %d outside [0, %d]" % (top, params))
     dims = [comb(params, p) for p in range(top + 1)]
-    work = sum(dims[p] * dims[p - 1] for p in range(1, top + 1))
-    work += sum(dims[p] * dims[p - 1] * dims[p - 2] for p in range(2, top + 1))
-    if work > MAX_KOSZUL_WORK:
-        raise ValueError(
-            "Koszul complex on %d parameters truncated at %d needs %d entries and products, over cap %d"
-            % (params, top, work, MAX_KOSZUL_WORK))
+    units = sum(dims[p] * dims[p - 1] for p in range(1, top + 1))
+    units += sum(dims[p] * dims[p - 1] * dims[p - 2] for p in range(2, top + 1))
+    work.check("MAX_KOSZUL_WORK", units, "Koszul complex on {} parameters truncated at {} needs {units} "
+               "entries and products, over cap {cap}", params, top)
+    work.charge("MAX_KOSZUL_WORK", units)
     bases = tuple(tuple(combinations(range(params), p)) for p in range(top + 1))
     gens = [
         LaurentPoly.variable(i, params) - LaurentPoly.constant(params, 1)
@@ -151,6 +145,7 @@ def homology_ranks_at(spec: ComplexSpec, order: int, exponents) -> tuple[int, ..
     return tuple(spec.dims[p] - ranks[p] - ranks[p + 1] for p in range(spec.top + 1))
 
 
+@lru_cache(maxsize=1024)
 def _totient(n: int) -> int:
     """Euler's phi(n), the degree of Z[zeta_n], by trial division."""
     out, p = n, 2
@@ -163,56 +158,34 @@ def _totient(n: int) -> int:
     return out - out // n if n > 1 else out
 
 
-# work one oracle sweep may charge before it gives up (see check_sweep)
-MAX_SWEEP_WORK = 1_000_000
-
-
-def _work(characters: int, ranks: int, order: int, rows: int, cols: int) -> int:
-    """characters evaluations of the rows x cols matrix d_n, whose entries
-    hold phi = phi(order) integers each, and ranks ranks of it, each
-    building the field table of order powers of zeta, phi integers each
-    (see cyclotomic.CyclotomicField), and at most min(rows, cols) - 1
-    Bareiss dividers of phi - 1 products of degree phi (see
-    cyclotomic._exact_divider)."""
+def _sweep_work(characters: int, ranks: int, order: int, rows: int, cols: int) -> int:
+    """The estimate, refused past MAX_SWEEP_WORK, of characters evaluations of
+    the rows x cols d_n, phi = phi(order) integers an entry, and ranks ranks,
+    each with a field table of order * phi integers and min(rows, cols) - 1
+    dividers of (phi - 1) * phi^2.  phi >= 1 is checked before it is found."""
+    args = ("oracle sweep of {} characters of order dividing {} exceeds cap {cap} on characters times phi(order) "
+            "times the {} x {} entries of d_n, plus order times phi(order) per field table and phi(order)^3 per "
+            "Bareiss divider of a rank", characters, order, rows, cols)
+    work.check("MAX_SWEEP_WORK", characters * rows * cols, *args)
     phi = _totient(order)
-    return (characters * phi * rows * cols
-            + ranks * (order * phi + (min(rows, cols) - 1) * (phi - 1) * phi * phi))
+    units = characters * phi * rows * cols + ranks * (order * phi + (min(rows, cols) - 1) * (phi - 1) * phi * phi)
+    work.check("MAX_SWEEP_WORK", units, *args)
+    return units
 
 
-def _check_work(characters: int, ranks: int, order: int, rows: int, cols: int) -> None:
-    if characters > MAX_SWEEP_WORK or _work(characters, ranks, order, rows, cols) > MAX_SWEEP_WORK:
-        raise ValueError("oracle sweep of %d characters of order dividing %d exceeds cap %d on characters"
-                         " times phi(order) times the %d x %d entries of d_n, plus order times phi(order)"
-                         " per field table and phi(order)^3 per Bareiss divider of a rank"
-                         % (characters, order, MAX_SWEEP_WORK, rows, cols))
+def check_sweep(characters: int, order: int, r: int, n: int) -> int:
+    """The checked estimate of an oracle sweep over `characters` characters
+    whose orders divide `order`, for r hyperplanes in degree n.  Of all the
+    characters of orders m, prod(m) / lcm(m) lie on the support."""
+    return _sweep_work(characters, characters // max(order, 1), order, comb(r - 1, n), comb(r - 1, n - 1))
 
 
-def check_sweep(characters: int, order: int, r: int, n: int) -> None:
-    """Refuse an oracle sweep over `characters` characters whose orders
-    divide `order`, for the r-hyperplane arrangement in degree n, before it
-    starts.  Each character is charged the dim C_n x dim C_(n-1) entries of
-    d_n, which hold phi(N) <= phi(order) integers each in Z[zeta_N].  Each
-    character on the support takes one rank of d_n, and is charged that
-    rank's field table and Bareiss dividers as well (see _work): a sweep
-    over every character of orders m has prod(m) / lcm(m) = characters //
-    order of them, since k -> sum_i k_i lcm(m) / m_i maps onto Z/lcm(m).
-    Raises ValueError when the work exceeds MAX_SWEEP_WORK.  A sweep's
-    order is at most its character count plus one, so phi is only computed
-    for orders up to MAX_SWEEP_WORK + 1."""
-    _check_work(characters, characters // max(order, 1), order, comb(r - 1, n), comb(r - 1, n - 1))
-
-
-def check_milnor_sweep(order: int, r: int, n: int) -> None:
-    """Refuse a Milnor oracle sweep over the diagonal characters (k, ..., k),
-    0 < k < order, for the r-hyperplane arrangement in degree n, before it
-    starts.  oracle_f returns 0 off the support before it evaluates
-    anything, and (k, ..., k) is on it iff r k = 0 mod order: for the
-    gcd(r, order) - 1 multiples k of order / gcd(r, order).  Only those are
-    charged, each as check_sweep charges a character on the support, at
-    their common order gcd(r, order).  Raises ValueError when the work
-    exceeds MAX_SWEEP_WORK."""
+def check_milnor_sweep(order: int, r: int, n: int) -> int:
+    """The checked estimate of a Milnor oracle sweep over (k, ..., k),
+    0 < k < order: oracle_f evaluates only those on the support, the
+    gcd(r, order) - 1 multiples k of order / gcd(r, order)."""
     g = gcd(r, order)
-    _check_work(g - 1, g - 1, g, comb(r - 1, n), comb(r - 1, n - 1))
+    return _sweep_work(g - 1, g - 1, g, comb(r - 1, n), comb(r - 1, n - 1))
 
 
 def on_support(order: int, exponents) -> bool:
@@ -233,14 +206,8 @@ def oracle_f(r: int, n: int, order: int, exponents) -> int:
     callers keep it labeled).  There k_r = -(k_1 + ... + k_(r-1)) mod N, so
     d_n is evaluated at the first r-1 exponents in the same Z[zeta_N].
 
-    A call whose rank would take more than MAX_SWEEP_WORK, charged as one
-    character of a sweep on the support (see check_sweep), raises
-    ValueError before the field is built.  phi(N) < N, so the work with N
-    in place of phi bounds it, and phi is computed only when that bound
-    passes the cap.  A character of a sweep that check_sweep or
-    check_milnor_sweep passed is never refused here: the sweep charged at
-    least one rank at the sweep's order, which the character's order
-    divides, and phi of a divisor divides phi.
+    A call is estimated as one character of a sweep on the support, which
+    a sweep that passed its estimate passes (its order divides the sweep's).
     """
     order, exponents = _character(order, exponents)
     if len(exponents) != r:
@@ -251,8 +218,8 @@ def oracle_f(r: int, n: int, order: int, exponents) -> int:
         return 0
     matrix = truncated_koszul(r - 1, n).differential(n)
     rows, cols = len(matrix), len(matrix[0])  # dim C_n x dim C_(n-1)
-    if order * (rows * cols + order + min(rows, cols) * order * order) > MAX_SWEEP_WORK:  # _work with N for phi(N)
-        _check_work(1, 1, order, rows, cols)
+    _sweep_work(1, 1, order, rows, cols)
+    work.charge("MAX_SWEEP_WORK", _totient(order) * (order + rows * cols))  # the field table and d_n's entries
     field = CyclotomicField(order)
     return rows - matrix_rank(field, _evaluated(field, exponents[: r - 1], matrix))
 

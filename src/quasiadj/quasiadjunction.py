@@ -34,6 +34,7 @@ from heapq import heappop, heappush
 from math import gcd, lcm
 from operator import mul
 
+from . import work
 from .ratgeom import (
     AffineForm,
     Infeasible,
@@ -207,44 +208,7 @@ class FaceOfQuasiadjunction:
                 and all(sum(map(mul, f.coeffs, nums)) <= -f.const * den for f in self.ambient))
 
 
-# work the vertex route of one face search may spend before it hands the
-# search to the mask walk: the r * 2^r coordinates of the cube corners, the
-# vertex pairs tested at each cut, and masks times vertices, summed over the
-# systems
-MAX_VERTEX_WORK = 50_000
-
-# work the mask walk may charge for its region solves (relative_interior_point
-# and lp_maximize calls) before it gives up: each solve is charged its phase
-# runs times its tableau's entries, about 100,000 solves at r = 13 with one
-# exceptional component
-MAX_REGION_WORK = 1_000_000_000
-
-
-class _OverBudget(Exception):
-    """The vertex route would spend more than MAX_VERTEX_WORK."""
-
-
-class _Work:
-    """Work one route of a face search has spent, against the route's
-    limit; an overrun raises `refusal`, an exception class or instance."""
-
-    __slots__ = ("spent", "limit", "refusal")
-
-    def __init__(self, limit: int, refusal=_OverBudget):
-        self.spent = 0
-        self.limit = limit
-        self.refusal = refusal
-
-    def check(self, more: int) -> None:
-        if self.spent + more > self.limit:
-            raise self.refusal
-
-    def spend(self, more: int) -> None:
-        self.check(more)
-        self.spent += more
-
-
-def _vertices(forms: tuple[AffineForm, ...], r: int, work: _Work) -> list[tuple[tuple[int, ...], int]]:
+def _vertices(forms: tuple[AffineForm, ...], r: int) -> list[tuple[tuple[int, ...], int]]:
     """The vertices of P = {x in [0,1]^r : every form <= 0}, by double
     description (Motzkin et al. 1953; Fukuda and Prodon, "Double
     description method revisited", 1996).
@@ -258,11 +222,11 @@ def _vertices(forms: tuple[AffineForm, ...], r: int, work: _Work) -> list[tuple[
     where it is negative to one where it is positive.  Two vertices span an
     edge iff no third vertex's tight set holds their common one: that set
     cuts out the least face holding both.  The corners' coordinates and each
-    cut's negative-positive pairs are charged to work before they are
-    built, which bounds the vertices held as well.
+    cut's negative-positive pairs are charged to MAX_VERTEX_WORK before they
+    are built, which bounds the vertices held as well.
     """
     nforms = len(forms)
-    work.spend(r << r)
+    work.charge("MAX_VERTEX_WORK", r << r)
     verts = [((), 0)]
     for i in range(r):  # x_i = 0 on facet -x_i <= 0, x_i = 1 on x_i - 1 <= 0
         at0, at1 = 1 << (nforms + 2 * i), 1 << (nforms + 2 * i + 1)
@@ -281,7 +245,7 @@ def _vertices(forms: tuple[AffineForm, ...], r: int, work: _Work) -> list[tuple[
             else:
                 kept.append((h, t | 1 << j))
         if neg and pos:
-            work.spend(len(neg) * len(pos))
+            work.charge("MAX_VERTEX_WORK", len(neg) * len(pos))
             # incident[b]: the vertices, one bit each, whose tight sets hold constraint bit b
             incident: dict[int, int] = {}
             for k, (_, t) in enumerate(verts):
@@ -335,10 +299,9 @@ class _Candidate:
                 self.tight_forms.append(f)
 
 
-def _vertex_candidates(data: ResolutionData, systems, cube, work: _Work) -> list[_Candidate]:
+def _vertex_candidates(data: ResolutionData, systems, cube) -> list[_Candidate]:
     """The candidates of every system, read off its vertices with no solve,
-    in order of first appearance.  Raises work's refusal when the work would
-    exceed its limit."""
+    in order of first appearance."""
     r = data.r
     nforms = len(data.exceptional)
     at_zero = sum(1 << (nforms + 2 * i) for i in range(r))  # the facets -x_i <= 0
@@ -348,14 +311,15 @@ def _vertex_candidates(data: ResolutionData, systems, cube, work: _Work) -> list
     # -a_E in every system, so the meet's bits fix the coefficient rows
     bases: dict[int, list[tuple[int, ...]]] = {}
     for forms, labels in systems.items():
-        verts = _vertices(forms, r, work)
+        verts = _vertices(forms, r)
         masks: set[int] = set()
-        for _, t in verts:
+        for _, t in verts:  # each mask is charged once per vertex, as it appears
             t &= (1 << nforms) - 1
+            known = len(masks)
             masks |= {t & m for m in masks}
             masks.add(t)
-            work.check(len(masks) * len(verts))
-        work.spend(len(masks) * len(verts))
+            if len(masks) > known:
+                work.charge("MAX_VERTEX_WORK", (len(masks) - known) * len(verts))
         for mask in sorted(masks - {0}):
             face = [v for v in verts if v[1] & mask == mask]
             meet = -1
@@ -411,7 +375,7 @@ def _same_face(a: _Candidate, b: _Candidate) -> bool:
     return same
 
 
-def _walk_candidates(data: ResolutionData, systems, cube, work: _Work, solve: int) -> list[_Candidate]:
+def _walk_candidates(data: ResolutionData, systems, cube) -> list[_Candidate]:
     """The candidates of every system by the mask walk, in order of first
     appearance: one exact solve per mask, so its cost grows with 2^|E| and
     not with 2^r.
@@ -426,10 +390,7 @@ def _walk_candidates(data: ResolutionData, systems, cube, work: _Work, solve: in
     empty has empty supersets.  A mask is a candidate when no loose form is
     an implicit equation of its region.  Candidates with one span are
     compared by _same_face.  The walk costs one solve per mask with no
-    empty one-bit-smaller mask, plus two per comparison, and each solve is
-    charged `solve` units (see faces_of_quasiadjunction) to work before it
-    runs, so a single solve too large for the budget is refused without
-    running.
+    empty one-bit-smaller mask, plus two per comparison.
     """
     r = data.r
     nexc = len(data.exceptional)
@@ -446,7 +407,6 @@ def _walk_candidates(data: ResolutionData, systems, cube, work: _Work, solve: in
             loose_idx = [i for i in range(nexc) if not mask >> i & 1]
             eqs = [forms[i] for i in tight_idx]
             ineqs = [forms[i] for i in loose_idx] + cube
-            work.spend(solve)
             try:
                 sample, implicit = relative_interior_point(ineqs, eqs, r)
             except Infeasible:
@@ -462,7 +422,6 @@ def _walk_candidates(data: ResolutionData, systems, cube, work: _Work, solve: in
             cand = _Candidate(span, eqs, ineqs, labels, sample)
             bucket = buckets.setdefault(span, [])
             for known in bucket:
-                work.spend(2 * solve)
                 if _same_face(known, cand):
                     known.merge(eqs, labels)
                     break
@@ -515,50 +474,45 @@ def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction
     phase 2 only where the vertices tie for a slack's maximum and leave out
     the phase 1 point.
 
-    P can have about 2^r vertices whatever its forms, so a search whose
-    vertex work would exceed MAX_VERTEX_WORK is run by the mask walk
-    instead (see _walk_candidates), which finds the same faces with one
-    solve per mask and samples each at its solve's point.  Every walk
-    solve has the |E| + 2r constraints of one system in r variables, and
-    at most one phase run per constraint besides phase 1, so each is
-    charged (|E| + 2r + 1)(|E| + 2r)(r + 1); a walk that would charge
-    more than MAX_REGION_WORK raises ValueError.  Both routes share one
-    cube, built only once the route that runs first can afford its first
-    step: the r * 2^r corners of the vertex route's first pass (see
-    _vertices), or else the walk's first solve.
+    P can have about 2^r vertices whatever its forms, so a search the
+    vertex route cannot afford (MAX_VERTEX_WORK) is run by the mask walk
+    (see _walk_candidates), which finds the same faces and samples each at
+    its solve's point.  When the corners alone pass the cap, the walk is
+    chosen, and its first solve estimated, before the cube is built.
     """
     r, nexc = data.r, len(data.exceptional)
     systems = _systems(data)
-    vertex_work = _Work(MAX_VERTEX_WORK)
-    walk_work = _Work(MAX_REGION_WORK, ValueError(
-        "face search needs more than %d units of region solve work (%d branches, %d exceptional "
-        "components, %d constraint systems)" % (MAX_REGION_WORK, r, nexc, len(systems))))
-    solve = (nexc + 2 * r + 1) * (nexc + 2 * r) * (r + 1)
-    if (r << r) > MAX_VERTEX_WORK:
-        walk_work.check(solve)
-    cube = cube_bounds(r)
-    try:
-        found = _vertex_candidates(data, systems, cube, vertex_work)
-    except _OverBudget:
-        found = _walk_candidates(data, systems, cube, walk_work, solve)
-    faces = []
-    for cand in found:
-        sample = cand.sample
-        if sample is None:
-            sample, _ = relative_interior_point(cand.ineqs, cand.tight_forms[:cand.own], r, cand.vertices)
-        witnesses = _weight_witnesses(data, systems, sample)
-        faces.append(
-            FaceOfQuasiadjunction(
-                span=cand.span,
-                tight=tuple(cand.tight_forms),
-                ambient=tuple(dict.fromkeys(cand.ineqs)),
-                dim=r - len(cand.span),  # span is a lattice basis of the equations
-                sample=sample,
-                labels={l: len(labels) for l, labels in witnesses.items()},
-                witnesses=witnesses,
-                germ_labels=tuple(g.label for g in data.germs if g.label in cand.germs),
+    refusal = ("face search needs more than {cap} units of region solve work (%d branches, %d exceptional "
+               "components, %d constraint systems)" % (r, nexc, len(systems)))
+    with work.ledger(MAX_REGION_WORK=refusal):
+        cube = None
+        try:
+            work.check("MAX_VERTEX_WORK", len(systems) * (r << r), "")
+            cube = cube_bounds(r)
+            found = _vertex_candidates(data, systems, cube)
+        except work.Refused:
+            if cube is None:
+                work.check("MAX_REGION_WORK", 2 * (nexc + 2 * r) * (r + 1), refusal)
+                cube = cube_bounds(r)
+            found = _walk_candidates(data, systems, cube)
+        faces = []
+        for cand in found:
+            sample = cand.sample
+            if sample is None:
+                sample, _ = relative_interior_point(cand.ineqs, cand.tight_forms[:cand.own], r, cand.vertices)
+            witnesses = _weight_witnesses(data, systems, sample)
+            faces.append(
+                FaceOfQuasiadjunction(
+                    span=cand.span,
+                    tight=tuple(cand.tight_forms),
+                    ambient=tuple(dict.fromkeys(cand.ineqs)),
+                    dim=r - len(cand.span),  # span is a lattice basis of the equations
+                    sample=sample,
+                    labels={l: len(labels) for l, labels in witnesses.items()},
+                    witnesses=witnesses,
+                    germ_labels=tuple(g.label for g in data.germs if g.label in cand.germs),
+                )
             )
-        )
     faces.sort(key=lambda f: (-f.dim, f.span))
     return faces
 

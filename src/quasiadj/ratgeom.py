@@ -22,6 +22,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
+from . import work
+
 
 def rat(x) -> Fraction:
     """Coerce to Fraction.  Floats are refused: exactness is the contract."""
@@ -239,22 +241,23 @@ def _pivot(rows, cost, basis, nonbasic, den, pr, pc):
     (a * p - row[pc] * prow[j]) / den.  The division is exact (Edmonds,
     "Systems of distinct representatives and linear algebra", 1967): every
     entry stays a minor of the initial integer matrix, and den the absolute
-    determinant of the current basis.
+    determinant of the current basis.  It charges MAX_REGION_WORK first:
+    the rows it changes, its own included, times the row length.
     """
     prow = rows[pr]
     p = prow[pc]
+    changed = [row for row in (*rows, cost) if row is not prow and (row[pc] or abs(p) != den)]
+    work.charge("MAX_REGION_WORK", (len(changed) + 1) * len(prow))
     prow[pc] = den  # the leaving variable's column: den on the pivot row, 0 off it
     if p < 0:
         p = -p
         prow[:] = [-v for v in prow]
-    for row in (*rows, cost):
-        if row is prow:
-            continue
+    for row in changed:
         f = row[pc]
         if f:
             row[pc] = 0
             row[:] = [(a * p - f * b) // den for a, b in zip(row, prow)]
-        elif p != den:
+        else:
             row[:] = [a * p // den for a in row]
     basis[pr], nonbasic[pc] = nonbasic[pc], basis[pr]
     return p
@@ -354,14 +357,15 @@ def _phase2(rows, basis, nonbasic, den, objective):
     (optimum numerator, witness numerators, den).  Raises Unbounded.
 
     The tableau is left as it is: it is copied only when the objective's
-    cost row has a negative entry, so that a pivot follows.
+    cost row has a negative entry, so that a pivot follows.  It charges
+    MAX_REGION_WORK first: the cost row's length per row that builds it.
     """
     r = len(objective)
+    terms = [(objective[b], row) for row, b in zip(rows, basis) if b < r and objective[b]]
+    work.charge("MAX_REGION_WORK", (len(terms) + 1) * (len(nonbasic) + 1))
     cost = [-objective[v] * den if v < r else 0 for v in nonbasic] + [0]
-    for row, b in zip(rows, basis):
-        if b < r and objective[b]:
-            c = objective[b]
-            cost = [a + c * v for a, v in zip(cost, row)]
+    for c, row in terms:
+        cost = [a + c * v for a, v in zip(cost, row)]
     if min(cost[:-1], default=0) < 0:
         rows, basis, nonbasic = [row[:] for row in rows], basis[:], nonbasic[:]
         den = _run_simplex(rows, cost, basis, nonbasic, den)

@@ -19,6 +19,8 @@ import re
 
 import yaml
 
+from . import work
+
 
 class ResolutionError(ValueError):
     """Schema or consistency failure in resolution data (path-labelled)."""
@@ -704,18 +706,15 @@ def _monomial_label(alpha: tuple[int, ...]) -> str:
     return "*".join(parts)
 
 
-# germs (monomials of degree <= bound in n + 1 variables) one cone family may have
-MAX_GERMS = 100_000
-
-
+@work.metered
 def cone_over(degrees, n: int, degree_bound: int = 0) -> ResolutionData:
     """Cone over a smooth divisor:  r branches of the given projective
     degrees, resolved by the single blowup of the origin in C^(n+1).
 
     The one exceptional component has multiplicities a = degrees and
     threshold constant c = n; the germ basis is every monomial of total
-    degree <= degree_bound, each valuating as its degree.  A basis of more
-    than MAX_GERMS monomials raises ResolutionError before any is built.
+    degree <= degree_bound, each valuating as its degree.  A basis past
+    MAX_GERMS is refused before any germ is built.
     """
     degrees = tuple(_expect_int(d, "cone family: degrees[%d]" % i) for i, d in enumerate(degrees))
     _expect_int(n, "cone family: n")
@@ -726,15 +725,14 @@ def cone_over(degrees, n: int, degree_bound: int = 0) -> ResolutionData:
         raise ResolutionError("cone family: n = %d < 1" % n)
     if degree_bound < 0:
         raise ResolutionError("cone family: degree bound %d < 0" % degree_bound)
-    count = comb(n + 1 + degree_bound, n + 1)
-    if count > MAX_GERMS:
-        raise ResolutionError("cone family: %d germs (degree <= %d in %d variables) exceed cap %d"
-                              % (count, degree_bound, n + 1, MAX_GERMS))
+    work.check("MAX_GERMS", comb(n + 1 + degree_bound, n + 1), "cone family: {units} germs (degree <= {} in {} "
+               "variables) exceed cap {cap}", degree_bound, n + 1, error=ResolutionError)
     r = len(degrees)
     exc = ExceptionalComponent("E0", degrees, n)
     germs = []
     for s in range(degree_bound + 1):
         for alpha in _monomials(n + 1, s):
+            work.charge("MAX_GERMS", 1)
             germs.append(GermBasisElement(_monomial_label(alpha), s, (("E0", s),) if s else ()))
     return ResolutionData(
         r=r,

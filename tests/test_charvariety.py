@@ -8,6 +8,7 @@ import pytest
 
 import quasiadj.charvariety as charvariety
 import quasiadj.cli as cli
+import quasiadj.work as work
 from quasiadj.charvariety import (
     CharacterPoint,
     PrincipalComponent,
@@ -54,13 +55,13 @@ def test_torsion_characters_enumeration():
 
 def test_character_sweep_work_is_bounded(monkeypatch, capsys):
     # an order-3 sweep of the 4-line arrangement visits 81 characters
-    monkeypatch.setattr(charvariety, "MAX_CHARACTERS", 81)
+    monkeypatch.setattr(work, "MAX_CHARACTERS", 81)
     assert len(list(torsion_characters((3,) * 4))) == 81
     with pytest.raises(ValueError, match="size 82 exceeds cap 81"):
         list(torsion_characters((2, 41)))
     argv = ["oracle", "--arrangement", "4", "--n", "2", "--order", "3"]
     assert cli.main(argv) == 0
-    monkeypatch.setattr(charvariety, "MAX_CHARACTERS", 80)
+    monkeypatch.setattr(work, "MAX_CHARACTERS", 80)
     capsys.readouterr()
     assert cli.main(argv) == 1
     assert "error: character sweep of size 81 exceeds cap 80" in capsys.readouterr().err

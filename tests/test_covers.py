@@ -22,6 +22,7 @@ import quasiadj.charvariety as charvariety
 import quasiadj.cli as cli
 import quasiadj.covers as covers
 import quasiadj.koszul as koszul
+import quasiadj.work as work
 from quasiadj.charvariety import principal_components, principal_f, torsion_characters
 from quasiadj.koszul import oracle_f
 from quasiadj.resolution import ResolutionError, cone_over, generic_arrangement, load_resolution, serialize_resolution
@@ -128,7 +129,7 @@ def test_cover_orders_must_be_integers():
 
 def test_milnor_sweep_work_is_bounded(monkeypatch, capsys):
     # order bound M visits the M - 1 diagonal characters omega != 1
-    monkeypatch.setattr(charvariety, "MAX_CHARACTERS", 5)
+    monkeypatch.setattr(work, "MAX_CHARACTERS", 5)
     assert len(milnor_fiber(cone_over((2, 3), 2), 6).multiplicities) == 5
     with pytest.raises(ValueError, match="6 diagonal characters exceeds cap 5"):
         milnor_fiber(cone_over((2, 3), 2), 7)
@@ -246,8 +247,8 @@ def test_sweep_refuses_before_any_f_source(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: character sweep of size 1002001 exceeds cap 1000000\n"
     assert cli.main(["betti", "--cone", "2,3", "--n", "2", "--bound", "3", "--m", "1001,1001"]) == 1
     assert capsys.readouterr().err == "error: character sweep of size 1002001 exceeds cap 1000000\n"
-    monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", 10)
-    monkeypatch.setattr(charvariety, "MAX_CHARACTERS", 10)
+    monkeypatch.setattr(work, "MAX_SWEEP_WORK", 10)
+    monkeypatch.setattr(work, "MAX_CHARACTERS", 10)
     with pytest.raises(ValueError, match="^oracle sweep of 81 characters of order dividing 3 exceeds cap 10 "):
         sweep(generic_arrangement(4, 2), (3,) * 4, PRINCIPAL, ORACLE)
     assert cli.main(["check", "--arrangement", "4", "--n", "2", "--order", "3"]) == 1

@@ -13,6 +13,7 @@ import yaml
 import quasiadj.cli as cli
 import quasiadj.covers as covers
 import quasiadj.koszul as koszul
+import quasiadj.work as work
 from quasiadj.charvariety import CharacterPoint, torsion_characters
 from quasiadj.cyclotomic import LaurentPoly
 from quasiadj.koszul import (
@@ -29,11 +30,9 @@ from quasiadj.koszul import (
 F = Fraction
 
 
-def test_oracle_imports_only_the_cyclotomic_substrate():
-    # the oracle shares no code path with the face and torus machinery: its
-    # one import from the package is .cyclotomic; and characters cross into
-    # it as integers, so it never imports fractions
-    tree = ast.parse(Path(koszul.__file__).read_text())
+def _imports(module):
+    """The package modules and the outside top-level modules a module imports."""
+    tree = ast.parse(Path(module.__file__).read_text())
     package, outside = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "quasiadj"):
@@ -46,8 +45,18 @@ def test_oracle_imports_only_the_cyclotomic_substrate():
         elif isinstance(node, ast.Import):
             package.update(alias.name for alias in node.names if alias.name.split(".")[0] == "quasiadj")
             outside.update(alias.name.split(".")[0] for alias in node.names)
-    assert package == {".cyclotomic"}
+    return package, outside
+
+
+def test_oracle_imports_only_the_cyclotomic_substrate():
+    # the oracle shares no code path with the face and torus machinery: its
+    # imports from the package are .cyclotomic and the work ledger, which
+    # imports nothing from the package; and characters cross into it as
+    # integers, so it never imports fractions
+    package, outside = _imports(koszul)
+    assert package == {".cyclotomic", ".work"}
     assert "fractions" not in outside
+    assert _imports(work)[0] == set()
 
 
 def test_truncated_koszul_shape():
@@ -68,13 +77,13 @@ def test_koszul_build_work_is_bounded(monkeypatch, capsys):
     assert "error: oracle sweep of 1 characters" in capsys.readouterr().err
     # truncated_koszul(3, 2): 3 + 9 differential entries and 3 * 3 * 1 products
     truncated_koszul.cache_clear()
-    monkeypatch.setattr(koszul, "MAX_KOSZUL_WORK", 20)
+    monkeypatch.setattr(work, "MAX_KOSZUL_WORK", 20)
     with pytest.raises(ValueError, match="needs 21 entries and products, over cap 20"):
         truncated_koszul(3, 2)
     argv = ["oracle", "--arrangement", "4", "--n", "2", "--order", "1"]
     assert cli.main(argv) == 1
     assert "error: Koszul complex on 3 parameters truncated at 2 needs 21" in capsys.readouterr().err
-    monkeypatch.setattr(koszul, "MAX_KOSZUL_WORK", 21)
+    monkeypatch.setattr(work, "MAX_KOSZUL_WORK", 21)
     assert truncated_koszul(3, 2).dims == (1, 3, 3)
     assert cli.main(argv) == 0
 
@@ -102,15 +111,15 @@ def test_oracle_sweep_work_is_bounded(monkeypatch, capsys):
         (["betti", "--arrangement", "3", "--n", "1", "--m", "2,3,4"], 24 * 4 * 2 * 1 + 2 * 12 * 4),
         (["milnor", "--arrangement", "3", "--n", "1", "--order", "6"], 2 * 2 * 2 * 1 + 2 * 3 * 2),
     ]
-    for argv, work in sweeps:
-        monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", work - 1)
+    for argv, units in sweeps:
+        monkeypatch.setattr(work, "MAX_SWEEP_WORK", units - 1)
         assert cli.main(argv) == 1, argv
         assert "error: oracle sweep of" in capsys.readouterr().err
-        monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", work)
+        monkeypatch.setattr(work, "MAX_SWEEP_WORK", units)
         assert cli.main(argv) == 0, argv
-    monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", 162)
+    monkeypatch.setattr(work, "MAX_SWEEP_WORK", 162)
     check_sweep(27, 3, 3, 1)
-    monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", 161)
+    monkeypatch.setattr(work, "MAX_SWEEP_WORK", 161)
     with pytest.raises(ValueError, match="27 characters of order dividing 3 exceeds cap 161 .* the 2 x 1 entries of d_n"):
         check_sweep(27, 3, 3, 1)
     assert [koszul._totient(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
@@ -134,16 +143,16 @@ def test_oracle_sweep_charges_dividers_per_rank(monkeypatch, capsys):
     # sweep has 81 characters, 27 of them on the support, with phi = 2:
     # 81 * 2 * 9 for the entries, 27 * 3 * 2 for the field tables and
     # 27 * 2 * (2 - 1) * 2^2 for the dividers
-    work = 81 * 2 * 9 + 27 * 3 * 2 + 27 * 2 * 1 * 4
+    units = 81 * 2 * 9 + 27 * 3 * 2 + 27 * 2 * 1 * 4
     argv = ["oracle", "--arrangement", "4", "--n", "2", "--order", "3"]
-    monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", work - 1)
+    monkeypatch.setattr(work, "MAX_SWEEP_WORK", units - 1)
     assert cli.main(argv) == 1
-    assert "81 characters of order dividing 3 exceeds cap %d" % (work - 1) in capsys.readouterr().err
-    monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", work)
+    assert "81 characters of order dividing 3 exceeds cap %d" % (units - 1) in capsys.readouterr().err
+    monkeypatch.setattr(work, "MAX_SWEEP_WORK", units)
     assert cli.main(argv) == 0
     # a Milnor sweep's diagonal characters at order 41 are all off the
     # support of 5 hyperplanes: its 40 characters are charged nothing
-    monkeypatch.setattr(koszul, "MAX_SWEEP_WORK", 0)
+    monkeypatch.setattr(work, "MAX_SWEEP_WORK", 0)
     assert cli.main(["milnor", "--arrangement", "5", "--n", "2", "--order", "41"]) == 0
 
 
@@ -181,7 +190,7 @@ def test_oracle_sweep_bound_sees_the_size_of_d_n(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: oracle sweep of 524288 characters of order dividing 2 exceeds cap")
     assert "the 153 x 18 entries of d_n" in err
-    assert 2 ** 19 * 153 * 18 > koszul.MAX_SWEEP_WORK
+    assert 2 ** 19 * 153 * 18 > work.MAX_SWEEP_WORK
 
 
 def test_first_differential_entries():

@@ -19,6 +19,7 @@ from quasiadj.quasiadjunction import (
 import quasiadj.cli as cli
 import quasiadj.quasiadjunction as quasiadjunction
 import quasiadj.ratgeom as ratgeom
+import quasiadj.work as work
 from quasiadj.ratgeom import (
     AffineForm,
     Infeasible,
@@ -350,7 +351,7 @@ def _count_walk_solves(monkeypatch):
     """Send face searches to the mask walk, and record its region solves
     (relative_interior_point and lp_maximize calls) and the _same_face
     outcomes."""
-    monkeypatch.setattr(quasiadjunction, "MAX_VERTEX_WORK", 0)
+    monkeypatch.setattr(work, "MAX_VERTEX_WORK", 0)
     calls, comparisons = [], []
 
     def counted(inner):
@@ -507,7 +508,7 @@ def test_vertices_decide_the_sample_property(monkeypatch):
             while sum(a) < 2:
                 a = [rng.randint(0, 3) for _ in range(r)]
             forms.append(AffineForm(tuple(-v for v in a), sum(a) - rng.randint(0, 2) - rng.randint(0, 3) - 1))
-        verts = quasiadjunction._vertices(tuple(forms), r, quasiadjunction._Work(quasiadjunction.MAX_VERTEX_WORK))
+        verts = quasiadjunction._vertices(tuple(forms), r)
         meets = {0}
         for _, t in verts:
             t &= (1 << len(forms)) - 1
@@ -591,7 +592,7 @@ def _brute_vertices(forms, r):
 
 def _library_vertices(forms, r):
     out = set()
-    for h, tight in quasiadjunction._vertices(tuple(forms), r, quasiadjunction._Work(quasiadjunction.MAX_VERTEX_WORK)):
+    for h, tight in quasiadjunction._vertices(tuple(forms), r):
         assert h[-1] > 0 and gcd(*h) == 1, h
         out.add((tuple(F(v, h[-1]) for v in h[:-1]), tight))
     return out
@@ -630,48 +631,50 @@ def _vertex_work(data):
     vertices: per system, the r * 2^r corner coordinates, the
     negative-positive vertex pairs of each cut, and masks times vertices."""
     r, nexc = data.r, len(data.exceptional)
-    work = 0
+    units = 0
     for forms in _systems(data):
-        work += r << r
+        units += r << r
         for k, form in enumerate(forms):
             values = [form.value(x) for x, _ in _brute_vertices(forms[:k], r)]
-            work += sum(v < 0 for v in values) * sum(v > 0 for v in values)
+            units += sum(v < 0 for v in values) * sum(v > 0 for v in values)
         verts = _brute_vertices(forms, r)
         masks = set()
         for _, tight in verts:
             tight &= (1 << nexc) - 1
             masks |= {tight & m for m in masks} | {tight}
-        work += len(masks) * len(verts)
-    return work
+        units += len(masks) * len(verts)
+    return units
 
 
 def test_face_search_work_is_bounded(monkeypatch, capsys, tmp_path):
     # the chart's vertex route charges 412 work units: at 412 it runs, at
     # 411 the mask walk finds the same faces, each sampled at its solve's
-    # point; the walk makes 44 region
-    # solves, each charged (4 + 2*3 + 1) * (4 + 2*3) * (3 + 1) = 440 units:
-    # 20 solves are too few, 44 enough
+    # point; the walk's pivots and phase 2 runs charge 14,092 units of
+    # region work: 14,091 are too few, 14,092 enough
     chart = tmp_path / "chart.yaml"
     chart.write_text(FOUR_COMPONENTS)
     data = load_resolution(FOUR_COMPONENTS)
     reference = _reference_faces(data)
-    work = _vertex_work(data)
-    assert work == 412 < quasiadjunction.MAX_VERTEX_WORK
+    units = _vertex_work(data)
+    assert units == 412 < work.MAX_VERTEX_WORK
     walks = []
     walk = quasiadjunction._walk_candidates
     monkeypatch.setattr(quasiadjunction, "_walk_candidates", lambda *args: walks.append(1) or walk(*args))
-    for limit, walked in ((work, 0), (work - 1, 1)):
-        monkeypatch.setattr(quasiadjunction, "MAX_VERTEX_WORK", limit)
+    for limit, walked in ((units, 0), (units - 1, 1)):
+        monkeypatch.setattr(work, "MAX_VERTEX_WORK", limit)
         del walks[:]
         got = [_face_tuple(f) for f in faces_of_quasiadjunction(data)]
         assert got == _face_tuples(data, reference, walk=bool(walked))
         assert len(walks) == walked
-    monkeypatch.setattr(quasiadjunction, "MAX_REGION_WORK", 20 * 440)
-    with pytest.raises(ValueError, match="more than 8800 units of region solve work"):
+    with work.ledger() as book:
+        faces_of_quasiadjunction(data)
+    assert book["MAX_REGION_WORK"] == 14_092
+    monkeypatch.setattr(work, "MAX_REGION_WORK", 14_091)
+    with pytest.raises(ValueError, match="more than 14091 units of region solve work"):
         faces_of_quasiadjunction(data)
     assert cli.main(["faces", "--input", str(chart)]) == 1
-    assert "error: face search needs more than 8800 units of region solve work" in capsys.readouterr().err
-    monkeypatch.setattr(quasiadjunction, "MAX_REGION_WORK", 44 * 440)
+    assert "error: face search needs more than 14091 units of region solve work" in capsys.readouterr().err
+    monkeypatch.setattr(work, "MAX_REGION_WORK", 14_092)
     assert cli.main(["faces", "--input", str(chart)]) == 0
 
 
@@ -684,9 +687,10 @@ def _count_cubes(monkeypatch):
 
 
 def test_mask_walk_refuses_a_solve_too_large_for_its_budget(monkeypatch, capsys):
-    # 1600 branches: the walk's one solve would be charged
-    # 3201 * 3200 * 1601 units, over MAX_REGION_WORK, so it is refused
-    # before it runs (it would take minutes), and before the cube is built
+    # 1600 branches: the walk's first solve is estimated at one pivot or
+    # phase 2 run over two rows of 1601 entries for each of the system's
+    # 3201 constraints, over MAX_REGION_WORK, so it is refused before it runs
+    # (it would take minutes), and before the cube is built
     builds = _count_cubes(monkeypatch)
     assert cli.main(["faces", "--arrangement", "1600", "--n", "1"]) == 1
     assert "error: face search needs more than" in capsys.readouterr().err
@@ -700,7 +704,7 @@ def test_face_search_builds_one_cube(monkeypatch):
     builds = _count_cubes(monkeypatch)
     four = load_resolution(FOUR_COMPONENTS)
     for data, limit in ((four, 412), (generic_arrangement(13, 1), 412), (four, 411)):
-        monkeypatch.setattr(quasiadjunction, "MAX_VERTEX_WORK", limit)
+        monkeypatch.setattr(work, "MAX_VERTEX_WORK", limit)
         del builds[:]
         assert faces_of_quasiadjunction(data)
         assert builds == [data.r]

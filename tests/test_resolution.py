@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import quasiadj.charvariety as cv
 import quasiadj.cli as cli
 import quasiadj.resolution as resolution
+import quasiadj.work as work
 from quasiadj.charvariety import PrincipalComponent, classify_essential, make_subtorus
 from quasiadj.covers import betti_tables
 from quasiadj.resolution import (
@@ -110,7 +111,7 @@ def test_principal_side_refuses_int_subclasses():
 
 def test_cone_germ_basis_is_bounded(monkeypatch, capsys):
     # degree <= 3 in 3 variables is C(6, 3) = 20 monomials, degree <= 4 is 35
-    monkeypatch.setattr(resolution, "MAX_GERMS", 20)
+    monkeypatch.setattr(work, "MAX_GERMS", 20)
     assert len(cone_over((2, 3), 2, 3).germs) == 20
     with pytest.raises(ResolutionError, match="35 germs .* exceed cap 20"):
         cone_over((2, 3), 2, 4)
