@@ -70,17 +70,19 @@ def f_source(data: ResolutionData, mode: str):
     raise ValueError("unknown f mode %r" % mode)
 
 
-def sweep(data: ResolutionData, orders, *modes):
+def sweep(data: ResolutionData, orders, *modes, branched: bool = False):
     """The one character sweep: an iterator of (chi, f(chi) under each mode
     in turn) over the torsion characters chi of the r orders, in
     torsion_characters' order.  At the call, before any f source is built,
     it refuses orders that are not r ints, then (with ORACLE among the
-    modes) the oracle's estimate, then torsion_characters' refusals."""
+    modes) the oracle's estimate, then torsion_characters' refusals.  With
+    branched, the estimate also counts the restricted ranks of
+    betti_tables' branched table."""
     orders = tuple(_expect_int(v, "m[%d]" % i) for i, v in enumerate(orders))
     if len(orders) != data.r:
         raise ValueError("m has length %d, expected r = %d" % (len(orders), data.r))
     if ORACLE in modes:
-        check_sweep(prod(orders), lcm(*orders), data.r, data.n)
+        check_sweep(prod(orders), lcm(*orders), data.r, data.n, branched)
     characters, *copies = tee(torsion_characters(orders), 1 + len(modes))
     fs = [f_source(data, mode) for mode in modes]
     return zip(characters, *map(map, fs, copies))  # each f maps over its own copy, in step
@@ -113,7 +115,7 @@ def betti_tables(data: ResolutionData, m, f_mode: str = PRINCIPAL) -> tuple[Bett
     count = 0
     trivial_term = 0
     buckets: dict[tuple[int, ...], int] = {}
-    for chi, val in sweep(data, m, f_mode):
+    for chi, val in sweep(data, m, f_mode, branched=family is not None):
         total += val
         count += 1
         if chi.is_trivial():

@@ -158,34 +158,47 @@ def _totient(n: int) -> int:
     return out - out // n if n > 1 else out
 
 
-def _sweep_work(characters: int, ranks: int, order: int, rows: int, cols: int) -> int:
-    """The estimate, refused past MAX_SWEEP_WORK, of characters evaluations of
-    the rows x cols d_n, phi = phi(order) integers an entry, and ranks ranks,
-    each with a field table of order * phi integers and min(rows, cols) - 1
-    dividers of (phi - 1) * phi^2.  phi >= 1 is checked before it is found."""
-    args = ("oracle sweep of {} characters of order dividing {} exceeds cap {cap} on characters times phi(order) "
-            "times the {} x {} entries of d_n, plus order times phi(order) per field table and phi(order)^3 per "
-            "Bareiss divider of a rank", characters, order, rows, cols)
-    work.check("MAX_SWEEP_WORK", characters * rows * cols, *args)
+def _rank_work(order: int, rows: int, cols: int) -> int:
+    """The units of one rank of the rows x cols d_n at a character of order
+    dividing order, phi = phi(order): phi per entry and order * phi for the
+    field table, charged by oracle_f, and (phi - 1) * phi^2 per Bareiss
+    divider, min(rows, cols) - 1 of them, charged by matrix_rank."""
     phi = _totient(order)
-    units = characters * phi * rows * cols + ranks * (order * phi + (min(rows, cols) - 1) * (phi - 1) * phi * phi)
+    return phi * (order + rows * cols) + (min(rows, cols) - 1) * (phi - 1) * phi * phi
+
+
+def _check_ranks(characters: int, order: int, ranks: int, shapes) -> int:
+    """The estimate, refused past MAX_SWEEP_WORK, of a sweep over characters
+    characters of order dividing order that takes `ranks` ranks at each d_n
+    shape (rows, cols) in shapes.  A rank is at least order + rows * cols
+    units, which is checked before phi(order) is found."""
+    args = ("oracle sweep of {} characters of order dividing {} exceeds cap {cap} on {} ranks, each phi(order) "
+            "times the {} x {} entries of d_n, plus order times phi(order) per field table and phi(order)^3 per "
+            "Bareiss divider", characters, order, ranks * len(shapes), *shapes[0])
+    work.check("MAX_SWEEP_WORK", ranks * sum(order + rows * cols for rows, cols in shapes), *args)
+    units = ranks * sum(_rank_work(order, rows, cols) for rows, cols in shapes)
     work.check("MAX_SWEEP_WORK", units, *args)
     return units
 
 
-def check_sweep(characters: int, order: int, r: int, n: int) -> int:
+def check_sweep(characters: int, order: int, r: int, n: int, branched: bool = False) -> int:
     """The checked estimate of an oracle sweep over `characters` characters
-    whose orders divide `order`, for r hyperplanes in degree n.  Of all the
-    characters of orders m, prod(m) / lcm(m) lie on the support."""
-    return _sweep_work(characters, characters // max(order, 1), order, comb(r - 1, n), comb(r - 1, n - 1))
+    whose orders divide `order`, for r hyperplanes in degree n: a rank per
+    character on the support, prod(m) / lcm(m) of the characters of orders
+    m.  With branched, each takes one more rank, restricted to its support
+    I if n < |I| < r: the restriction is on the support, as its phases off
+    I are trivial, and its d_n is at most that of r - 1 hyperplanes."""
+    sizes = (r, r - 1) if branched and r - 1 > n else (r,)
+    shapes = [(comb(s - 1, n), comb(s - 1, n - 1)) for s in sizes]
+    return _check_ranks(characters, order, characters // max(order, 1), shapes)
 
 
 def check_milnor_sweep(order: int, r: int, n: int) -> int:
     """The checked estimate of a Milnor oracle sweep over (k, ..., k),
-    0 < k < order: oracle_f evaluates only those on the support, the
+    0 < k < order: oracle_f ranks only those on the support, the
     gcd(r, order) - 1 multiples k of order / gcd(r, order)."""
     g = gcd(r, order)
-    return _sweep_work(g - 1, g - 1, g, comb(r - 1, n), comb(r - 1, n - 1))
+    return _check_ranks(g - 1, g, g - 1, [(comb(r - 1, n), comb(r - 1, n - 1))])
 
 
 def on_support(order: int, exponents) -> bool:
@@ -218,7 +231,7 @@ def oracle_f(r: int, n: int, order: int, exponents) -> int:
         return 0
     matrix = truncated_koszul(r - 1, n).differential(n)
     rows, cols = len(matrix), len(matrix[0])  # dim C_n x dim C_(n-1)
-    _sweep_work(1, 1, order, rows, cols)
+    _check_ranks(1, order, 1, [(rows, cols)])
     work.charge("MAX_SWEEP_WORK", _totient(order) * (order + rows * cols))  # the field table and d_n's entries
     field = CyclotomicField(order)
     return rows - matrix_rank(field, _evaluated(field, exponents[: r - 1], matrix))

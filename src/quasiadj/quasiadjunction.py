@@ -18,12 +18,11 @@ homogeneous coordinates with the set of constraints tight there, and which
 masks cut a face, its equations and whether it meets the open positive
 orthant all follow from those sets.  A face that no constraint hyperplane
 crosses is sampled at the centroid of its vertices, with no solve; a
-crossed face takes one phase 1 of the exact simplex, and a phase 2 only
-for a slack whose maximum its vertices leave undecided (see
-ratgeom.relative_interior_point).  P can have about 2^r vertices whatever
-its forms, so a chart with many branches is searched by a walk over the
-masks of tight components instead, with one exact solve per mask.
-Everything here is exact.
+crossed face at the point of one ratgeom.relative_interior_point solve on
+its region, as the mask walk samples every face.  P can have about 2^r
+vertices whatever its forms, so a chart with many branches is searched by
+a walk over the masks of tight components instead, with one exact solve
+per mask.  Everything here is exact.
 """
 
 from __future__ import annotations
@@ -279,9 +278,9 @@ class _Candidate:
     that found it, `own` of them, and gains those of every mask merged
     into it; all of them vanish on the face."""
 
-    __slots__ = ("span", "ineqs", "own", "tight_forms", "tight_keys", "germs", "sample", "vertices")
+    __slots__ = ("span", "ineqs", "own", "tight_forms", "tight_keys", "germs", "sample")
 
-    def __init__(self, span, eqs, ineqs, germ_labels, sample=None, vertices=None):
+    def __init__(self, span, eqs, ineqs, germ_labels, sample=None):
         self.span = span
         self.ineqs = ineqs
         self.own = len(eqs)
@@ -289,7 +288,6 @@ class _Candidate:
         self.tight_keys = {f.equation_key() for f in eqs}
         self.germs = set(germ_labels)
         self.sample = sample
-        self.vertices = vertices
 
     def merge(self, eqs, germ_labels) -> None:
         self.germs.update(germ_labels)
@@ -342,7 +340,7 @@ def _vertex_candidates(data: ResolutionData, systems, cube) -> list[_Candidate]:
             span = tuple((v, Fraction(sum(map(mul, v, h)), h[-1])) for v in basis)
             ineqs = [forms[i] for i in range(nforms) if not mask >> i & 1] + cube
             sample = _centroid_if_uncrossed(forms, consts, vertices)
-            found[key] = _Candidate(span, eqs, ineqs, labels, sample, vertices)
+            found[key] = _Candidate(span, eqs, ineqs, labels, sample)
     return list(found.values())
 
 
@@ -469,10 +467,8 @@ def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction
     one sign on it, and the labels and witnesses are the same at every
     such point.  On a crossed face another germ's region can cover part of
     the relative interior only, so labels read at two points can differ;
-    such a face keeps the point one relative_interior_point call returns,
-    on its first candidate's system with the face's vertices: phase 1, and
-    phase 2 only where the vertices tie for a slack's maximum and leave out
-    the phase 1 point.
+    such a face keeps the point relative_interior_point returns on its
+    first candidate's region, the call the mask walk makes for that region.
 
     P can have about 2^r vertices whatever its forms, so a search the
     vertex route cannot afford (MAX_VERTEX_WORK) is run by the mask walk
@@ -499,7 +495,7 @@ def faces_of_quasiadjunction(data: ResolutionData) -> list[FaceOfQuasiadjunction
         for cand in found:
             sample = cand.sample
             if sample is None:
-                sample, _ = relative_interior_point(cand.ineqs, cand.tight_forms[:cand.own], r, cand.vertices)
+                sample, _ = relative_interior_point(cand.ineqs, cand.tight_forms[:cand.own], r)
             witnesses = _weight_witnesses(data, systems, sample)
             faces.append(
                 FaceOfQuasiadjunction(

@@ -4,10 +4,9 @@ Affine forms have integer coefficients and constant; points, witnesses and
 optima are fractions.Fraction.  Integer lattice work (kernels, saturation,
 affine spans) goes through the one Hermite reducer, and a small two-phase
 simplex solves one set for many objectives (phase 1 once, phase 2 once per
-objective, unless the set's vertices decide the answer).  Evaluation, the
-simplex and the relative-interior centroid all work in integers.  The
-simplex keeps a condensed tableau, the nonbasic columns only, over one
-common denominator with exact-division pivots
+objective).  Evaluation, the simplex and the relative-interior centroid all
+work in integers.  The simplex keeps a condensed tableau, the nonbasic
+columns only, over one common denominator with exact-division pivots
 (Edmonds 1967; the dictionary form of lrs, Avis and Fukuda 1992); an
 optimum, witness or sample becomes a Fraction once, on the way out.
 Floating point input is rejected at the boundary; nothing in here ever
@@ -243,22 +242,27 @@ def _pivot(rows, cost, basis, nonbasic, den, pr, pc):
     entry stays a minor of the initial integer matrix, and den the absolute
     determinant of the current basis.  It charges MAX_REGION_WORK first:
     the rows it changes, its own included, times the row length.
+
+    Each row of rows it changes is replaced by a new list and never written
+    in place, so a tableau whose list of rows was copied is left as it
+    was; the cost row, the caller's own, is written in place.
     """
-    prow = rows[pr]
-    p = prow[pc]
-    changed = [row for row in (*rows, cost) if row is not prow and (row[pc] or abs(p) != den)]
-    work.charge("MAX_REGION_WORK", (len(changed) + 1) * len(prow))
-    prow[pc] = den  # the leaving variable's column: den on the pivot row, 0 off it
-    if p < 0:
-        p = -p
-        prow[:] = [-v for v in prow]
-    for row in changed:
-        f = row[pc]
+    table = [*rows, cost]
+    p = rows[pr][pc]
+    changed = [i for i, row in enumerate(table) if i != pr and (row[pc] or abs(p) != den)]
+    work.charge("MAX_REGION_WORK", (len(changed) + 1) * len(rows[pr]))
+    prow = [-v for v in rows[pr]] if p < 0 else rows[pr][:]
+    prow[pc] = den if p > 0 else -den  # the leaving variable's column: den on the pivot row, 0 off it
+    table[pr], p = prow, abs(p)
+    for i in changed:
+        row, f = table[i], table[i][pc]
         if f:
-            row[pc] = 0
-            row[:] = [(a * p - f * b) // den for a, b in zip(row, prow)]
+            row = [(a * p - f * b) // den for a, b in zip(row, prow)]
+            row[pc] = -f * prow[pc] // den  # row[pc] read as 0
         else:
-            row[:] = [a * p // den for a in row]
+            row = [a * p // den for a in row]
+        table[i] = row
+    rows[:], cost[:] = table[:-1], table[-1]
     basis[pr], nonbasic[pc] = nonbasic[pc], basis[pr]
     return p
 
@@ -356,8 +360,9 @@ def _phase2(rows, basis, nonbasic, den, objective):
     """max objective . x from the tableau _phase1 returned, as integers
     (optimum numerator, witness numerators, den).  Raises Unbounded.
 
-    The tableau is left as it is: it is copied only when the objective's
-    cost row has a negative entry, so that a pivot follows.  It charges
+    The tableau is left as it is: its list of rows is copied when the
+    objective's cost row has a negative entry, so that a pivot follows, and
+    _pivot replaces the rows it changes rather than writing them.  It charges
     MAX_REGION_WORK first: the cost row's length per row that builds it.
     """
     r = len(objective)
@@ -367,7 +372,7 @@ def _phase2(rows, basis, nonbasic, den, objective):
     for c, row in terms:
         cost = [a + c * v for a, v in zip(cost, row)]
     if min(cost[:-1], default=0) < 0:
-        rows, basis, nonbasic = [row[:] for row in rows], basis[:], nonbasic[:]
+        rows, basis, nonbasic = rows[:], basis[:], nonbasic[:]
         den = _run_simplex(rows, cost, basis, nonbasic, den)
     # the z-row's right-hand side is the optimum over den
     return cost[-1], _basic_point(rows, basis, r), den
@@ -420,33 +425,8 @@ def lp_maximize(
     return results
 
 
-def _on_vertices(
-    ineqs: Sequence[AffineForm], eqs: Sequence[AffineForm], width: int, vertices: Iterable[Sequence[int]]
-) -> tuple[list[tuple[int, ...]], int, list[list[int]]]:
-    """The vertices (n_1, ..., n_width, den) as numerators over their least
-    common denominator, that denominator, and g.coeffs . x at each of them
-    for each g in ineqs.  Raises TypeError on an entry that is not an int,
-    and ValueError when a vertex has the wrong arity or den <= 0, or is not
-    a point of the set."""
-    vertices = [_integers(h, "vertex entry") for h in vertices]
-    for h in vertices:
-        if len(h) != width + 1 or h[-1] <= 0:
-            raise ValueError("vertex %r is not (n_1, ..., n_%d, den) with den > 0" % (h, width))
-    common = lcm(*(h[-1] for h in vertices))
-    points = [tuple(v * (common // h[-1]) for v in h[:-1]) for h in vertices]
-    dots = [[sum(map(mul, g.coeffs, x)) for x in points] for g in ineqs]
-    if (any(v < 0 for x in points for v in x)
-            or any(max(row) > -g.const * common for g, row in zip(ineqs, dots))
-            or any(sum(map(mul, f.coeffs, x)) != -f.const * common for f in eqs for x in points)):
-        raise ValueError("vertices %r are not all points of the set" % (vertices,))
-    return points, common, dots
-
-
 def relative_interior_point(
-    ineqs: Sequence[AffineForm],
-    eqs: Sequence[AffineForm],
-    width: int,
-    vertices: Sequence[Sequence[int]] | None = None,
+    ineqs: Sequence[AffineForm], eqs: Sequence[AffineForm], width: int
 ) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
     """A point with every non-implicit inequality strict, plus the indices of
     the implicit equalities among ineqs.  Raises Infeasible on an empty set,
@@ -466,53 +446,12 @@ def relative_interior_point(
     iff its optimum is g.const: an integer comparison, opt_num ==
     g.const * den.  The witnesses are summed as integer numerators, and a
     Fraction appears only in the returned point.
-
-    vertices, when given and nonempty, must be every vertex of the set, as
-    integer homogeneous points (n_1, ..., n_width, den) with den > 0, and
-    the set must be bounded (the cube facets among ineqs make it so).  Each
-    vertex is checked to lie in the set (ValueError if not); that it is a
-    vertex, and that none is missing, is the caller's promise.  The answer
-    is then the same, and the vertices decide most phase 2 runs without
-    one.  A linear objective's maximum over a polytope is its maximum over
-    the vertices, and phase 2 returns a basic feasible solution, which is a
-    vertex.  Each pivot of Bland's rule either keeps the point (a zero step)
-    or strictly improves the objective (Bland, "New finite pivoting rules
-    for the simplex method", 1977).  So, with g's slack greatest where
-    g.coeffs . x is least:
-
-    - a one-vertex set is that vertex: the vertex is the point, with no
-      solve, and the implicit inequalities are those tight there.
-    - g is implicit iff its slack is 0 at every vertex.
-    - if the phase 1 point reaches the slack's maximum, no pivot can
-      improve on it, so every pivot keeps it and it is the witness.
-    - if exactly one vertex reaches the maximum, it is the witness.
-
-    Only a tie between vertices that leaves out the phase 1 point runs
-    phase 2, on a copy of the tableau as without vertices.
     """
     _check_arities(width, (f.coeffs for f in (*ineqs, *eqs)))
-    if vertices:
-        points, vden, dots = _on_vertices(ineqs, eqs, width, vertices)
-        if len(points) == 1:
-            implicit = tuple(k for k, g in enumerate(ineqs) if dots[k][0] == -g.const * vden)
-            return tuple(Fraction(v, vden) for v in points[0]), implicit
     tableau = _phase1(ineqs, eqs, width)
-    start, start_den = _basic_point(tableau[0], tableau[1], width), tableau[3]
-    witnesses = [(start, start_den)]
+    witnesses = [(_basic_point(tableau[0], tableau[1], width), tableau[3])]
     implicit = []
     for k, g in enumerate(ineqs):
-        if vertices:
-            # g <= 0 puts every dot at most -g.const * vden
-            least = min(dots[k])
-            if least == -g.const * vden:
-                implicit.append(k)
-                continue
-            if sum(map(mul, g.coeffs, start)) * vden == least * start_den:
-                witnesses.append((start, start_den))
-                continue
-            if dots[k].count(least) == 1:
-                witnesses.append((points[dots[k].index(least)], vden))
-                continue
         opt, point, den = _phase2(*tableau, tuple(-c for c in g.coeffs))
         if opt == g.const * den:
             implicit.append(k)  # g vanishes on the whole set

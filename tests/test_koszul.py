@@ -99,17 +99,20 @@ def test_oracle_sweep_work_is_bounded(monkeypatch, capsys):
     assert "error: oracle sweep of 1000000 characters of order dividing 1000 exceeds cap" in capsys.readouterr().err
     monkeypatch.undo()
     # every oracle sweep passes at its bound and is refused just over it:
-    # characters times phi of their common order times the entries of d_n,
-    # plus the order times phi per field table of a rank on the support (a
-    # 2 x 1 or 3 x 3 d_n with phi = 1 builds no Bareiss divider); a Milnor
-    # sweep at order 6 on 3 hyperplanes has 2 characters on the support,
-    # of order 3
+    # per character on the support, phi of the sweep's common order times
+    # the entries of d_n plus the order, for its field table (a 2 x 1 or
+    # 1 x 1 d_n, or phi = 1, builds no Bareiss divider).  27 characters of
+    # order 3 on 3 hyperplanes have 9 on the support, 16 of order 2 on 4
+    # have 8, and 24 of orders (2, 3, 4) have 2, each ranked once more on
+    # the 1 x 1 d_1 of its 2 hyperplanes for the branched table; a Milnor
+    # sweep at order 6 on 3 hyperplanes has 2 characters on the support, of
+    # order 3
     sweeps = [
-        (["oracle", "--arrangement", "3", "--n", "1", "--order", "3"], 27 * 2 * 2 * 1 + 9 * 3 * 2),
-        (["oracle", "--arrangement", "4", "--n", "2", "--order", "2"], 16 * 1 * 3 * 3 + 8 * 2 * 1),
-        (["check", "--arrangement", "3", "--n", "1", "--order", "3"], 27 * 2 * 2 * 1 + 9 * 3 * 2),
-        (["betti", "--arrangement", "3", "--n", "1", "--m", "2,3,4"], 24 * 4 * 2 * 1 + 2 * 12 * 4),
-        (["milnor", "--arrangement", "3", "--n", "1", "--order", "6"], 2 * 2 * 2 * 1 + 2 * 3 * 2),
+        (["oracle", "--arrangement", "3", "--n", "1", "--order", "3"], 9 * 2 * (2 * 1 + 3)),
+        (["oracle", "--arrangement", "4", "--n", "2", "--order", "2"], 8 * 1 * (3 * 3 + 2)),
+        (["check", "--arrangement", "3", "--n", "1", "--order", "3"], 9 * 2 * (2 * 1 + 3)),
+        (["betti", "--arrangement", "3", "--n", "1", "--m", "2,3,4"], 2 * 4 * (2 * 1 + 12 + 1 * 1 + 12)),
+        (["milnor", "--arrangement", "3", "--n", "1", "--order", "6"], 2 * 2 * (2 * 1 + 3)),
     ]
     for argv, units in sweeps:
         monkeypatch.setattr(work, "MAX_SWEEP_WORK", units - 1)
@@ -117,10 +120,10 @@ def test_oracle_sweep_work_is_bounded(monkeypatch, capsys):
         assert "error: oracle sweep of" in capsys.readouterr().err
         monkeypatch.setattr(work, "MAX_SWEEP_WORK", units)
         assert cli.main(argv) == 0, argv
-    monkeypatch.setattr(work, "MAX_SWEEP_WORK", 162)
+    monkeypatch.setattr(work, "MAX_SWEEP_WORK", 90)
     check_sweep(27, 3, 3, 1)
-    monkeypatch.setattr(work, "MAX_SWEEP_WORK", 161)
-    with pytest.raises(ValueError, match="27 characters of order dividing 3 exceeds cap 161 .* the 2 x 1 entries of d_n"):
+    monkeypatch.setattr(work, "MAX_SWEEP_WORK", 89)
+    with pytest.raises(ValueError, match="27 characters of order dividing 3 exceeds cap 89 on 9 ranks, .* the 2 x 1 entries"):
         check_sweep(27, 3, 3, 1)
     assert [koszul._totient(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
     assert koszul._totient(1000) == 400
@@ -141,9 +144,9 @@ def test_oracle_f_refuses_a_rank_whose_dividers_pass_the_cap():
 def test_oracle_sweep_charges_dividers_per_rank(monkeypatch, capsys):
     # r = 4, n = 2: d_2 is 3 x 3, so a rank builds 2 dividers.  An order-3
     # sweep has 81 characters, 27 of them on the support, with phi = 2:
-    # 81 * 2 * 9 for the entries, 27 * 3 * 2 for the field tables and
+    # 27 * 2 * 9 for the entries, 27 * 3 * 2 for the field tables and
     # 27 * 2 * (2 - 1) * 2^2 for the dividers
-    units = 81 * 2 * 9 + 27 * 3 * 2 + 27 * 2 * 1 * 4
+    units = 27 * 2 * 9 + 27 * 3 * 2 + 27 * 2 * 1 * 4
     argv = ["oracle", "--arrangement", "4", "--n", "2", "--order", "3"]
     monkeypatch.setattr(work, "MAX_SWEEP_WORK", units - 1)
     assert cli.main(argv) == 1
@@ -180,8 +183,9 @@ def test_oracle_f_charges_its_field_table(monkeypatch):
 
 
 def test_oracle_sweep_bound_sees_the_size_of_d_n(monkeypatch, capsys):
-    # 2^19 characters of order 2 (phi = 1), each a rank of the 153 x 18
-    # matrix d_2: about 1.4 * 10^9 units, refused before the first character
+    # 2^19 characters of order 2 (phi = 1), 2^18 of them on the support,
+    # each a rank of the 153 x 18 matrix d_2: about 7.2 * 10^8 units,
+    # refused before the first character
     def no_oracle(*args):
         raise AssertionError("oracle called")
 
@@ -190,7 +194,7 @@ def test_oracle_sweep_bound_sees_the_size_of_d_n(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: oracle sweep of 524288 characters of order dividing 2 exceeds cap")
     assert "the 153 x 18 entries of d_n" in err
-    assert 2 ** 19 * 153 * 18 > work.MAX_SWEEP_WORK
+    assert 2 ** 18 * 153 * 18 > work.MAX_SWEEP_WORK
 
 
 def test_first_differential_entries():

@@ -381,6 +381,33 @@ def test_facet_rows_change_no_pivot_property(monkeypatch):
     assert min(seen.values()) >= 20, seen
 
 
+def test_pivots_leave_the_phase_1_tableau_as_it_is_property():
+    # _pivot replaces each row it changes with a new list, so a pivot on a
+    # copied list of rows, and every phase 2 run, which copies only the list,
+    # leaves each row of the post-phase-1 tableau as phase 1 returned it
+    rng = random.Random(5757)
+    pivots = runs = 0
+    for _ in range(400):
+        objectives, ineqs, eqs, width, _ = _random_lp(rng)
+        try:
+            rows, basis, nonbasic, den = ratgeom._phase1(ineqs, eqs, width)
+        except Infeasible:
+            continue
+        before = [row[:] for row in rows]
+        for objective in objectives:
+            try:
+                ratgeom._phase2(rows, basis, nonbasic, den, objective)
+            except Unbounded:
+                pass
+            runs += 1
+        for pr, row in enumerate(rows):
+            for pc in [j for j, v in enumerate(row[:-1]) if v][:1]:
+                ratgeom._pivot(rows[:], [0] * len(row), basis[:], nonbasic[:], den, pr, pc)
+                pivots += 1
+        assert rows == before, (ineqs, eqs)
+    assert pivots >= 100 and runs >= 100, (pivots, runs)
+
+
 def _random_lattice_rows(rng):
     """Integer rows of every kind is_saturation_basis must sort: saturation
     bases, Hermite bases of unsaturated lattices, and those with a row
@@ -492,6 +519,15 @@ def test_relative_interior_detects_implicit_equalities():
     point, implicit = relative_interior_point(ineqs, [], 1)
     assert point == (F(1, 2),)
     assert set(implicit) == {2, 3}
+    # x_1 + x_2 = 2 meets the square in the corner (1, 1) only, where its
+    # two facets x_i - 1 <= 0 are implicit
+    assert relative_interior_point(cube_bounds(2), [AffineForm((1, 1), -2)], 2) == ((1, 1), (1, 3))
+    # the diagonal x_1 = x_2 of the square: the origin, then the witnesses
+    # (1, 1), (0, 0), (1, 1), (0, 0) of the four facets; x_1 - x_2 <= 0 is implicit
+    diagonal = cube_bounds(2) + [AffineForm((1, -1), 0)]
+    assert relative_interior_point(diagonal, [AffineForm((2, -2), 0)], 2) == ((F(2, 5), F(2, 5)), (4,))
+    # the triangle x_1 <= x_2 of the square has no implicit inequality
+    assert relative_interior_point(diagonal, [], 2) == ((F(1, 6), F(1, 2)), ())
 
 
 def _max_min_coordinate(ineqs, eqs, width):
@@ -532,70 +568,3 @@ def test_relative_interior_sample_is_positive_iff_max_min_is():
 def test_relative_interior_point_raises_when_empty():
     with pytest.raises(Infeasible):
         relative_interior_point([AffineForm((1,), 1)], [], 1)
-
-
-def _count_phases(monkeypatch):
-    """Record the _phase1 and _phase2 runs of ratgeom."""
-    runs = {"phase1": 0, "phase2": 0}
-
-    def counted(name):
-        inner = getattr(ratgeom, "_" + name)
-
-        def call(*args):
-            runs[name] += 1
-            return inner(*args)
-        return call
-
-    for name in runs:
-        monkeypatch.setattr(ratgeom, "_" + name, counted(name))
-    return runs
-
-
-def test_one_vertex_set_is_its_own_sample(monkeypatch):
-    # x_1 + x_2 = 2 meets the square in the corner (1, 1) only; its two
-    # facets x_i - 1 <= 0 are implicit there
-    ineqs, eqs = cube_bounds(2), [AffineForm((1, 1), -2)]
-    expected = relative_interior_point(ineqs, eqs, 2)
-    runs = _count_phases(monkeypatch)
-    assert relative_interior_point(ineqs, eqs, 2, [(1, 1, 1)]) == expected == ((1, 1), (1, 3))
-    assert runs == {"phase1": 0, "phase2": 0}
-
-
-def test_edge_takes_no_phase_2(monkeypatch):
-    # the diagonal x_1 = x_2 of the square, from (0, 0) to (1, 1): every
-    # slack is greatest at one end, or at the phase 1 point when it is constant
-    ineqs, eqs = cube_bounds(2) + [AffineForm((1, -1), 0)], [AffineForm((2, -2), 0)]
-    expected = relative_interior_point(ineqs, eqs, 2)
-    runs = _count_phases(monkeypatch)
-    assert relative_interior_point(ineqs, eqs, 2, [(0, 0, 1), (2, 2, 2)]) == expected
-    # the origin, then the witnesses (1, 1), (0, 0), (1, 1), (0, 0) of the four facets
-    assert expected == ((F(2, 5), F(2, 5)), (4,))
-    assert runs == {"phase1": 1, "phase2": 0}
-
-
-def test_tie_without_the_phase_1_point_takes_one_phase_2(monkeypatch):
-    # the triangle x_1 <= x_2 in the square, vertices (0, 0), (0, 1), (1, 1);
-    # phase 1 stops at the origin.  The slack of -x_2 <= 0 is greatest at
-    # both (0, 1) and (1, 1), a tie that leaves the origin out; every other
-    # slack is greatest at one vertex or at the origin
-    ineqs = cube_bounds(2) + [AffineForm((1, -1), 0)]
-    expected = relative_interior_point(ineqs, [], 2)
-    runs = _count_phases(monkeypatch)
-    assert relative_interior_point(ineqs, [], 2, [(0, 0, 1), (0, 1, 1), (1, 1, 1)]) == expected
-    assert runs == {"phase1": 1, "phase2": 1}
-
-
-def test_relative_interior_point_refuses_vertices_off_the_set():
-    ineqs, eqs = cube_bounds(2), [AffineForm((1, -1), 0)]
-    with pytest.raises(ValueError, match="not all points of the set"):
-        relative_interior_point(ineqs, eqs, 2, [(0, 0, 1), (1, 0, 1)])  # off x_1 = x_2
-    with pytest.raises(ValueError, match="not all points of the set"):
-        relative_interior_point(ineqs, eqs, 2, [(0, 0, 1), (2, 2, 1)])  # outside the square
-    with pytest.raises(ValueError, match="not all points of the set"):
-        relative_interior_point([AffineForm((1, 1), -2)], [], 2, [(-1, 0, 1)])  # x_1 < 0
-    with pytest.raises(ValueError, match="with den > 0"):
-        relative_interior_point(ineqs, eqs, 2, [(1, 1, -1)])
-    with pytest.raises(ValueError, match="with den > 0"):
-        relative_interior_point(ineqs, eqs, 2, [(1, 1)])
-    with pytest.raises(TypeError, match="vertex entry"):
-        relative_interior_point(ineqs, eqs, 2, [(F(1, 2), F(1, 2), 1)])

@@ -36,7 +36,7 @@ def _sweeps(rng):
         order = rng.randint(2, {2: 30, 3: 9, 4: 5, 5: 3}[r])
         m = [rng.randint(1, 4) for _ in range(r)]
         yield (["betti", *family, "--m", ",".join(map(str, m))], prod(m),
-               None if cone else check_sweep(prod(m), lcm(*m), r, n))
+               None if cone else check_sweep(prod(m), lcm(*m), r, n, branched=True))
         yield ["milnor", *family, "--order", str(order)], order - 1, None if cone else check_milnor_sweep(order, r, n)
         yield ["check", *family, "--order", str(order)], order ** r, None if cone else check_sweep(order ** r, order, r, n)
         if not cone:
@@ -57,6 +57,22 @@ def test_sweeps_charge_at_most_their_estimates(capsys):
     assert ranked >= 20, ranked
 
 
+def test_sweep_estimates_stay_near_their_charges(capsys):
+    # the estimate ranks only the characters on the support, and betti's
+    # the restriction of each once more: so it stays within 1.5x of what an
+    # oracle or check sweep charges, and 2x of a betti sweep's
+    for argv, estimate, slack in [
+        (["oracle", "--arrangement", "4", "--n", "2", "--order", "3"], check_sweep(81, 3, 4, 2), 1.5),
+        (["oracle", "--arrangement", "3", "--n", "1", "--order", "30"], check_sweep(27000, 30, 3, 1), 1.5),
+        (["check", "--arrangement", "4", "--n", "2", "--order", "6"], check_sweep(1296, 6, 4, 2), 1.5),
+        (["betti", "--arrangement", "4", "--n", "2", "--m", "6,6,6,6"], check_sweep(1296, 6, 4, 2, branched=True), 2),
+        (["betti", "--arrangement", "5", "--n", "2", "--m", "4,4,4,4,4"], check_sweep(1024, 4, 5, 2, branched=True),
+         2),
+    ]:
+        charged = _charges(argv, capsys)["MAX_SWEEP_WORK"]
+        assert charged <= estimate <= slack * charged, (argv, charged, estimate)
+
+
 def test_one_oracle_call_charges_at_most_its_estimate():
     # one character on the support: its evaluation of d_n, its field table
     # and the dividers its rank builds, against the estimate oracle_f checks
@@ -71,7 +87,7 @@ def test_one_oracle_call_charges_at_most_its_estimate():
         rows, cols = comb(r - 1, n), comb(r - 1, n - 1)
         with work.ledger() as book:
             oracle_f(r, n, order, ks)
-        assert book["MAX_SWEEP_WORK"] <= koszul._sweep_work(1, 1, order, rows, cols), (r, n, order, ks)
+        assert book["MAX_SWEEP_WORK"] <= koszul._rank_work(order, rows, cols), (r, n, order, ks)
         order, ks = koszul._character(order, ks)
         phi = koszul._totient(order)
         dividers += book["MAX_SWEEP_WORK"] > phi * rows * cols + order * phi
