@@ -45,12 +45,12 @@ from .quasiadjunction import (
     LogCanonicalBoundary,
     MembershipVerdict,
     faces_of_quasiadjunction,
-    faces_stabilized,
     lct_face,
     membership,
     multiplier_ideal_membership,
 )
 from .resolution import (
+    ConeFamily,
     ExceptionalComponent,
     GermBasisElement,
     QuasiArray,
@@ -58,7 +58,6 @@ from .resolution import (
     ResolutionError,
     cone_over,
     generic_arrangement,
-    is_generic_arrangement,
     load_resolution,
     serialize_resolution,
     validate_resolution,
@@ -68,6 +67,7 @@ __all__ = [
     "BettiTable",
     "CharacterPoint",
     "ComplexSpec",
+    "ConeFamily",
     "CyclotomicField",
     "EssentialityReport",
     "ExceptionalComponent",
@@ -92,10 +92,8 @@ __all__ = [
     "cyclotomic_polynomial",
     "exp_face",
     "faces_of_quasiadjunction",
-    "faces_stabilized",
     "generic_arrangement",
     "homology_ranks_at",
-    "is_generic_arrangement",
     "lct_face",
     "load_resolution",
     "make_subtorus",

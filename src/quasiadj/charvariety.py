@@ -18,7 +18,7 @@ from . import work
 from .cyclotomic import LaurentPoly, cyclotomic_product
 from .quasiadjunction import FaceOfQuasiadjunction, faces_of_quasiadjunction
 from .ratgeom import _integers, hermite, is_saturation_basis, rat
-from .resolution import ResolutionData, _expect_int, cone_over
+from .resolution import ResolutionData, _expect_int
 
 
 @lru_cache(maxsize=4096)
@@ -76,15 +76,10 @@ class CharacterPoint:
         return tuple(i for i, k in enumerate(self.exponents) if k)
 
 
-def _charged_character(order: int, exponents) -> CharacterPoint:
-    work.charge("MAX_CHARACTERS", 1)
-    return CharacterPoint(order, exponents)
-
-
 def torsion_characters(orders):
     """An iterator over all characters with phases k_i / orders[i], in plain
-    product order, each charged as it is made.  Orders below 1 and a sweep
-    past MAX_CHARACTERS are refused at the call."""
+    product order.  Orders below 1 and a sweep past MAX_CHARACTERS are
+    refused at the call, which charges the whole sweep at once."""
     orders = [_expect_int(m, "order[%d]" % i) for i, m in enumerate(orders)]
     total = 1
     for m in orders:
@@ -92,8 +87,9 @@ def torsion_characters(orders):
             raise ValueError("order %d < 1" % m)
         total *= m
     work.check("MAX_CHARACTERS", total, "character sweep of size {units} exceeds cap {cap}")
+    work.charge("MAX_CHARACTERS", total)
     n = lcm(*orders)
-    return map(_charged_character, repeat(n), product(*(range(0, n, n // m) for m in orders)))
+    return map(CharacterPoint, repeat(n), product(*(range(0, n, n // m) for m in orders)))
 
 
 def _exponent_vector(v, nvars: int) -> tuple[int, ...]:
@@ -253,21 +249,20 @@ class EssentialityReport:
 def classify_essential(data: ResolutionData, components=None) -> EssentialityReport:
     """Split components into essential ones and those arising from a proper
     subunion: torus inside {t_i = 1} with its projection inside a component
-    of the subunion without branch i.  That subunion is the cone over the
-    kept degrees, cone_over with the family's n and bound, so data with no
-    family provenance, or with one branch, has none and every component is
-    essential.  The subunion's components are built only for a branch some
-    torus projects along, once per branch."""
+    of the subunion without branch i.  That subunion is data.family
+    restricted to the other branches, so data with no family, or with one
+    branch, has none and every component is essential.  The subunion's
+    components are built only for a branch some torus projects along, once
+    per branch."""
     if components is None:
         components = principal_components(data)
     if data.family is None or data.r == 1:
         return EssentialityReport(tuple(components), ())
-    _, degrees, n, bound = data.family
     sub_components = {}  # branch -> components of the subunion without it
 
     def subunion(i):
         if i not in sub_components:
-            sub_components[i] = principal_components(cone_over(degrees[:i] + degrees[i + 1:], n, bound))
+            sub_components[i] = principal_components(data.family.restrict(j for j in range(data.r) if j != i).build())
         return sub_components[i]
 
     essential = []

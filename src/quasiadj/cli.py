@@ -30,7 +30,7 @@ from .charvariety import classify_essential, component_dict, polynomial_invarian
 from .covers import ORACLE, PRINCIPAL, betti_dict, betti_tables, milnor_dict, milnor_fiber, oracle_applies, sweep
 from .cyclotomic import LaurentPoly
 from .koszul import cone_support, on_support
-from .quasiadjunction import faces_of_quasiadjunction, faces_stabilized, lct_face
+from .quasiadjunction import faces_of_quasiadjunction, lct_face
 from .resolution import _dump_oracle_yaml, _dump_yaml, cone_over, generic_arrangement, load_resolution
 
 
@@ -134,7 +134,7 @@ def cmd_faces(args):
     data = _load_data(args)
     faces = faces_of_quasiadjunction(data)
     lct = lct_face(data, faces)
-    stable = faces_stabilized(data) if data.family is not None else None
+    stable = data.family.saturated if data.family is not None else None
     if args.format == "structured":
         report = {
             "faces": [
@@ -160,7 +160,7 @@ def cmd_faces(args):
         lct.gamma, "" if lct.face is None else " on face " + _face_str(lct.face)))
     if stable is not None:
         lines.append("degree bound %d %s under bound+1" % (
-            data.family[3], "is stable" if stable else "CHANGES"))
+            data.family.bound, "is stable" if stable else "CHANGES"))
     return _text(lines), 0
 
 
@@ -293,12 +293,11 @@ def cmd_check(args):
         return _text(lines), code
     if data.family is None:
         raise CliInputError("check needs a builtin family")
-    degrees = data.family[1]
     sound = unsound = covered = on_total = 0
     bad = []
     for chi, pf in sweep(data, orders, PRINCIPAL):
         member = pf > 0
-        supp = cone_support(degrees, chi.order, chi.exponents)
+        supp = cone_support(data.family.degrees, chi.order, chi.exponents)
         if member and not supp:
             unsound += 1
             bad.append(chi)

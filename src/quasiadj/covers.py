@@ -21,10 +21,10 @@ from itertools import tee
 from math import comb, gcd, lcm, prod
 
 from . import work
-from .charvariety import CharacterPoint, _charged_character, principal_components, principal_f, torsion_characters
+from .charvariety import CharacterPoint, principal_components, principal_f, torsion_characters
 from .cyclotomic import cyclotomic_product
 from .koszul import check_milnor_sweep, check_sweep, oracle_f
-from .resolution import ResolutionData, _expect_int, cone_over, is_generic_arrangement
+from .resolution import ResolutionData, _expect_int
 
 PRINCIPAL = "principal lower bound"
 ORACLE = "exact (oracle)"
@@ -41,9 +41,9 @@ class BettiTable:
 
 
 def oracle_applies(data: ResolutionData) -> bool:
-    """Whether the Koszul oracle models data: a generic arrangement with
-    1 <= n <= r - 1 (the skeleton model)."""
-    return is_generic_arrangement(data) and 1 <= data.n <= data.r - 1
+    """Whether the Koszul oracle models data: a generic arrangement (a cone
+    family of degrees all 1) with 1 <= n <= r - 1 (the skeleton model)."""
+    return data.family is not None and all(d == 1 for d in data.family.degrees) and 1 <= data.n <= data.r - 1
 
 
 def _oracle_at(n: int, chi: CharacterPoint) -> int:
@@ -102,15 +102,15 @@ def betti_tables(data: ResolutionData, m, f_mode: str = PRINCIPAL) -> tuple[Bett
     branches in I: at the full support that is the unbranched value, and
     the empty support contributes 0 (the cover of a sphere).  The oracle
     serves every support as it is.  On the principal route the subunion is
-    the cone over the kept degrees, and its components are computed once
-    per degree tuple.  Subunions need the family provenance, so the
-    branched table is None for data without it.
+    data.family restricted to I, and its components are computed once per
+    restricted family.  Subunions need data.family, so the branched table
+    is None for data without one.
 
     The sweep's refusals (see sweep) come before any character is visited.
     """
     m = tuple(m)
     family = data.family
-    f_by_degrees: dict = {}
+    f_by_subunion: dict = {}
     total = 0
     count = 0
     trivial_term = 0
@@ -128,10 +128,10 @@ def betti_tables(data: ResolutionData, m, f_mode: str = PRINCIPAL) -> tuple[Bett
         elif len(keep) < data.r and f_mode == ORACLE:
             val = _oracle_at(data.n, chi.restrict(keep))
         elif len(keep) < data.r:
-            degrees = tuple(family[1][i] for i in keep)
-            if degrees not in f_by_degrees:
-                f_by_degrees[degrees] = f_source(cone_over(degrees, *family[2:]), PRINCIPAL)
-            val = f_by_degrees[degrees](chi.restrict(keep))
+            sub = family.restrict(keep)
+            if sub not in f_by_subunion:
+                f_by_subunion[sub] = f_source(sub.build(), PRINCIPAL)
+            val = f_by_subunion[sub](chi.restrict(keep))
         buckets[keep] = buckets.get(keep, 0) + val
     assert count == prod(m), "character audit failed: %d != %d" % (count, prod(m))
     unbranched = BettiTable(
@@ -198,10 +198,11 @@ def milnor_fiber(data: ResolutionData, order_bound: int, f_mode: str = PRINCIPAL
     work.check("MAX_CHARACTERS", order_bound - 1, "Milnor fiber sweep of {units} diagonal characters exceeds cap {cap}")
     if f_mode == ORACLE:
         check_milnor_sweep(order_bound, data.r, data.n)
+    work.charge("MAX_CHARACTERS", order_bound - 1)
     f = f_source(data, f_mode)
     mults: dict[Fraction, int] = {}
     for k in range(1, order_bound):
-        mults[Fraction(k, order_bound)] = f(_charged_character(order_bound, (k,) * data.r))
+        mults[Fraction(k, order_bound)] = f(CharacterPoint(order_bound, (k,) * data.r))
     factors = []
     for d in range(2, order_bound + 1):
         if order_bound % d:

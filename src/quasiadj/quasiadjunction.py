@@ -548,20 +548,3 @@ def lct_face(data: ResolutionData, faces=None) -> LogCanonicalBoundary:
                 face = f
                 break
     return LogCanonicalBoundary(gamma, face)
-
-
-def faces_stabilized(data: ResolutionData) -> bool:
-    """For builtin cone families: whether raising the germ degree bound by
-    one leaves the faces (affine spans and labels) unchanged.
-
-    Exact, with no face search.  A germ of degree s of the cone over
-    degrees d in C^(n+1) has the single constraint
-    sum_i d_i (1 - x_i) <= s + n + 1, which cuts a face with a strictly
-    positive point iff s + n + 1 < sum(d), and is tight on no other face.
-    So bound + 1 adds a face iff bound + n + 2 < sum(d), and never changes
-    the labels of the faces already there.
-    """
-    if data.family is None or data.family[0] != "cone":
-        raise ValueError("stabilization check needs family provenance")
-    degrees, n, bound = data.family[1], data.family[2], data.family[3]
-    return bound >= sum(degrees) - n - 2

@@ -108,7 +108,7 @@ class ResolutionData:
     exceptional: tuple[ExceptionalComponent, ...]
     incidence: tuple[IncidenceRecord, ...]
     germs: tuple[GermBasisElement, ...]
-    family: tuple | None = None  # provenance tag set by builtin generators
+    family: ConeFamily | None = None  # provenance set by builtin generators
 
     def __post_init__(self):
         _expect_int(self.r, "r")
@@ -632,15 +632,12 @@ def load_resolution(source) -> ResolutionData:
         germs.append(g)
     if not has_unit:
         germs.insert(0, GermBasisElement("1", 0, ()))
-    family = None
-    if "family" in doc:
-        fam = _expect_list(doc["family"], "family")
-        family = _family_from_doc(fam)
+    family = ConeFamily.from_doc(_expect_list(doc["family"], "family")) if "family" in doc else None
     data = ResolutionData(r, n, names, tuple(exceptional), tuple(incidence), tuple(germs), family)
     validate_resolution(data)
     if family is not None:
         # subunions and the oracle read the family, so it must describe this data
-        ref = cone_over(*family[1:])
+        ref = family.build()
         for what, got, want in (
             ("r", data.r, ref.r),
             ("n", data.n, ref.n),
@@ -651,15 +648,6 @@ def load_resolution(source) -> ResolutionData:
             if got != want:
                 raise ResolutionError("family %r does not match the document's %s" % (family, what))
     return data
-
-
-def _family_from_doc(node) -> tuple:
-    if not node or node[0] != "cone":
-        raise ResolutionError("family: only ['cone', [degrees], n, bound] is understood")
-    if len(node) != 4:
-        raise ResolutionError("family: expected ['cone', [degrees], n, bound]")
-    degrees = tuple(_expect_int(v, "family[1][%d]" % i) for i, v in enumerate(_expect_list(node[1], "family[1]")))
-    return ("cone", degrees, _expect_int(node[2], "family[2]"), _expect_int(node[3], "family[3]"))
 
 
 def serialize_resolution(data: ResolutionData) -> str:
@@ -676,7 +664,7 @@ def serialize_resolution(data: ResolutionData) -> str:
         "germs": [{"label": g.label, "degree": g.degree, "e": dict(g.e)} for g in data.germs],
     }
     if data.family is not None:
-        doc["family"] = ["cone", list(data.family[1]), data.family[2], data.family[3]]
+        doc["family"] = ["cone", list(data.family.degrees), data.family.n, data.family.bound]
     return _dump_yaml(doc)
 
 
@@ -704,6 +692,45 @@ def _monomial_label(alpha: tuple[int, ...]) -> str:
         elif p > 1:
             parts.append("x%d^%d" % (i, p))
     return "*".join(parts)
+
+
+@dataclass(frozen=True)
+class ConeFamily:
+    """The builtin cone family cone_over(degrees, n, bound) that data came from."""
+
+    degrees: tuple[int, ...]
+    n: int
+    bound: int
+
+    @classmethod
+    def from_doc(cls, node) -> "ConeFamily":
+        if not node or node[0] != "cone":
+            raise ResolutionError("family: only ['cone', [degrees], n, bound] is understood")
+        if len(node) != 4:
+            raise ResolutionError("family: expected ['cone', [degrees], n, bound]")
+        degrees = tuple(_expect_int(v, "family[1][%d]" % i) for i, v in enumerate(_expect_list(node[1], "family[1]")))
+        return cls(degrees, _expect_int(node[2], "family[2]"), _expect_int(node[3], "family[3]"))
+
+    def build(self) -> ResolutionData:
+        return cone_over(self.degrees, self.n, self.bound)
+
+    def restrict(self, keep) -> "ConeFamily":
+        """The family of the subunion of the branches in keep."""
+        return ConeFamily(tuple(self.degrees[i] for i in keep), self.n, self.bound)
+
+    @property
+    def saturated(self) -> bool:
+        """Whether raising the germ degree bound by one leaves the faces
+        (affine spans and labels) unchanged.
+
+        Exact, with no face search.  A germ of degree s of the cone over
+        degrees d in C^(n+1) has the single constraint
+        sum_i d_i (1 - x_i) <= s + n + 1, which cuts a face with a strictly
+        positive point iff s + n + 1 < sum(d), and is tight on no other face.
+        So bound + 1 adds a face iff bound + n + 2 < sum(d), and never changes
+        the labels of the faces already there.
+        """
+        return self.bound >= sum(self.degrees) - self.n - 2
 
 
 @work.metered
@@ -741,7 +768,7 @@ def cone_over(degrees, n: int, degree_bound: int = 0) -> ResolutionData:
         exceptional=(exc,),
         incidence=(IncidenceRecord(frozenset(["E0"]), 1),),
         germs=tuple(germs),
-        family=("cone", degrees, n, degree_bound),
+        family=ConeFamily(degrees, n, degree_bound),
     )
 
 
@@ -750,7 +777,3 @@ def generic_arrangement(r: int, n: int, degree_bound: int = 0) -> ResolutionData
     if r < 1:
         raise ResolutionError("arrangement: r = %d < 1" % r)
     return cone_over((1,) * r, n, degree_bound)
-
-
-def is_generic_arrangement(data: ResolutionData) -> bool:
-    return data.family is not None and data.family[0] == "cone" and all(d == 1 for d in data.family[1])

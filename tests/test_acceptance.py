@@ -145,9 +145,9 @@ def test_criterion_7_essentiality_slices():
     families = [cone_over((1, 1, 1, 1, 1), 2, 0), cone_over((2, 3, 4), 2, 0), cone_over((2, 2, 3), 2, 1)]
     for data in families:
         full = principal_components(data)
-        _, degrees, n, bound = data.family
+        family = data.family
         for index in range(data.r):
-            sub = cone_over(degrees[:index] + degrees[index + 1:], n, bound)
+            sub = cone_over(family.degrees[:index] + family.degrees[index + 1:], family.n, family.bound)
             torsion = set(torsion_characters((3,) * sub.r)) | set(torsion_characters((4,) * sub.r))
             for comp in principal_components(sub):
                 for chi in torsion:  # every point of order <= 4 lies in one sweep

@@ -279,12 +279,12 @@ def test_classify_essential():
 def test_classify_essential_propagates_unexpected_errors(monkeypatch):
     # the subunion is built only for a branch the torus projects along, so
     # the component has to lie in a slice {t_i = 1} for the error to surface
-    import quasiadj.charvariety as cv
+    from quasiadj.resolution import ConeFamily
 
-    def broken(degrees, n, bound):
-        raise KeyError(degrees)
+    def broken(family):
+        raise KeyError(family.degrees)
 
-    monkeypatch.setattr(cv, "cone_over", broken)
+    monkeypatch.setattr(ConeFamily, "build", broken)
     torus = make_subtorus(3, [((0, 0, 1), F(0)), ((2, 3, 0), F(0))])
     with pytest.raises(KeyError):
         classify_essential(cone_over((2, 3, 4), 2, 0), components=[PrincipalComponent(torus, 1, 1, ((1, 1),))])

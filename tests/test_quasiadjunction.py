@@ -10,7 +10,6 @@ import pytest
 from quasiadj.quasiadjunction import (
     constraint_form,
     faces_of_quasiadjunction,
-    faces_stabilized,
     lct_face,
     membership,
     multiplier_ideal_membership,
@@ -171,8 +170,8 @@ def test_contains_gamma_refuses_floats():
 
 
 def test_faces_stabilized():
-    assert faces_stabilized(cone_over((2, 3), 2, 3))
-    assert not faces_stabilized(cone_over((2, 3), 2, 0))
+    assert cone_over((2, 3), 2, 3).family.saturated
+    assert not cone_over((2, 3), 2, 0).family.saturated
 
     def two_searches(degrees, n, bound):
         key = lambda data: sorted(
@@ -183,7 +182,7 @@ def test_faces_stabilized():
     grid += [((d1, d2), n, b) for d1 in (1, 3, 5) for d2 in (1, 2, 4) for n in (1, 2) for b in range(3)]
     grid += [((2, 1, 3), 1, b) for b in range(4)] + [((1, 1, 1), 2, b) for b in range(2)]
     for degrees, n, bound in grid:
-        assert faces_stabilized(cone_over(degrees, n, bound)) == two_searches(degrees, n, bound), (degrees, n, bound)
+        assert cone_over(degrees, n, bound).family.saturated == two_searches(degrees, n, bound), (degrees, n, bound)
 
 
 def test_germs_with_equal_valuations_share_one_search(monkeypatch):

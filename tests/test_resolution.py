@@ -16,8 +16,9 @@ import quasiadj.cli as cli
 import quasiadj.resolution as resolution
 import quasiadj.work as work
 from quasiadj.charvariety import PrincipalComponent, classify_essential, make_subtorus
-from quasiadj.covers import betti_tables
+from quasiadj.covers import betti_tables, oracle_applies
 from quasiadj.resolution import (
+    ConeFamily,
     ExceptionalComponent,
     GermBasisElement,
     IncidenceRecord,
@@ -26,7 +27,6 @@ from quasiadj.resolution import (
     ResolutionError,
     cone_over,
     generic_arrangement,
-    is_generic_arrangement,
     load_resolution,
     serialize_resolution,
     validate_resolution,
@@ -44,15 +44,16 @@ def test_cone_over_shape():
     # monomials in n+1 = 3 variables of total degree <= 3
     assert len(data.germs) == 1 + 3 + 6 + 10
     assert data.unit_germ.degree == 0
-    assert data.family == ("cone", (2, 3), 2, 3)
+    assert data.family == ConeFamily((2, 3), 2, 3)
 
 
 def test_generic_arrangement_is_unit_degree_cone():
     data = generic_arrangement(4, 2)
     assert data.r == 4
     assert data.exceptional[0].a == (1, 1, 1, 1)
-    assert is_generic_arrangement(data)
-    assert not is_generic_arrangement(cone_over((2, 3), 2))
+    assert oracle_applies(data)
+    assert not oracle_applies(cone_over((2, 3), 2))
+    assert not oracle_applies(cone_over((2, 3), 1))  # n <= r - 1, so the degrees refuse it
 
 
 def test_quasi_array():
@@ -310,7 +311,7 @@ def test_load_checks_incidence_closure():
 
 def test_load_rejects_family_tag_that_mismatches_data():
     doc = serialize_resolution(cone_over((1, 1, 1, 1), 2, 0))
-    assert load_resolution(io.StringIO(doc)).family == ("cone", (1, 1, 1, 1), 2, 0)
+    assert load_resolution(io.StringIO(doc)).family == ConeFamily((1, 1, 1, 1), 2, 0)
     # the tag would make a (5, 7, 1, 1) chart pass for a generic arrangement
     with pytest.raises(ResolutionError, match="family .* exceptional"):
         load_resolution(io.StringIO(doc.replace("a: [1, 1, 1, 1]", "a: [5, 7, 1, 1]")))
@@ -319,14 +320,15 @@ def test_load_rejects_family_tag_that_mismatches_data():
 
 
 def _count_subunions(monkeypatch):
-    """Record the arguments of every cone_over call classify_essential makes."""
+    """Record the arguments of every cone_over call classify_essential makes,
+    through ConeFamily.build."""
     calls = []
 
     def counted(*args):
         calls.append(args)
         return cone_over(*args)
 
-    monkeypatch.setattr(cv, "cone_over", counted)
+    monkeypatch.setattr(resolution, "cone_over", counted)
     return calls
 
 

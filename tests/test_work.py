@@ -6,6 +6,7 @@ from math import comb, lcm, prod
 import pytest
 
 import quasiadj.cli as cli
+import quasiadj.covers as covers
 import quasiadj.koszul as koszul
 import quasiadj.work as work
 from quasiadj.koszul import check_milnor_sweep, check_sweep, oracle_f, truncated_koszul
@@ -43,16 +44,29 @@ def _sweeps(rng):
             yield ["oracle", *family, "--order", str(order)], order ** r, check_sweep(order ** r, order, r, n)
 
 
-def test_sweeps_charge_at_most_their_estimates(capsys):
-    # every character is charged, and each oracle sweep's evaluations,
-    # field tables and Bareiss dividers, restricted characters of the
-    # branched table included, stay within the estimate checked up front
+def test_sweeps_charge_at_most_their_estimates(monkeypatch, capsys):
+    # every character is charged, and each oracle sweep checks the estimate
+    # of its own shape up front (branched for betti): its evaluations, field
+    # tables and Bareiss dividers, restricted characters of the branched
+    # table included, stay within the estimate it checked
+    checked = []
+
+    def recording(check):
+        def call(*args, **kwargs):
+            checked.append(check(*args, **kwargs))
+            return checked[-1]
+        return call
+
+    monkeypatch.setattr(covers, "check_sweep", recording(check_sweep))
+    monkeypatch.setattr(covers, "check_milnor_sweep", recording(check_milnor_sweep))
     rng = random.Random(2828)
     ranked = 0
     for argv, characters, estimate in _sweeps(rng):
+        checked.clear()
         book = _charges(argv, capsys)
         assert book.get("MAX_CHARACTERS", 0) == characters, argv
-        assert book.get("MAX_SWEEP_WORK", 0) <= (estimate or 0), (argv, dict(book), estimate)
+        assert checked == ([] if estimate is None else [estimate]), (argv, checked, estimate)
+        assert book.get("MAX_SWEEP_WORK", 0) <= sum(checked), (argv, dict(book), checked)
         ranked += book.get("MAX_SWEEP_WORK", 0) > 0
     assert ranked >= 20, ranked
 

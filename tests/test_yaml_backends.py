@@ -88,7 +88,7 @@ FAMILIES = [
 ]
 
 
-@pytest.mark.parametrize("data", FAMILIES, ids=lambda d: "%s%s" % (d.family[0], d.family[1:]))
+@pytest.mark.parametrize("data", FAMILIES, ids=lambda d: "cone(%s, %d, %d)" % (d.family.degrees, d.family.n, d.family.bound))
 def test_serialize_families_byte_identical(data):
     texts = each_backend(lambda: serialize_resolution(data))
     assert texts["libyaml"] == texts["python"]
